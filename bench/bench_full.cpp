@@ -80,12 +80,9 @@ int main() {
               campaign_config.stream_block, rss);
   std::printf("  dataset hash: %s\n", hash);
   std::printf("  campaign phases: pass A %.2fs, pass B %.2fs "
-              "(serial fraction %.1f%%), %llu sharded / %llu fallback "
-              "chunks\n",
+              "(serial fraction %.1f%%)\n",
               phases.pass_a_seconds, phases.pass_b_seconds,
-              100.0 * phases.serial_fraction(),
-              static_cast<unsigned long long>(phases.sharded_chunks),
-              static_cast<unsigned long long>(phases.serial_fallback_chunks));
+              100.0 * phases.serial_fraction());
 
   telemetry.value("destinations", campaign.num_destinations());
   telemetry.value("stream_block", campaign_config.stream_block);
@@ -97,8 +94,6 @@ int main() {
   telemetry.value("campaign_pass_a_s", phases.pass_a_seconds);
   telemetry.value("campaign_pass_b_s", phases.pass_b_seconds);
   telemetry.value("campaign_serial_fraction", phases.serial_fraction());
-  telemetry.value("campaign_sharded_chunks", phases.sharded_chunks);
-  telemetry.value("campaign_fallback_chunks", phases.serial_fallback_chunks);
   telemetry.value("probes_sent", phases.probes_sent);
   return 0;
 }

@@ -56,31 +56,13 @@ void BM_RrStampAndTtl(benchmark::State& state) {
 }
 BENCHMARK(BM_RrStampAndTtl);
 
-// --- the per-hop walk, both ways ------------------------------------------
-// Nine stamping hops on one RR ping: the mutate.h functions re-locate the
-// option and rewrite the checksum per call; Ipv4HeaderView caches the
-// offsets once and applies RFC 1624 incremental updates. This pair is the
-// per-packet cost Network::walk pays at every simulated hop.
+// --- the per-hop walk -------------------------------------------------------
+// Nine stamping hops on one RR ping: the per-packet cost the dataplane pays
+// at every simulated hop.
 
 constexpr int kWalkHops = 9;
 
-void walk_with_mutate(std::vector<std::uint8_t>& bytes) {
-  for (int hop = 0; hop < kWalkHops; ++hop) {
-    pkt::decrement_ttl(bytes);
-    pkt::rr_stamp(bytes, net::IPv4Address(10, 0, 0,
-                                          static_cast<std::uint8_t>(hop)));
-  }
-}
-
-void walk_with_view(std::vector<std::uint8_t>& bytes) {
-  pkt::Ipv4HeaderView view{bytes};
-  for (int hop = 0; hop < kWalkHops; ++hop) {
-    view.decrement_ttl();
-    view.rr_stamp(net::IPv4Address(10, 0, 0, static_cast<std::uint8_t>(hop)));
-  }
-}
-
-/// The element-pipeline walk over the same nine stamping hops, exercising
+/// The element-pipeline walk over the nine stamping hops, exercising
 /// exactly what Network::walk_pipeline runs per hop: a HopRow load, a run
 /// list word from the personality bank, and the run_hop interpreter (here
 /// executing [TtlDecrement, TrustedStamp] — the fault-free stamping
@@ -110,32 +92,6 @@ void walk_with_pipeline(std::vector<std::uint8_t>& bytes,
     }
   }
 }
-
-void BM_WalkMutateLegacy(benchmark::State& state) {
-  const auto original = *pkt::make_ping(net::IPv4Address(1, 2, 3, 4),
-                                        net::IPv4Address(5, 6, 7, 8), 9, 1,
-                                        64, 9).serialize();
-  std::vector<std::uint8_t> bytes;
-  for (auto _ : state) {
-    bytes = original;
-    walk_with_mutate(bytes);
-    benchmark::DoNotOptimize(bytes);
-  }
-}
-BENCHMARK(BM_WalkMutateLegacy);
-
-void BM_WalkHeaderView(benchmark::State& state) {
-  const auto original = *pkt::make_ping(net::IPv4Address(1, 2, 3, 4),
-                                        net::IPv4Address(5, 6, 7, 8), 9, 1,
-                                        64, 9).serialize();
-  std::vector<std::uint8_t> bytes;
-  for (auto _ : state) {
-    bytes = original;
-    walk_with_view(bytes);
-    benchmark::DoNotOptimize(bytes);
-  }
-}
-BENCHMARK(BM_WalkHeaderView);
 
 void BM_LpmLookup(benchmark::State& state) {
   net::LpmTrie<std::uint32_t> trie;
@@ -223,8 +179,7 @@ BENCHMARK(BM_SimulatedPingRrReuse)->Unit(benchmark::kMicrosecond);
 
 /// Best-of-k repetitions of `sample()`: shared-VM noise (steal time,
 /// frequency dips) only ever adds time, so the minimum is the robust
-/// estimator — the regression gate compares ratios of these minima, and a
-/// single perturbed sample must not flip it.
+/// estimator — a single perturbed sample must not move it.
 template <typename Sample>
 double min_over_reps(Sample&& sample) {
   constexpr int kReps = 5;
@@ -253,19 +208,6 @@ double time_loop_ns(const std::vector<std::uint8_t>& original, Body&& body) {
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double, std::nano>(elapsed).count() / kIters;
-}
-
-/// Walk nanoseconds for the telemetry record, net of the per-iteration
-/// buffer reset (the copy exists only so the benchmark can repeat — the
-/// simulator walks each buffer once). The committed BENCH_micro.json
-/// carries the legacy-vs-view ratio so the hot-path speedup claim is
-/// checkable from the artifact alone.
-double time_walk_ns(const std::vector<std::uint8_t>& original, bool use_view,
-                    double reset_ns) {
-  const double gross = time_loop_ns(original, [use_view](auto& bytes) {
-    use_view ? walk_with_view(bytes) : walk_with_mutate(bytes);
-  });
-  return gross - reset_ns;
 }
 
 /// Per-probe nanoseconds for the batched walk (sim::walk_batch_pipeline)
@@ -319,15 +261,11 @@ int main(int argc, char** argv) {
                                             9, 1, 64, 9).serialize();
   const double reset_ns =
       min_over_reps([&] { return time_loop_ns(original, [](auto&) {}); });
-  const double legacy_ns = min_over_reps(
-      [&] { return time_walk_ns(original, /*use_view=*/false, reset_ns); });
-  const double view_ns = min_over_reps(
-      [&] { return time_walk_ns(original, /*use_view=*/true, reset_ns); });
-  // The compiled element pipeline over the same hops: the run table is the
+  // The compiled element pipeline over the nine hops: the run table is the
   // fault-free compilation (loss gates elided, trusted stamping), rows are
   // the plain stamping personality — the configuration the bulk of a
-  // census walk executes. Gated ≤ 177 ns by check_bench_regression.sh:
-  // the interpreter must not cost more than the hand-inlined view walk.
+  // census walk executes. Gated ≤ 177 ns by check_bench_regression.sh,
+  // what the hand-inlined view walk cost when the interpreter replaced it.
   const rr::sim::RunTable table =
       rr::sim::compile_run_table(rr::sim::PipelineConfig{});
   const rr::sim::ElementSet elements{};
@@ -387,17 +325,12 @@ int main(int argc, char** argv) {
                                                            rep_batch16_ns));
   }
   telemetry.value("walk_reset_ns", reset_ns);
-  telemetry.value("walk_legacy_ns", legacy_ns);
-  telemetry.value("walk_view_ns", view_ns);
-  telemetry.value("walk_speedup", legacy_ns / view_ns);
   telemetry.value("walk_pipeline_ns", pipeline_ns);
   telemetry.value("walk_batch4_ns", batch4_ns);
   telemetry.value("walk_batch8_ns", batch8_ns);
   telemetry.value("walk_batch16_ns", batch16_ns);
   telemetry.value("walk_batch_speedup", batch_speedup);
-  std::printf("walk (9 stamping hops): mutate.h %.1f ns, view %.1f ns, "
-              "pipeline %.1f ns, speedup %.2fx\n", legacy_ns, view_ns,
-              pipeline_ns, legacy_ns / view_ns);
+  std::printf("walk (9 stamping hops): pipeline %.1f ns\n", pipeline_ns);
   std::printf("batched walk: width 4 %.1f ns, width 8 %.1f ns, width 16 "
               "%.1f ns per probe (batch speedup %.2fx over scalar "
               "pipeline)\n", batch4_ns, batch8_ns, batch16_ns, batch_speedup);

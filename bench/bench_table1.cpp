@@ -54,8 +54,6 @@ int main() {
   telemetry.value("campaign_pass_a_s", phases.pass_a_seconds);
   telemetry.value("campaign_pass_b_s", phases.pass_b_seconds);
   telemetry.value("campaign_serial_fraction", phases.serial_fraction());
-  telemetry.value("campaign_sharded_chunks", phases.sharded_chunks);
-  telemetry.value("campaign_fallback_chunks", phases.serial_fallback_chunks);
   telemetry.value("probes_sent", phases.probes_sent);
   const auto table = measure::build_response_table(campaign);
 

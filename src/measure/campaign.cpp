@@ -56,17 +56,6 @@ sim::NetCounters killed_counters(const sim::ProbeTrace& trace,
   return serial;
 }
 
-/// One recorded token consume, flattened out of its probe's trace for the
-/// sharded replay: `orig` is the event's index in the chunk's canonical
-/// (step, VP, event) enumeration, which a stable sort by router preserves
-/// within each router — and per-router canonical order is all a bucket can
-/// observe.
-struct ConsumeRef {
-  topo::RouterId router = topo::kNoRouter;
-  double time = 0.0;
-  std::uint32_t orig = 0;
-};
-
 /// Folds a probe result into the compact observation, extracting the
 /// recorded RR addresses for the per-destination union.
 RrObservation observe(const probe::ProbeResult& result,
@@ -175,13 +164,6 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
   // contiguous row, so pass A's writers touch disjoint cache lines instead
   // of interleaving every VP's slots within a step.
   std::vector<PendingProbe> pending(kChunkSteps * n_vps);
-  const bool shard_replay = config.shard_replay && threads > 1;
-  // Sharded-replay scratch, reused across chunks.
-  std::vector<ConsumeRef> refs;
-  std::vector<std::uint32_t> probe_first;
-  std::vector<std::uint8_t> consumed;
-  std::vector<std::size_t> group_start;
-  std::vector<sim::TokenBucket> bucket_copies;
   // Raw per-destination address sightings, deduplicated per block.
   std::vector<std::vector<net::IPv4Address>> collected(n_dests);
 
@@ -322,110 +304,25 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
               std::chrono::steady_clock::now() - pass_a_begin)  // rropt-lint: allow(no-wallclock)
               .count();
 
-      // Pass B: token replay + result application. Buckets are per-router
-      // and independent, and the canonical (step, VP, event) order
-      // restricted to one router is all that router's bucket can observe —
-      // so the replay shards by router across the pool, each shard feeding
-      // a campaign-owned copy of its bucket. One serial-semantics wrinkle:
-      // a kill suppresses the probe's *later* events, which the optimistic
-      // shards still attempted. When that happens anywhere in the chunk
-      // (rare — kills themselves are rare), the shard results are
-      // discarded unused and the chunk falls back to the classic serial
-      // replay against the untouched network buckets; otherwise the shards
-      // attempted exactly the serial event set and the copies are
-      // committed. Either way, bit-identical to shard_replay = false.
+      // Pass B: token replay + result application, serially in the
+      // canonical (step, VP, event) order described above.
       const auto pass_b_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
-      bool resolved_sharded = false;
-      if (shard_replay) {
-        refs.clear();
-        probe_first.clear();
-        for (std::size_t j = 0; j < steps; ++j) {
-          for (std::size_t v = 0; v < n_vps; ++v) {
-            probe_first.push_back(static_cast<std::uint32_t>(refs.size()));
-            for (const auto& ev : pending[v * kChunkSteps + j].trace.events) {
-              refs.push_back({ev.router, ev.time,
-                              static_cast<std::uint32_t>(refs.size())});
-            }
-          }
-        }
-        probe_first.push_back(static_cast<std::uint32_t>(refs.size()));
-        consumed.assign(refs.size(), 0);
-        std::stable_sort(refs.begin(), refs.end(),
-                         [](const ConsumeRef& a, const ConsumeRef& b) {
-                           return a.router < b.router;
-                         });
-        group_start.clear();
-        bucket_copies.clear();
-        for (std::size_t i = 0; i < refs.size(); ++i) {
-          if (i == 0 || refs[i].router != refs[i - 1].router) {
-            group_start.push_back(i);
-            bucket_copies.push_back(net.options_bucket_state(refs[i].router));
-          }
-        }
-        group_start.push_back(refs.size());
-        const std::size_t n_groups = bucket_copies.size();
-        pool.parallel_for(n_groups, [&](std::size_t g) {
-          sim::TokenBucket bucket = bucket_copies[g];
-          for (std::size_t i = group_start[g]; i < group_start[g + 1]; ++i) {
-            consumed[refs[i].orig] = bucket.try_consume(refs[i].time) ? 1 : 0;
-          }
-          bucket_copies[g] = bucket;
-        });
-        // Validate: a serial replay attempts a probe's events only up to
-        // (and including) its first failure. If every first failure is the
-        // probe's last event, the shards attempted exactly the serial set.
-        bool phantom = false;
-        const std::size_t n_probes = steps * n_vps;
-        for (std::size_t pi = 0; pi < n_probes && !phantom; ++pi) {
-          const std::size_t begin = probe_first[pi];
-          const std::size_t count = probe_first[pi + 1] - begin;
-          for (std::size_t e = 0; e < count; ++e) {
-            if (consumed[begin + e] == 0) {
-              phantom = e + 1 < count;
-              break;
-            }
-          }
-        }
-        if (!phantom) {
-          for (std::size_t g = 0; g < n_groups; ++g) {
-            net.set_options_bucket_state(refs[group_start[g]].router,
-                                         bucket_copies[g]);
-          }
-          resolved_sharded = true;
-          ++campaign.phase_stats_.sharded_chunks;
-        } else {
-          ++campaign.phase_stats_.serial_fallback_chunks;
-        }
-      }
       for (std::size_t j = 0; j < steps; ++j) {
         for (std::size_t v = 0; v < n_vps; ++v) {
           PendingProbe& p = pending[v * kChunkSteps + j];
           bool killed_forward = false;
           bool killed_reply = false;
           std::size_t kill_index = 0;
-          if (resolved_sharded) {
-            const std::size_t base = probe_first[j * n_vps + v];
-            for (std::size_t e = 0; e < p.trace.events.size(); ++e) {
-              if (consumed[base + e] == 0) {
-                (p.trace.events[e].reply_leg ? killed_reply : killed_forward) =
-                    true;
-                kill_index = e;
-                break;
-              }
-            }
-          } else {
-            for (std::size_t e = 0; e < p.trace.events.size(); ++e) {
-              const auto& ev = p.trace.events[e];
-              if (!net.try_consume_options_token(ev.router, ev.time)) {
-                // A policed drop is silent: a forward-leg failure means the
-                // probe never arrived anywhere, a reply-leg failure means
-                // the response never came home. Later events of this probe
-                // would not have happened (reply events always follow
-                // forward ones).
-                (ev.reply_leg ? killed_reply : killed_forward) = true;
-                kill_index = e;
-                break;
-              }
+          for (std::size_t e = 0; e < p.trace.events.size(); ++e) {
+            const auto& ev = p.trace.events[e];
+            if (!net.try_consume_options_token(ev.router, ev.time)) {
+              // A policed drop is silent: a forward-leg failure means the
+              // probe never arrived anywhere, a reply-leg failure means the
+              // response never came home. Later events of this probe would
+              // not have happened (reply events always follow forward ones).
+              (ev.reply_leg ? killed_reply : killed_forward) = true;
+              kill_index = e;
+              break;
             }
           }
           if (killed_forward || killed_reply) {

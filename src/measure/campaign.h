@@ -82,13 +82,6 @@ struct CampaignConfig {
   /// batch width: every per-probe decision is counter-based and token
   /// consumption is deferred to the serial replay either way.
   int probe_batch = 16;
-  /// Replay each chunk's recorded token consumes sharded by router on the
-  /// worker pool (buckets are per-router independent, so per-router
-  /// canonical order equals global canonical order). Chunks where a kill
-  /// would have suppressed later consumes fall back to the serial replay
-  /// for that chunk, keeping results bit-identical to shard_replay=false.
-  /// Effective only when the pool has more than one thread.
-  bool shard_replay = true;
   /// Streaming mode: process destinations in blocks of this many,
   /// compiling the forwarding table per block, so resident path state is
   /// bounded by the block size instead of the census size. 0 = one block
@@ -136,13 +129,15 @@ struct CampaignAllocStats {
 };
 
 /// Wall-time split of the ping-RR study: pass A (parallel probe streams)
-/// vs pass B (token replay — the campaign's serial tail when sharding is
-/// off or falls back). The serial fraction pass_b / (pass_a + pass_b) is
-/// the Amdahl ceiling benchmarks track; sharded_chunks /
-/// serial_fallback_chunks count how often the replay actually ran wide.
+/// vs pass B (the serial token replay — the campaign's serial tail). The
+/// serial fraction pass_b / (pass_a + pass_b) is the Amdahl ceiling
+/// benchmarks track.
 struct CampaignPhaseStats {
   double pass_a_seconds = 0.0;
   double pass_b_seconds = 0.0;
+  /// Always 0: pass B has one engine, the serial replay, so no chunk ever
+  /// attempts a sharded replay. Kept because benchmark ledgers read them
+  /// (a zero sum means "no chunk attempted sharding").
   std::uint64_t sharded_chunks = 0;
   std::uint64_t serial_fallback_chunks = 0;
   /// Probes this campaign drove through the network (ping + ping-RR
@@ -225,7 +220,7 @@ class Campaign {
     return alloc_stats_;
   }
 
-  /// Ping-RR study wall-time split and replay sharding telemetry.
+  /// Ping-RR study wall-time split and probe accounting.
   [[nodiscard]] const CampaignPhaseStats& phase_stats() const noexcept {
     return phase_stats_;
   }

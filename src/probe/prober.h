@@ -77,7 +77,7 @@ class Prober {
 
   /// Batched variant: builds up to sim::WalkBatch::kMaxProbes datagrams
   /// into recycled per-slot buffers and hands them to Network::send_batch,
-  /// which walks all forward legs (then all reply legs) element-pass-major.
+  /// which walks all forward legs (then all reply legs) slot-major.
   /// Each slot gets its own SendContext so counters and traces stay
   /// per-probe; pacing, sequence numbers, and parsing are identical to
   /// calling probe_into once per spec, in order. `specs`, `ctxs`, and

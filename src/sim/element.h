@@ -22,13 +22,14 @@
 // topology freeze and Network::walk just executes the list. New router
 // personalities become new element compositions, not new branches.
 //
-// Contract: element semantics are *bit-identical* to the legacy branch
-// forest (kept behind RROPT_LEGACY_WALK for one release). Every random
-// decision is a counter-based draw via walk_draw_key/hash_chance below, so
-// a packet's fate is a pure function of (seed, flow, leg, hop) no matter
-// which engine walks it or how many threads are running. The differential
-// conformance harness (tests/pipeline_differential_test.cpp) proves the
-// equivalence across golden datasets, fault plans and thread counts.
+// Contract: element semantics reproduce the retired branch forest bit for
+// bit. Every random decision is a counter-based draw via
+// walk_draw_key/hash_chance below, so a packet's fate is a pure function of
+// (seed, flow, leg, hop) no matter which kernel walks it or how many
+// threads are running. tests/pipeline_differential_test.cpp pins whole
+// campaigns (dataset content_hash plus every NetCounters field) to the
+// values the branch forest produced, at fault rates {0, 1%, 10%} and
+// threads {1, 2, 8}.
 //
 // Hot-path rules: element process() bodies are hot regions — rropt_lint
 // bans heap allocation and stream IO inside them without needing explicit
@@ -101,6 +102,8 @@ struct NetCounters {
     ttl_errors += other.ttl_errors;
     port_unreachables += other.port_unreachables;
   }
+
+  [[nodiscard]] bool operator==(const NetCounters&) const = default;
 };
 
 /// One deferred options-token consume: a policed router saw an options

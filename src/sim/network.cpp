@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <utility>
 
 #include "packet/icmp.h"
@@ -48,9 +47,6 @@ Network::Network(std::shared_ptr<const topo::Topology> topology,
   // keep a pointer to our fault_plan_ member, whose address is stable
   // across set_fault_plan installs.
   pipeline_ = CompiledPipeline::compile(*topology_, *behaviors_, &fault_plan_);
-  // Escape hatch for the one-release deprecation window: the legacy branch
-  // forest stays selectable for differential debugging in the field.
-  legacy_walk_ = std::getenv("RROPT_LEGACY_WALK") != nullptr;
 }
 
 void Network::reset() {
@@ -98,19 +94,6 @@ std::uint16_t Network::next_ip_id(bool is_router, std::uint32_t id,
   const std::uint32_t n = count.fetch_add(1, std::memory_order_relaxed) + 1;
   return static_cast<std::uint16_t>(
       (base + n + static_cast<std::uint32_t>(velocity * now)) & 0xffff);
-}
-
-Network::WalkResult Network::walk(std::vector<std::uint8_t>& bytes,
-                                  std::span<const route::PathHop> hops,
-                                  double start, topo::AsId src_as,
-                                  topo::AsId dst_as, std::uint64_t flow,
-                                  int leg, SendContext* ctx, bool doomed_in) {
-  if (legacy_walk_) {
-    return walk_legacy(bytes, hops, start, src_as, dst_as, flow, leg, ctx,
-                       doomed_in);
-  }
-  return walk_pipeline(bytes, hops, start, src_as, dst_as, flow, leg, ctx,
-                       doomed_in);
 }
 
 Network::WalkResult Network::walk_pipeline(
@@ -183,190 +166,6 @@ Network::WalkResult Network::walk_pipeline(
   result.time = now + params_.hop_delay_s;  // final hop to the device
   return result;
   // RROPT_HOT_END(network-walk)
-}
-
-// The pre-pipeline branch forest, kept verbatim (modulo reading HopRows
-// from the compiled pipeline) as the differential-conformance reference.
-// Scheduled for removal — see DESIGN.md §11 for the date.
-Network::WalkResult Network::walk_legacy(
-    std::vector<std::uint8_t>& bytes, std::span<const route::PathHop> hops,
-    double start, topo::AsId src_as, topo::AsId dst_as, std::uint64_t flow,
-    int leg, SendContext* ctx, bool doomed_in) {
-  // RROPT_HOT_BEGIN(network-walk-legacy)
-  WalkResult result;
-  NetCounters& c = counters_for(ctx);
-  double now = start;
-  // One view per leg: option offsets are located once, and every per-hop
-  // TTL decrement and RR/TS stamp below is an O(1) in-place mutation with
-  // an RFC 1624 incremental checksum update — bit-identical to the full
-  // rescan-and-recompute mutate.h path (see packet/view.h).
-  pkt::Ipv4HeaderView view{bytes};
-  const bool has_options = view.has_options();
-  // A fault-doomed packet keeps walking (and keeps consuming the exact
-  // same per-router slow-path budget a fault-free walk would have) but is
-  // discarded instead of delivered — and the doom follows the *exchange*,
-  // not just this leg: a doomed probe still raises a ghost reply whose
-  // reverse walk consumes the reverse path's budget. Returning early here
-  // (or skipping the ghost reply) would *refund* token buckets, and probes
-  // that were rate-limited in the baseline could suddenly get through — a
-  // fault must never add reachability evidence, not even by side effect on
-  // shared state. At most one doom charge is made per exchange.
-  bool doomed = doomed_in;
-  const double base_loss = behaviors_->params().base_loss;
-  const double options_loss = behaviors_->params().options_extra_loss;
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    now += params_.hop_delay_s;
-    const RouterId router = hops[i].router;
-    const HopRow row = pipeline_.row(router);
-
-    // Injected mid-path faults (sim/fault.h). Each draw is a pure function
-    // of (fault seed, flow, leg, hop, kind), so a faulted packet's fate is
-    // as reproducible as an unfaulted one, at any thread count. Faults
-    // only corrupt or remove: a stripped/garbled/corrupted packet can lose
-    // evidence of reachability downstream but can never fabricate it.
-    // They rewrite option *content* in place without moving option
-    // boundaries, so the view's cached offsets stay valid.
-    if (fault_plan_.enabled()) {
-      // "Stripping" blanks the option area to NOPs rather than erasing it:
-      // the header geometry (and hence every router's slow-path and
-      // filtering decision, and every host's drop policy) is identical to
-      // the baseline walk, so the fault removes RR evidence and nothing
-      // else. See pkt::blank_options.
-      if (has_options && fault_plan_.strip_options(flow, leg, i) &&
-          pkt::blank_options(bytes)) {
-        fault_counters_.note(FaultKind::kOptionStrip);
-      }
-      if (has_options && fault_plan_.truncate_rr(flow, leg, i) &&
-          pkt::rr_truncate(bytes)) {
-        fault_counters_.note(FaultKind::kRrTruncate);
-      }
-      if (has_options && fault_plan_.garble_rr(flow, leg, i) &&
-          pkt::rr_garble(bytes, fault_plan_.bogus_address(walk_draw_key(
-                                    flow, leg, i, kDrawFaultAddress)))) {
-        fault_counters_.note(FaultKind::kRrGarble);
-      }
-      // A corrupted header checksum kills the packet at the next router's
-      // header verification, so it dooms the exchange outright. Deliberately
-      // NOT modelled by corrupting the bytes and letting an endpoint parse
-      // fail: under two corruptions with TTL decrements in between, XOR
-      // and one's-complement addition do not commute, and whether the
-      // corruptions cancel would depend on the stored checksum value —
-      // which includes the thread-order-dependent IP ID, breaking the
-      // any-thread-count determinism contract. (The bytes stay intact so
-      // the ghost exchange parses and walks exactly like the baseline.)
-      if (!doomed && fault_plan_.corrupt_checksum(flow, leg, i)) {
-        fault_counters_.note(FaultKind::kChecksumCorrupt);
-        ++c.dropped_loss;
-        doomed = true;
-        if (ctx != nullptr) {
-          ctx->trace.doomed = true;
-          ctx->trace.doom_charged_loss = true;
-          ctx->trace.doom_after_events =
-              static_cast<std::uint32_t>(ctx->trace.events.size());
-        }
-      }
-    }
-
-    // Plain fast-path loss. A doomed packet takes the same exits the
-    // baseline walk would (so shared bucket state evolves identically) but
-    // its drop was already charged at the storm hop.
-    if (hash_chance(walk_draw_key(flow, leg, i, kDrawBaseLoss), base_loss)) {
-      if (!doomed) ++c.dropped_loss;
-      return result;
-    }
-
-    if (has_options) {
-      // Slow path: the route processor sees this packet.
-      if (hash_chance(walk_draw_key(flow, leg, i, kDrawOptionsLoss),
-                      options_loss)) {
-        if (!doomed) ++c.dropped_loss;
-        return result;
-      }
-      // A rate-limit storm closes the slow path outright for a window of
-      // virtual time. The check is a stateless pure function of (router,
-      // window), so serial and deferred modes agree without replay. The
-      // packet is doomed — not returned — so it still consumes this and
-      // every downstream router's slow-path budget exactly as the
-      // baseline walk did.
-      if (!doomed && fault_plan_.enabled() &&
-          fault_plan_.storm_active(router, now)) {
-        fault_counters_.note(FaultKind::kStorm);
-        ++c.dropped_rate_limit;
-        doomed = true;
-        if (ctx != nullptr) {
-          ctx->trace.doomed = true;
-          ctx->trace.doom_charged_loss = false;
-          ctx->trace.doom_after_events =
-              static_cast<std::uint32_t>(ctx->trace.events.size());
-        }
-      }
-      if ((row.flags & HopRow::kRateLimited) != 0) {
-        if (ctx != nullptr) {
-          // Deferred mode: record the consume for serial resolution and
-          // continue as if it succeeded. A failed consume is a silent
-          // drop, so nothing later in the walk would have differed.
-          ctx->trace.events.push_back(  // RROPT_HOT_OK: capacity recycled
-              {router, now, leg != 0});
-        } else {
-          // Serial mode: ctx == nullptr is the caller's no-concurrency
-          // promise, which is what holding the serial gate means.
-          serial_gate_.assert_held();
-          if (!bucket_for(router).try_consume(now)) {
-            if (!doomed) ++c.dropped_rate_limit;
-            return result;
-          }
-        }
-      }
-      const bool at_edge = (row.as_id == src_as) || (row.as_id == dst_as);
-      if ((row.flags & HopRow::kFiltersTransit) != 0 ||
-          (at_edge && (row.flags & HopRow::kFiltersEdge) != 0)) {
-        if (!doomed) ++c.dropped_filter;
-        return result;
-      }
-    }
-
-    // TTL handling (hidden routers forward without decrementing).
-    if ((row.flags & HopRow::kHidden) == 0) {
-      const auto ttl = view.decrement_ttl();
-      if (!ttl) {
-        if (!doomed) ++c.dropped_ttl;
-        return result;  // malformed or already expired
-      }
-      if (*ttl == 0) {
-        // A doomed packet was discarded before it could expire: no
-        // Time-Exceeded is raised. That is bucket-safe — ICMP errors carry
-        // no options, so the skipped error walk consumes no shared budget.
-        if (doomed) return result;
-        result.outcome = WalkOutcome::kTtlExpired;
-        result.expired_hop = i;
-        result.time = now;
-        return result;
-      }
-    }
-
-    // Record Route / Timestamp stamping of the outgoing interface. A
-    // byzantine stamper records a class-E bogus address instead — noise
-    // that analysis must tolerate but can never mistake for a real hop.
-    if (has_options && (row.flags & HopRow::kStamps) != 0) {
-      net::IPv4Address egress = hops[i].egress;
-      if (fault_plan_.enabled() &&
-          fault_plan_.byzantine_stamp(flow, leg, i)) {
-        egress = fault_plan_.bogus_address(
-            walk_draw_key(flow, leg, i, kDrawFaultAddress));
-        fault_counters_.note(FaultKind::kByzantineStamp);
-      }
-      view.rr_stamp(egress);
-      view.ts_stamp(egress, static_cast<std::uint32_t>(now * 1000.0));
-    }
-  }
-  // A doomed packet that walked the full path is still "delivered" so the
-  // endpoint raises its ghost reply — the caller must treat a doomed
-  // delivery as unobservable.
-  result.outcome = WalkOutcome::kDelivered;
-  result.doomed = doomed;
-  result.time = now + params_.hop_delay_s;  // final hop to the device
-  return result;
-  // RROPT_HOT_END(network-walk-legacy)
 }
 
 std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
@@ -468,8 +267,8 @@ std::optional<Network::Delivery> Network::send_reusing(
     fwd_hops = fwd_hops.first(fwd_hops.size() - 1);
   }
 
-  const auto fwd =
-      walk(bytes, fwd_hops, time, src_as, dst_as, flow, /*leg=*/0, ctx);
+  const auto fwd = walk_pipeline(bytes, fwd_hops, time, src_as, dst_as, flow,
+                                 /*leg=*/0, ctx);
   switch (fwd.outcome) {
     case WalkOutcome::kDropped:
       return std::nullopt;
@@ -505,14 +304,6 @@ std::optional<Network::Delivery> Network::send_reusing(
 }
 
 void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
-  // The legacy branch forest has no batch kernel; per-slot scalar sends
-  // are the definition of correct there.
-  if (legacy_walk_) {
-    for (BatchProbe& probe : probes) {
-      probe.delivery = send_reusing(src, *probe.bytes, probe.time, probe.ctx);
-    }
-    return;
-  }
   const std::size_t n = probes.size();
   assert(n <= WalkBatch::kMaxProbes);
 
@@ -622,13 +413,13 @@ void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
     hc.fault_counters = &fault_counters_;
     hc.trace = &ctx->trace;
     batch.banks[k] = pipeline_.list_bank(hc.has_options);
-    // Warm the first pass's row while later slots resolve their paths.
+    // Warm the first hop's row while later slots resolve their paths.
     if (!slot.fwd_hops.empty()) {
       RROPT_PREFETCH(&rows[slot.fwd_hops[0].router]);
     }
   }
 
-  // Phase 2 — all forward legs, element-pass-major.
+  // Phase 2 — all forward legs, one slot-major kernel call.
   if (batch.live != 0) {
     walk_batch_pipeline(batch, rows, pipeline_.elements(),
                         params_.hop_delay_s);
@@ -890,8 +681,8 @@ std::optional<Network::Delivery> Network::deliver_back(
     std::vector<std::uint8_t>& bytes, std::span<const route::PathHop> hops,
     double start, topo::AsId src_as, topo::AsId dst_as, HostId receiver,
     std::uint64_t flow, SendContext* ctx, bool doomed) {
-  const auto result =
-      walk(bytes, hops, start, src_as, dst_as, flow, /*leg=*/1, ctx, doomed);
+  const auto result = walk_pipeline(bytes, hops, start, src_as, dst_as, flow,
+                                    /*leg=*/1, ctx, doomed);
   return finish_delivery(
       bytes, result.outcome == WalkOutcome::kDelivered && !result.doomed,
       result.time, receiver, flow, ctx);

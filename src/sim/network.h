@@ -154,15 +154,15 @@ class Network {
   };
 
   /// Batched variant of send_reusing: up to WalkBatch::kMaxProbes probes
-  /// from one source, resolved per slot and then walked element-pass-major
-  /// across the whole batch (walk_batch_pipeline) — all forward legs
-  /// together, then all reply legs together. Bit-identical to calling
-  /// send_reusing per slot with the same contexts: every random decision
-  /// is a counter-based draw keyed on the packet, and bucket consumes are
-  /// deferred per slot into each ctx's trace exactly as in scalar deferred
-  /// mode, so slot interleaving is unobservable. Probes aimed at router
-  /// interfaces — and every probe when the legacy engine is selected —
-  /// take the scalar path per slot (identical by per-slot purity).
+  /// from one source, resolved per slot and then walked by the slot-major
+  /// batch kernel (walk_batch_pipeline, DESIGN.md §12) — all forward legs
+  /// in one kernel call, then all reply legs in another. Bit-identical to
+  /// calling send_reusing per slot with the same contexts: every random
+  /// decision is a counter-based draw keyed on the packet, and bucket
+  /// consumes are deferred per slot into each ctx's trace exactly as in
+  /// scalar deferred mode, so slot interleaving is unobservable. Probes
+  /// aimed at router interfaces take the scalar path per slot (identical
+  /// by per-slot purity).
   void send_batch(HostId src, std::span<BatchProbe> probes);
 
   /// Serial-phase resolution of one deferred options-token consume.
@@ -174,23 +174,6 @@ class Network {
       RROPT_EXCLUDES(serial_gate_) {
     util::SerialGateLock gate(serial_gate_);
     return bucket_for(router).try_consume(now);
-  }
-
-  /// Snapshot of one router's options token bucket, for the campaign's
-  /// sharded Pass B replay: shards replay per-router event queues against
-  /// campaign-owned copies (TokenBucket is a four-field value type) and
-  /// commit the survivors back with set_options_bucket_state. Both are
-  /// serial-phase operations, like try_consume_options_token — the
-  /// network's buckets are never touched from pool threads.
-  [[nodiscard]] TokenBucket options_bucket_state(RouterId router)
-      RROPT_EXCLUDES(serial_gate_) {
-    util::SerialGateLock gate(serial_gate_);
-    return bucket_for(router);
-  }
-  void set_options_bucket_state(RouterId router, const TokenBucket& state)
-      RROPT_EXCLUDES(serial_gate_) {
-    util::SerialGateLock gate(serial_gate_);
-    bucket_for(router) = state;
   }
 
   /// Folds a per-worker counter tally into the network totals. Serial
@@ -259,17 +242,6 @@ class Network {
     return pipeline_;
   }
 
-  /// Selects the walk engine: the compiled element pipeline (default) or
-  /// the legacy branch-forest walk, kept in-tree for one release so the
-  /// differential conformance harness can run both (see DESIGN.md §11 for
-  /// the remove-by date). The environment variable RROPT_LEGACY_WALK
-  /// selects legacy at construction; this setter lets the harness flip a
-  /// live network between campaigns (serial-phase only).
-  void set_walk_engine(bool use_legacy) noexcept { legacy_walk_ = use_legacy; }
-  [[nodiscard]] bool using_legacy_walk() const noexcept {
-    return legacy_walk_;
-  }
-
  private:
   enum class WalkOutcome : std::uint8_t { kDelivered, kDropped, kTtlExpired };
 
@@ -282,31 +254,17 @@ class Network {
     bool doomed = false;
   };
 
-  /// Runs the per-hop pipeline over `hops`, mutating `bytes` in place.
-  /// `flow` keys the packet's counter-based draws; `leg` is 0 on the
-  /// forward walk and 1 on any reply walk. `doomed_in` marks a ghost
-  /// continuation of an exchange a fault already discarded: the walk
-  /// consumes shared state exactly as the baseline would but charges no
-  /// further counters and the result stays doomed. Dispatches to the
-  /// compiled-pipeline interpreter or the legacy branch forest; the two
-  /// are bit-identical at every observable byte (the differential harness
-  /// proves it).
-  WalkResult walk(std::vector<std::uint8_t>& bytes,
-                  std::span<const route::PathHop> hops, double start,
-                  topo::AsId src_as, topo::AsId dst_as, std::uint64_t flow,
-                  int leg, SendContext* ctx, bool doomed_in = false);
-
+  /// Runs the compiled element pipeline (sim/pipeline.h) over `hops`,
+  /// mutating `bytes` in place. `flow` keys the packet's counter-based
+  /// draws; `leg` is 0 on the forward walk and 1 on any reply walk.
+  /// `doomed_in` marks a ghost continuation of an exchange a fault already
+  /// discarded: the walk consumes shared state exactly as the baseline
+  /// would but charges no further counters and the result stays doomed.
   WalkResult walk_pipeline(std::vector<std::uint8_t>& bytes,
                            std::span<const route::PathHop> hops, double start,
                            topo::AsId src_as, topo::AsId dst_as,
                            std::uint64_t flow, int leg, SendContext* ctx,
-                           bool doomed_in);
-
-  WalkResult walk_legacy(std::vector<std::uint8_t>& bytes,
-                         std::span<const route::PathHop> hops, double start,
-                         topo::AsId src_as, topo::AsId dst_as,
-                         std::uint64_t flow, int leg, SendContext* ctx,
-                         bool doomed_in);
+                           bool doomed_in = false);
 
   /// Host owning an address, if any (responses are routed to it).
   [[nodiscard]] std::optional<HostId> host_owning(
@@ -324,9 +282,9 @@ class Network {
                                             SendContext* ctx);
 
   /// Response from the destination host for an echo request / UDP probe.
-  /// `doomed` continues a ghost exchange (see walk()). The reply is built
-  /// by mutating `bytes` in place (echo replies that keep the request's
-  /// options) or by swapping in the reply scratch.
+  /// `doomed` continues a ghost exchange (see walk_pipeline()). The reply
+  /// is built by mutating `bytes` in place (echo replies that keep the
+  /// request's options) or by swapping in the reply scratch.
   std::optional<Delivery> host_respond(HostId dst, HostId reply_to,
                                        std::vector<std::uint8_t>& bytes,
                                        double time, std::uint64_t flow,
@@ -437,8 +395,6 @@ class Network {
   /// after construction except for the serial-phase run-list recompile in
   /// set_fault_plan.
   CompiledPipeline pipeline_;
-  /// Selected walk engine (see set_walk_engine).
-  bool legacy_walk_ = false;
   ReplyScratch serial_scratch_;  // ctx == nullptr sends only
   std::vector<route::PathHop> serial_fwd_path_scratch_;
   std::vector<route::PathHop> serial_rev_path_scratch_;

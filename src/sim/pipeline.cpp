@@ -236,10 +236,10 @@ RunTable compile_run_table(const PipelineConfig& config) {
       const auto add = [&list](ElementOp op) {
         list = run_list_append(list, op);
       };
-      // Element order is the legacy walk's branch order — load-bearing
-      // for bit-identity (a storm doom must precede the CoPP gate so the
-      // doomed packet still consumes budget; filters run after the gate;
-      // TTL after the whole slow path; stamping last).
+      // Element order is load-bearing for the pinned campaign hashes (a
+      // storm doom must precede the CoPP gate so the doomed packet still
+      // consumes budget; filters run after the gate; TTL after the whole
+      // slow path; stamping last).
       if (config.faults_enabled) add(ElementOp::kFaultInject);
       if (config.base_loss > 0.0) add(ElementOp::kBaseLoss);
       if (options != 0) {

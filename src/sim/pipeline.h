@@ -29,10 +29,10 @@
 //   * a transit filter shadows an edge filter (it drops strictly more);
 //   * hidden routers simply have no TTL element.
 //
-// The result is bit-identical to the legacy branch forest at every
-// observable byte (proven by tests/pipeline_differential_test.cpp) while
-// making personalities data: a new router behaviour is a new element plus
-// a compilation rule, not a new branch in Network::walk.
+// The result reproduces the retired branch forest at every observable
+// byte (tests/pipeline_differential_test.cpp pins its campaign hashes and
+// counters) while making personalities data: a new router behaviour is a
+// new element plus a compilation rule, not a new branch in Network::walk.
 #pragma once
 
 #include <array>
@@ -47,9 +47,9 @@
 #include "topology/topology.h"
 
 /// Software prefetch of the cache line holding `p`. Advisory only: the
-/// batched walk issues one per slot for the *next* pass's HopRow while the
-/// current pass executes, hiding the dependent row load behind the
-/// element work of the pass in flight.
+/// batched walk prefetches every live slot's first HopRow before any slot
+/// walks, and each burst prefetches the next hop's row, hiding the
+/// dependent row load behind the element work in flight.
 #if defined(__GNUC__) || defined(__clang__)
 #define RROPT_PREFETCH(p) __builtin_prefetch(p)
 #else

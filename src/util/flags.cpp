@@ -1,6 +1,6 @@
 #include "util/flags.h"
 
-#include <cstdlib>
+#include "util/strings.h"
 
 namespace rr::util {
 
@@ -46,14 +46,14 @@ std::int64_t Flags::get_int(std::string_view key,
   queried_[std::string{key}] = true;
   const auto it = values_.find(std::string{key});
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_int(it->second, "--" + std::string{key});
 }
 
 double Flags::get_double(std::string_view key, double fallback) const {
   queried_[std::string{key}] = true;
   const auto it = values_.find(std::string{key});
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_double(it->second, "--" + std::string{key});
 }
 
 std::vector<std::string> Flags::unused() const {

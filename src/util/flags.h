@@ -20,6 +20,9 @@ class Flags {
   [[nodiscard]] bool has(std::string_view key) const;
   [[nodiscard]] std::string get(std::string_view key,
                                 std::string_view fallback = {}) const;
+  /// Numeric values are parsed strictly (util::parse_int/parse_double):
+  /// "--stream-block 8k" or "--threads x" throws std::invalid_argument
+  /// naming the flag instead of silently running with a different value.
   [[nodiscard]] std::int64_t get_int(std::string_view key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(std::string_view key,

@@ -1,6 +1,9 @@
 #include "util/strings.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace rr::util {
 
@@ -63,6 +66,44 @@ std::string pad_right(std::string_view text, std::size_t width) {
   std::string out{text};
   out.append(width - text.size(), ' ');
   return out;
+}
+
+namespace {
+
+[[noreturn]] void reject(std::string_view name, std::string_view text,
+                         std::string_view expected) {
+  throw std::invalid_argument(std::string{name} + ": expected " +
+                              std::string{expected} + ", got '" +
+                              std::string{text} + "'");
+}
+
+}  // namespace
+
+std::int64_t parse_int(std::string_view text, std::string_view name,
+                       std::int64_t min, std::int64_t max) {
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::invalid_argument || end != text.data() + text.size()) {
+    reject(name, text, "an integer");
+  }
+  if (ec == std::errc::result_out_of_range || value < min || value > max) {
+    reject(name, text,
+           "an integer in [" + std::to_string(min) + ", " +
+               std::to_string(max) + "]");
+  }
+  return value;
+}
+
+double parse_double(std::string_view text, std::string_view name) {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    reject(name, text, "a finite number");
+  }
+  return value;
 }
 
 }  // namespace rr::util

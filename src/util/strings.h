@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,5 +29,17 @@ namespace rr::util {
 /// Left/right padding to a fixed width (truncates if longer).
 [[nodiscard]] std::string pad_left(std::string_view text, std::size_t width);
 [[nodiscard]] std::string pad_right(std::string_view text, std::size_t width);
+
+/// Strict parsing for external input (CLI flags, environment knobs): the
+/// whole of `text` must be one base-10 integer in [min, max], or one finite
+/// number. Empty text, trailing garbage and out-of-range values throw
+/// std::invalid_argument naming `name` (the flag or variable the text came
+/// from) and the text.
+[[nodiscard]] std::int64_t parse_int(
+    std::string_view text, std::string_view name,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
+[[nodiscard]] double parse_double(std::string_view text,
+                                  std::string_view name);
 
 }  // namespace rr::util

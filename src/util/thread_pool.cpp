@@ -2,14 +2,20 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <limits>
+
+#include "util/strings.h"
 
 namespace rr::util {
 
 int resolve_thread_count(int requested) {
   if (requested > 0) return requested;
+  // getenv only races setenv/putenv, which the library never calls.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* env = std::getenv("RROPT_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
+    const auto parsed = parse_int(env, "RROPT_THREADS", 0,
+                                  std::numeric_limits<int>::max());
+    if (parsed > 0) return static_cast<int>(parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

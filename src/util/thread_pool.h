@@ -26,6 +26,8 @@ namespace rr::util {
 ///   requested > 0          -> requested;
 ///   RROPT_THREADS set > 0  -> that value;
 ///   otherwise              -> hardware_concurrency (at least 1).
+/// RROPT_THREADS=0 also means all cores; any value that is not a whole
+/// integer in [0, INT_MAX] throws std::invalid_argument.
 [[nodiscard]] int resolve_thread_count(int requested = 0);
 
 class ThreadPool {

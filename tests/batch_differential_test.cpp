@@ -1,27 +1,20 @@
 // Batched-dataplane differential conformance harness.
 //
-// PR "batched probe dataplane" added two independent execution choices to
-// the campaign, both claiming *bit-identity* with the paths they
-// accelerate — not statistical similarity:
-//
-//   * probe_batch > 1 drives ping-RR exchanges through the SoA batch
-//     kernel (sim::walk_batch_pipeline + Network::send_batch) instead of
-//     one scalar probe_into per destination;
-//   * shard_replay fans each chunk's pass-B token replay across the
-//     worker pool by router, falling back to the classic serial replay
-//     for any chunk where a mid-probe bucket kill would have suppressed
-//     later consumes.
-//
-// This harness proves both claims by running whole campaigns on the same
-// frozen world and comparing frozen datasets (content_hash plus full
-// equality) and the aggregate network counters: batched-vs-scalar at
-// fault rates {0, 1%, 10%} x worker threads {1, 2, 8}, ragged batch
-// widths, and sharded-vs-serial replay including a bucket-contention
-// world built so the fallback path demonstrably runs.
+// probe_batch > 1 drives the campaign's ping-RR exchanges through the SoA
+// batch kernel (sim::walk_batch_pipeline + Network::send_batch) instead of
+// one scalar probe_into per destination, and claims *bit-identity* with
+// the scalar path — not statistical similarity. This harness proves it by
+// running whole campaigns on the same frozen world and comparing frozen
+// datasets (content_hash plus full equality) and the aggregate network
+// counters: batched-vs-scalar at fault rates {0, 1%, 10%} x worker
+// threads {1, 2, 8}, and ragged batch widths. A bucket-contention world,
+// where mid-probe token kills are routine, checks that the serial pass-B
+// replay keeps the campaign thread-invariant exactly where it does its
+// work.
 //
 // When this file fails, tests/pipeline_differential_test.cpp (scalar
-// engine conformance) and tests/element_test.cpp (per-element specs) say
-// which layer diverged.
+// engine pins) and tests/element_test.cpp (per-element specs) say which
+// layer diverged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -51,46 +44,29 @@ class BatchDifferentialTest : public ::testing::Test {
   struct Run {
     data::CampaignDataset dataset;
     sim::NetCounters counters;
-    CampaignPhaseStats phases;
   };
 
-  static Run run_campaign(Testbed& testbed, int probe_batch, bool shard_replay,
+  static Run run_campaign(Testbed& testbed, int probe_batch,
                           double fault_rate, int threads) {
     CampaignConfig config;
     config.threads = threads;
     config.probe_batch = probe_batch;
-    config.shard_replay = shard_replay;
     if (fault_rate > 0.0) {
       config.faults = sim::FaultParams::uniform(fault_rate);
     }
     Campaign campaign = Campaign::run(testbed, config);
-    const CampaignPhaseStats phases = campaign.phase_stats();
     return Run{
         data::CampaignDataset::from_campaign(std::move(campaign), "batch"),
-        testbed.network().counters(), phases};
+        testbed.network().counters()};
   }
 
   /// The aggregate counters are part of the contract too: the batched
   /// engine must charge every drop to the same cause the scalar one does.
-  static void expect_counters_equal(const sim::NetCounters& a,
-                                    const sim::NetCounters& b) {
-    EXPECT_EQ(a.sent, b.sent);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.responses, b.responses);
-    EXPECT_EQ(a.dropped_loss, b.dropped_loss);
-    EXPECT_EQ(a.dropped_filter, b.dropped_filter);
-    EXPECT_EQ(a.dropped_rate_limit, b.dropped_rate_limit);
-    EXPECT_EQ(a.dropped_ttl, b.dropped_ttl);
-    EXPECT_EQ(a.dropped_unroutable, b.dropped_unroutable);
-    EXPECT_EQ(a.ttl_errors, b.ttl_errors);
-    EXPECT_EQ(a.port_unreachables, b.port_unreachables);
-  }
-
   static void expect_runs_equal(const Run& candidate, const Run& reference) {
     EXPECT_EQ(candidate.dataset.content_hash(),
               reference.dataset.content_hash());
     EXPECT_EQ(candidate.dataset, reference.dataset);
-    expect_counters_equal(candidate.counters, reference.counters);
+    EXPECT_EQ(candidate.counters, reference.counters);
   }
 
   /// One scalar reference (probe_batch 1, single-threaded — the exact
@@ -98,12 +74,11 @@ class BatchDifferentialTest : public ::testing::Test {
   /// at every thread count. Batched runs agreeing with the same reference
   /// also proves they agree with each other.
   static void expect_batched_agrees(double fault_rate) {
-    const Run scalar = run_campaign(*testbed_, 1, true, fault_rate, 1);
+    const Run scalar = run_campaign(*testbed_, 1, fault_rate, 1);
     for (const int threads : {1, 2, 8}) {
       SCOPED_TRACE(testing::Message()
                    << "fault_rate " << fault_rate << " threads " << threads);
-      const Run batched = run_campaign(*testbed_, 16, true, fault_rate,
-                                       threads);
+      const Run batched = run_campaign(*testbed_, 16, fault_rate, threads);
       expect_runs_equal(batched, scalar);
     }
   }
@@ -128,47 +103,22 @@ TEST_F(BatchDifferentialTest, BatchedBitIdenticalAtTenPercentFaults) {
 /// Widths that never divide the per-chunk probe count exercise the ragged
 /// tail batch (live mask with fewer slots than kMaxProbes) on every chunk.
 TEST_F(BatchDifferentialTest, RaggedBatchWidthsBitIdentical) {
-  const Run scalar = run_campaign(*testbed_, 1, true, 0.0, 1);
+  const Run scalar = run_campaign(*testbed_, 1, 0.0, 1);
   for (const int width : {3, 7}) {
     SCOPED_TRACE(testing::Message() << "probe_batch " << width);
-    const Run batched = run_campaign(*testbed_, width, true, 0.0, 2);
+    const Run batched = run_campaign(*testbed_, width, 0.0, 2);
     expect_runs_equal(batched, scalar);
   }
 }
 
-/// Sharded pass-B replay vs the classic serial replay, same batched pass
-/// A — on a world where the shards actually *commit*. The default world's
-/// strict source-proximate limiter VPs (12-45 pps buckets probed at
-/// 20 pps) kill mid-probe in nearly every chunk, so its sharded runs live
-/// on the fallback path (proven equal by expect_batched_agrees and the
-/// contention test below); with strict limiters off, the generous
-/// 250-4000 pps buckets never deplete and every chunk must resolve
-/// sharded.
-TEST_F(BatchDifferentialTest, ShardedReplayMatchesSerialReplay) {
-  TestbedConfig config;
-  config.topo_params = topo::TopologyParams::test_scale();
-  config.topo_params.seed = 1701;
-  config.behavior_params.strict_limited_vps = 0;
-  Testbed calm{config};
-  for (const double fault_rate : {0.0, 0.01}) {
-    const Run serial = run_campaign(calm, 16, false, fault_rate, 2);
-    EXPECT_EQ(serial.phases.sharded_chunks, 0u);  // knob actually off
-    for (const int threads : {2, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << "fault_rate " << fault_rate << " threads " << threads);
-      const Run sharded = run_campaign(calm, 16, true, fault_rate, threads);
-      expect_runs_equal(sharded, serial);
-      EXPECT_GT(sharded.phases.sharded_chunks, 0u);
-    }
-  }
-}
-
-/// The fallback property: a world where every router polices its options
-/// slow path with a near-empty bucket makes mid-probe kills routine, so
-/// the phantom-consume validation must reject chunks — and the chunks it
-/// rejects must replay serially to the exact serial-bytes result. This is
-/// the half of the sharding proof the calm default world never reaches.
-TEST_F(BatchDifferentialTest, ShardedReplayFallsBackUnderContention) {
+/// Thread invariance where mid-probe kills are routine: every router
+/// polices its options slow path with a 1-2 pps bucket, so nearly every
+/// ping-RR dies at a failed consume and every chunk holds kills that
+/// suppress the same probe's later consumes. That is where the serial
+/// replay's early break and killed_counters reconstruct what a
+/// single-threaded live run would have counted — and the result must not
+/// depend on how pass A was spread across workers.
+TEST_F(BatchDifferentialTest, ReplayThreadInvariantUnderContention) {
   TestbedConfig config;
   config.topo_params = topo::TopologyParams::test_scale();
   config.topo_params.seed = 1701;
@@ -177,13 +127,14 @@ TEST_F(BatchDifferentialTest, ShardedReplayFallsBackUnderContention) {
   config.behavior_params.generous_limit_pps_max = 2;
   Testbed contended{config};
 
-  const Run serial = run_campaign(contended, 16, false, 0.0, 2);
-  const Run sharded = run_campaign(contended, 16, true, 0.0, 2);
-  expect_runs_equal(sharded, serial);
-  // The contended world must actually exercise the fallback — if buckets
-  // never killed mid-probe here, the test world went stale, not the code.
-  EXPECT_GT(sharded.phases.serial_fallback_chunks, 0u);
-  EXPECT_GT(serial.counters.dropped_rate_limit, 0u);
+  const Run reference = run_campaign(contended, 16, 0.0, 1);
+  // The contended world must actually police — if buckets never killed
+  // here, the test world went stale, not the code.
+  EXPECT_GT(reference.counters.dropped_rate_limit, 0u);
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    expect_runs_equal(run_campaign(contended, 16, 0.0, threads), reference);
+  }
 }
 
 }  // namespace

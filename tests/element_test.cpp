@@ -7,9 +7,10 @@
 // treatment: exact expected element sequences per personality, including
 // every compile-time elision and the TTL+stamp peephole fusion.
 //
-// The end-to-end bit-identity claim (pipeline vs legacy walk over whole
-// campaigns) lives in tests/pipeline_differential_test.cpp; this file is
-// the unit layer that makes a conformance failure there debuggable.
+// The end-to-end claim (whole campaigns reproduce the pinned hashes and
+// counters of the retired branch-forest walk) lives in
+// tests/pipeline_differential_test.cpp; this file is the unit layer that
+// makes a pin failure there debuggable.
 #include <gtest/gtest.h>
 
 #include <cstdint>

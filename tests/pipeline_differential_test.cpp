@@ -1,25 +1,28 @@
-// Pipeline-vs-legacy differential conformance harness.
+// Pipeline conformance pins.
 //
-// The compiled element dataplane (sim/pipeline.h) claims *bit-identity*
-// with the legacy branch-forest walk it replaced — not statistical
-// similarity: the same campaign must produce byte-for-byte the same
-// dataset (and the same content_hash) no matter which engine walks the
-// packets, at any fault rate and any thread count. This harness proves it
-// by running whole campaigns under both engines and comparing frozen
-// datasets at fault rates {0, 1%, 10%} × worker threads {1, 2, 8}, plus a
-// randomized element-composition property test: arbitrary valid element
+// The compiled element dataplane (sim/pipeline.h) is *bit-identical* to
+// the branch-forest hop walk it replaced — not statistically similar. The
+// pins below are that walk's output on this file's world, captured before
+// it was deleted: a whole campaign's frozen dataset content_hash plus
+// every NetCounters field, at fault rates {0, 1%, 10%}. The pipeline must
+// reproduce them at worker threads {1, 2, 8}. Alongside the pins: a
+// randomized element-composition property test — arbitrary valid element
 // chains over real packets must preserve the dataplane's conservation
 // invariants (TTL monotonicity, option geometry bounds, deferred
 // token-bucket event accounting) even for compositions the run-list
 // compiler would never emit.
 //
-// The per-element spec tables live in tests/element_test.cpp; when this
-// file fails, that one says which element diverged.
+// The per-element spec tables live in tests/element_test.cpp; when a pin
+// fails, that file says which element diverged. A deliberate behaviour
+// change that moves a pin must say so in its change notes: the failure
+// message prints the measured row in source form, ready to replace the
+// stale one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -35,6 +38,49 @@
 namespace rr::measure {
 namespace {
 
+/// One pinned campaign: the retired branch-forest walk's output on the
+/// fixture world (captured at threads 1; it agreed at 2 and 8).
+struct CampaignPin {
+  double fault_rate = 0.0;
+  std::uint64_t content_hash = 0;
+  sim::NetCounters counters;
+};
+
+constexpr CampaignPin kNoFaults{
+    0.0, 0xc9b783d26a6007ff,
+    {.sent = 15726, .delivered = 12757, .responses = 8056,
+     .dropped_loss = 710, .dropped_filter = 2281, .dropped_rate_limit = 727,
+     .dropped_ttl = 0, .dropped_unroutable = 0, .ttl_errors = 0,
+     .port_unreachables = 0}};
+constexpr CampaignPin kOnePercentFaults{
+    0.01, 0x2f9b324d038a61f8,
+    {.sent = 15926, .delivered = 10399, .responses = 5869,
+     .dropped_loss = 2818, .dropped_filter = 2083, .dropped_rate_limit = 1990,
+     .dropped_ttl = 0, .dropped_unroutable = 0, .ttl_errors = 0,
+     .port_unreachables = 0}};
+constexpr CampaignPin kTenPercentFaults{
+    0.10, 0x6fa4d5cfd67108b8,
+    {.sent = 16999, .delivered = 2221, .responses = 524,
+     .dropped_loss = 9090, .dropped_filter = 1059, .dropped_rate_limit = 5712,
+     .dropped_ttl = 0, .dropped_unroutable = 0, .ttl_errors = 0,
+     .port_unreachables = 0}};
+
+/// `pin` as source text, for re-pinning from a failure message.
+std::string pin_source(const CampaignPin& pin) {
+  const sim::NetCounters& c = pin.counters;
+  std::ostringstream out;
+  out << "{" << pin.fault_rate << ", 0x" << std::hex << pin.content_hash
+      << std::dec << ", {.sent = " << c.sent << ", .delivered = "
+      << c.delivered << ", .responses = " << c.responses
+      << ", .dropped_loss = " << c.dropped_loss << ", .dropped_filter = "
+      << c.dropped_filter << ", .dropped_rate_limit = "
+      << c.dropped_rate_limit << ", .dropped_ttl = " << c.dropped_ttl
+      << ", .dropped_unroutable = " << c.dropped_unroutable
+      << ", .ttl_errors = " << c.ttl_errors << ", .port_unreachables = "
+      << c.port_unreachables << "}}";
+  return out.str();
+}
+
 class PipelineDifferentialTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -48,56 +94,28 @@ class PipelineDifferentialTest : public ::testing::Test {
     testbed_ = nullptr;
   }
 
-  struct EngineRun {
-    data::CampaignDataset dataset;
-    sim::NetCounters counters;
-  };
-
-  static EngineRun run_engine(bool legacy, double fault_rate, int threads) {
-    sim::Network& net = testbed_->network();
-    net.set_walk_engine(legacy);
-    CampaignConfig config;
-    config.threads = threads;
-    if (fault_rate > 0.0) {
-      config.faults = sim::FaultParams::uniform(fault_rate);
-    }
-    Campaign campaign = Campaign::run(*testbed_, config);
-    EngineRun result{
-        data::CampaignDataset::from_campaign(std::move(campaign), "diff"),
-        net.counters()};
-    net.set_walk_engine(false);
-    return result;
-  }
-
-  /// The aggregate counters are part of the WalkResult contract too: both
-  /// engines must charge every drop to the same cause.
-  static void expect_counters_equal(const sim::NetCounters& a,
-                                    const sim::NetCounters& b) {
-    EXPECT_EQ(a.sent, b.sent);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.responses, b.responses);
-    EXPECT_EQ(a.dropped_loss, b.dropped_loss);
-    EXPECT_EQ(a.dropped_filter, b.dropped_filter);
-    EXPECT_EQ(a.dropped_rate_limit, b.dropped_rate_limit);
-    EXPECT_EQ(a.dropped_ttl, b.dropped_ttl);
-    EXPECT_EQ(a.dropped_unroutable, b.dropped_unroutable);
-    EXPECT_EQ(a.ttl_errors, b.ttl_errors);
-    EXPECT_EQ(a.port_unreachables, b.port_unreachables);
-  }
-
-  /// One legacy reference (single-threaded — the engine the paper-scale
-  /// results were originally produced by) against the pipeline at every
-  /// thread count. Pipeline runs agreeing with the same reference also
-  /// proves they agree with each other.
-  static void expect_engines_agree(double fault_rate) {
-    const EngineRun legacy = run_engine(true, fault_rate, 1);
+  /// The pipeline at every thread count against one pin; runs agreeing
+  /// with the same pin also proves they agree with each other. The
+  /// counters are part of the pin: the pipeline must charge every drop to
+  /// the cause the branch forest charged.
+  static void expect_pipeline_matches(const CampaignPin& pin) {
     for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << "fault_rate " << fault_rate << " threads " << threads);
-      const EngineRun pipeline = run_engine(false, fault_rate, threads);
-      EXPECT_EQ(pipeline.dataset.content_hash(), legacy.dataset.content_hash());
-      EXPECT_EQ(pipeline.dataset, legacy.dataset);
-      expect_counters_equal(pipeline.counters, legacy.counters);
+      CampaignConfig config;
+      config.threads = threads;
+      if (pin.fault_rate > 0.0) {
+        config.faults = sim::FaultParams::uniform(pin.fault_rate);
+      }
+      Campaign campaign = Campaign::run(*testbed_, config);
+      const CampaignPin measured{
+          pin.fault_rate,
+          data::CampaignDataset::from_campaign(std::move(campaign), "diff")
+              .content_hash(),
+          testbed_->network().counters()};
+      SCOPED_TRACE(testing::Message() << "threads " << threads
+                                      << "; measured pin "
+                                      << pin_source(measured));
+      EXPECT_EQ(measured.content_hash, pin.content_hash);
+      EXPECT_EQ(measured.counters, pin.counters);
     }
   }
 
@@ -106,36 +124,19 @@ class PipelineDifferentialTest : public ::testing::Test {
 
 Testbed* PipelineDifferentialTest::testbed_ = nullptr;
 
+// The test names keep the claim they were written for: the pipeline and
+// the branch-forest walk are bit-identical, now checked against the
+// retired engine's pinned output.
 TEST_F(PipelineDifferentialTest, EnginesBitIdenticalWithoutFaults) {
-  expect_engines_agree(0.0);
+  expect_pipeline_matches(kNoFaults);
 }
 
 TEST_F(PipelineDifferentialTest, EnginesBitIdenticalAtOnePercentFaults) {
-  expect_engines_agree(0.01);
+  expect_pipeline_matches(kOnePercentFaults);
 }
 
 TEST_F(PipelineDifferentialTest, EnginesBitIdenticalAtTenPercentFaults) {
-  expect_engines_agree(0.10);
-}
-
-TEST_F(PipelineDifferentialTest, LegacyEngineSelectableViaEnvAndSetter) {
-  sim::Network& net = testbed_->network();
-  EXPECT_FALSE(net.using_legacy_walk());  // pipeline is the default engine
-  net.set_walk_engine(true);
-  EXPECT_TRUE(net.using_legacy_walk());
-  net.set_walk_engine(false);
-
-  // The deprecation escape hatch: RROPT_LEGACY_WALK at Network
-  // construction selects the legacy engine without a code change.
-  ::setenv("RROPT_LEGACY_WALK", "1", 1);
-  {
-    TestbedConfig config;
-    config.topo_params = topo::TopologyParams::test_scale();
-    Testbed shared{testbed_->topology_ptr(), testbed_->behaviors_ptr(),
-                   config};
-    EXPECT_TRUE(shared.network().using_legacy_walk());
-  }
-  ::unsetenv("RROPT_LEGACY_WALK");
+  expect_pipeline_matches(kTenPercentFaults);
 }
 
 TEST_F(PipelineDifferentialTest, InstalledFaultPlanRecompilesRunLists) {

@@ -3,6 +3,9 @@
 // and stitching invariants on worlds the fixture tests never saw.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
 #include <unordered_set>
 
 #include "routing/oracle.h"
@@ -12,10 +15,16 @@
 namespace rr::route {
 namespace {
 
+// gtest prints a param without operator<< as its raw bytes, and ctest names
+// each case after that dump. The explicit zero tail fills what would be
+// padding, so no stack or heap garbage leaks into the case names.
 struct WorldParam {
   std::uint64_t seed;
   topo::Epoch epoch;
+  std::array<std::uint8_t, 7> zero_tail{};
 };
+static_assert(std::has_unique_object_representations_v<WorldParam>,
+              "WorldParam must have no padding bytes");
 
 class RoutedWorld : public ::testing::TestWithParam<WorldParam> {
  protected:

@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,6 +196,72 @@ TEST(Flags, TracksUnusedKeys) {
   const auto unused = flags.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+/// Malformed numbers fail loudly, naming the flag and the value: a prefix
+/// parse would silently run "--stream-block 8k" as 8.
+TEST(Flags, RejectsMalformedNumbers) {
+  const char* argv[] = {"tool", "--n", "", "--block=8k", "--x=x",
+                        "--frac=1.5", "--big=99999999999999999999",
+                        "--rate=2.5x", "--nan=nan", "--inf=inf",
+                        "--huge=1e999", "--bare"};
+  const auto flags = Flags::parse(12, argv);
+  for (const char* key : {"n", "block", "x", "frac", "big", "bare"}) {
+    EXPECT_THROW((void)flags.get_int(key, 0), std::invalid_argument) << key;
+  }
+  for (const char* key : {"n", "rate", "nan", "inf", "huge", "x"}) {
+    EXPECT_THROW((void)flags.get_double(key, 0.0), std::invalid_argument)
+        << key;
+  }
+  try {
+    (void)flags.get_int("block", 0);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("--block"), std::string::npos);
+    EXPECT_NE(std::string{e.what()}.find("'8k'"), std::string::npos);
+  }
+}
+
+TEST(Flags, AcceptsWholeNumbersAtTheBoundaries) {
+  const char* argv[] = {"tool", "--min=-9223372036854775808",
+                        "--max=9223372036854775807", "--neg=-3",
+                        "--exp=1e3", "--tiny=-0.25"};
+  const auto flags = Flags::parse(6, argv);
+  EXPECT_EQ(flags.get_int("min", 0), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(flags.get_int("max", 0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(flags.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(flags.get_double("exp", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(flags.get_double("tiny", 0.0), -0.25);
+  EXPECT_EQ(parse_int("7", "N", 0, 7), 7);
+  EXPECT_THROW((void)parse_int("8", "N", 0, 7), std::invalid_argument);
+}
+
+/// RROPT_THREADS is parsed strictly too; 0 keeps meaning all cores, and an
+/// explicit request never reads the variable.
+TEST(ThreadPool, ResolveThreadCountParsesEnvStrictly) {
+  const char* saved = std::getenv("RROPT_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("RROPT_THREADS");
+  const int all_cores = resolve_thread_count();
+  EXPECT_GE(all_cores, 1);
+
+  ::setenv("RROPT_THREADS", "3", 1);
+  EXPECT_EQ(resolve_thread_count(), 3);
+  EXPECT_EQ(resolve_thread_count(5), 5);
+  ::setenv("RROPT_THREADS", "0", 1);
+  EXPECT_EQ(resolve_thread_count(), all_cores);
+  for (const char* bad : {"", "x", "4x", " 4", "-1", "99999999999"}) {
+    ::setenv("RROPT_THREADS", bad, 1);
+    EXPECT_THROW((void)resolve_thread_count(), std::invalid_argument)
+        << "'" << bad << "'";
+    EXPECT_EQ(resolve_thread_count(2), 2);
+  }
+
+  if (saved != nullptr) {
+    ::setenv("RROPT_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("RROPT_THREADS");
+  }
 }
 
 TEST(Hashing, LabelHashIsStable) {

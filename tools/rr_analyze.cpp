@@ -11,6 +11,7 @@
 // row sums stay conserved. Exits 2 on any violation.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/table.h"
 #include "data/dataset.h"
@@ -102,7 +103,7 @@ int run_diff(const data::CampaignDataset& base,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto flags = util::Flags::parse(argc, argv);
   if (flags.positional().empty() || flags.has("help")) {
     std::printf(
@@ -160,4 +161,8 @@ int main(int argc, char** argv) {
               util::percent(responsive ? double(within) / double(responsive)
                                        : 0.0).c_str());
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed numeric flag or RROPT_THREADS (util::parse_int).
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

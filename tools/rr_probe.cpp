@@ -8,6 +8,7 @@
 // Without --target, probes the first K destinations of the world.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "data/jsonl.h"
 #include "measure/testbed.h"
@@ -16,7 +17,7 @@
 
 using namespace rr;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto flags = util::Flags::parse(argc, argv);
   if (flags.has("help")) {
     std::printf(
@@ -99,4 +100,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed numeric flag or RROPT_THREADS (util::parse_int).
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

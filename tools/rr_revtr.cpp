@@ -5,6 +5,7 @@
 // Runs a campaign to build the vantage-point atlas, then reverse-
 // traceroutes K destinations back to the best RR-capable vantage point.
 #include <cstdio>
+#include <stdexcept>
 
 #include "measure/campaign.h"
 #include "revtr/reverse_traceroute.h"
@@ -12,7 +13,7 @@
 
 using namespace rr;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto flags = util::Flags::parse(argc, argv);
   if (flags.has("help")) {
     std::printf(
@@ -75,4 +76,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed numeric flag or RROPT_THREADS (util::parse_int).
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "data/dataset.h"
 #include "measure/classify.h"
@@ -19,7 +20,7 @@
 
 using namespace rr;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto flags = util::Flags::parse(argc, argv);
   if (flags.has("help")) {
     std::printf(
@@ -144,4 +145,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed numeric flag or RROPT_THREADS (util::parse_int).
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

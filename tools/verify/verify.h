@@ -1,9 +1,10 @@
 // rropt_verify: abstract interpretation over compiled run lists.
 //
-// The dataplane's correctness story so far is *differential*: the compiled
-// element pipeline (sim/pipeline.h) is proven bit-identical to the legacy
-// branch forest on golden datasets, fault plans and thread counts. That
-// proof only covers run-list entries the test inputs happen to exercise.
+// The dataplane's end-to-end correctness story is *pinned*: whole
+// campaigns through the compiled element pipeline (sim/pipeline.h) must
+// reproduce committed dataset hashes and counters across fault plans and
+// thread counts (tests/pipeline_differential_test.cpp). That check only
+// covers run-list entries the test inputs happen to exercise.
 // This verifier closes the gap the way a compiler-IR validator does: it
 // symbolically executes every PackedRunList over an abstract packet-header
 // domain and proves per-entry invariants for *all* 64 personality x
@@ -33,8 +34,8 @@
 //     opcodes past the terminator are a mis-compile);
 //   * gate opcodes (loss, storm, CoPP, filters) are verdict-pure — they
 //     never write the header;
-//   * opcode order matches the load-bearing legacy branch order (gates
-//     before TTL, stamping last);
+//   * opcode order matches the load-bearing compile order (gates before
+//     TTL, stamping last);
 //   * fused opcodes are byte-equivalent to their unfused expansions under
 //     the abstract semantics;
 //   * the entry's opcode set matches an independently re-derived
@@ -100,7 +101,7 @@ struct AbstractHeader {
 struct OpModel {
   const char* name = "?";
   /// Compile-order phase rank; ranks must strictly increase along a list
-  /// (the legacy walk's branch order is load-bearing for bit-identity).
+  /// (the element order is load-bearing for the pinned campaign hashes).
   int phase = 0;
   /// Verdict-pure gate: decides continue/drop/expire, never writes the
   /// header.
