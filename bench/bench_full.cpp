@@ -23,8 +23,8 @@ int main() {
 
   measure::TestbedConfig config;
   config.topo_params = topo::TopologyParams::census_scale();
-  if (const char* seed = std::getenv("RROPT_SEED")) {
-    config.topo_params.seed = std::strtoull(seed, nullptr, 10);
+  if (const auto seed = bench::env_uint("RROPT_SEED")) {
+    config.topo_params.seed = *seed;
   }
   if (std::getenv("RROPT_QUICK") != nullptr) {
     // CI smoke: same streaming code path, toy scale.
@@ -36,18 +36,17 @@ int main() {
 
   measure::CampaignConfig campaign_config;
   campaign_config.stream_block = 8192;
-  if (const char* budget = std::getenv("RROPT_MEM_BUDGET_MIB")) {
+  if (const auto budget = bench::env_uint("RROPT_MEM_BUDGET_MIB")) {
     // Adaptive sizing: derive the block from a per-block memory budget.
     // The resolved size shapes dataset contents (block-major probe
     // order), so budget runs are only hash-comparable at equal resolved
     // sizes — the default stays pinned at 8192 for the flagship hash.
     campaign_config.stream_block = measure::CampaignConfig::
-        stream_block_for_budget(std::strtoull(budget, nullptr, 10),
+        stream_block_for_budget(static_cast<std::size_t>(*budget),
                                 testbed.topology().vantage_points().size());
   }
-  if (const char* block = std::getenv("RROPT_STREAM_BLOCK")) {
-    campaign_config.stream_block =
-        static_cast<std::size_t>(std::strtoull(block, nullptr, 10));
+  if (const auto block = bench::env_uint("RROPT_STREAM_BLOCK")) {
+    campaign_config.stream_block = static_cast<std::size_t>(*block);
   }
 
   telemetry.phase("campaign");

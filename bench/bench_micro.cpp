@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <limits>
 
 #include "bench/telemetry.h"
 #include "measure/testbed.h"
@@ -63,10 +62,12 @@ BENCHMARK(BM_RrStampAndTtl);
 constexpr int kWalkHops = 9;
 
 /// The element-pipeline walk over the nine stamping hops, exercising
-/// exactly what Network::walk_pipeline runs per hop: a HopRow load, a run
-/// list word from the personality bank, and the run_hop interpreter (here
-/// executing [TtlDecrement, TrustedStamp] — the fault-free stamping
-/// personality the census spends most of its time in).
+/// what sim::walk_hops runs per hop: a HopRow load, a run list word from
+/// the personality bank, and the run_hop interpreter (here executing the
+/// fused TTL+stamp element — the fault-free stamping personality the
+/// census spends most of its time in). Rows are indexed by hop rather
+/// than through a path spine, the shape the 177 ns ceiling and the
+/// committed reference were measured with.
 void walk_with_pipeline(std::vector<std::uint8_t>& bytes,
                         const sim::PackedRunList* bank,
                         const sim::ElementSet& es, const sim::HopRow* rows,
@@ -210,43 +211,6 @@ double time_loop_ns(const std::vector<std::uint8_t>& original, Body&& body) {
   return std::chrono::duration<double, std::nano>(elapsed).count() / kIters;
 }
 
-/// Per-probe nanoseconds for the batched walk (sim::walk_batch_pipeline)
-/// over the same nine stamping hops, batch width `n`: every iteration
-/// rebinds `n` fresh buffers and runs one slot-major burst walk. Net of
-/// the same per-buffer reset cost as the scalar timings, so the ratio
-/// walk_pipeline_ns / walk_batchN_ns is the batching speedup the
-/// regression gate checks.
-double time_batch_walk_ns(const std::vector<std::uint8_t>& original,
-                          std::size_t n, const sim::PackedRunList* bank,
-                          const sim::ElementSet& es, const sim::HopRow* rows,
-                          std::span<const route::PathHop> path,
-                          sim::NetCounters* counters, double reset_ns) {
-  std::array<std::vector<std::uint8_t>, sim::WalkBatch::kMaxProbes> bufs;
-  sim::WalkBatch batch;
-  constexpr int kProbeIters = 300000;
-  const int rounds = static_cast<int>(kProbeIters / n);
-  const auto run = [&](int count) {
-    for (int r = 0; r < count; ++r) {
-      batch.clear();
-      for (std::size_t k = 0; k < n; ++k) {
-        bufs[k] = original;
-        sim::HopContext& hc = batch.bind(k, bufs[k], path, 0.0);
-        hc.counters = counters;
-        batch.banks[k] = bank;
-      }
-      sim::walk_batch_pipeline(batch, rows, es, 0.0005);
-      benchmark::DoNotOptimize(batch.results);
-    }
-  };
-  run(rounds / 10);  // warm-up
-  const auto start = std::chrono::steady_clock::now();
-  run(rounds);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const double per_batch =
-      std::chrono::duration<double, std::nano>(elapsed).count() / rounds;
-  return per_batch / static_cast<double>(n) - reset_ns;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,76 +227,27 @@ int main(int argc, char** argv) {
       min_over_reps([&] { return time_loop_ns(original, [](auto&) {}); });
   // The compiled element pipeline over the nine hops: the run table is the
   // fault-free compilation (loss gates elided, trusted stamping), rows are
-  // the plain stamping personality — the configuration the bulk of a
-  // census walk executes. Gated ≤ 177 ns by check_bench_regression.sh,
-  // what the hand-inlined view walk cost when the interpreter replaced it.
+  // the plain stamping personality. Gated ≤ 177 ns by
+  // check_bench_regression.sh, what the hand-inlined view walk cost when
+  // the interpreter replaced it.
   const rr::sim::RunTable table =
       rr::sim::compile_run_table(rr::sim::PipelineConfig{});
   const rr::sim::ElementSet elements{};
   rr::sim::NetCounters counters;
   rr::sim::HopRow rows[kWalkHops];
   for (auto& row : rows) row.flags = rr::sim::HopRow::kStamps;
-  // The batched walk over the same hops at widths 4/8/16: the per-probe
-  // cost must beat the scalar interpreter (the ≥1.25x ratio at width 8 is
-  // gated by check_bench_regression.sh) — that margin is what funds
-  // Campaign pass A's probe_batch default. Scalar and batch samples are
-  // *interleaved* within each repetition (not one metric's reps then the
-  // next's) so a VM frequency window spanning several reps shifts both
-  // sides of the gated ratio together instead of landing on only one.
-  std::array<rr::route::PathHop, kWalkHops> path;
-  for (int h = 0; h < kWalkHops; ++h) {
-    path[static_cast<std::size_t>(h)].router =
-        static_cast<rr::topo::RouterId>(h);
-    path[static_cast<std::size_t>(h)].egress =
-        rr::net::IPv4Address(10, 0, 0, static_cast<std::uint8_t>(h));
-  }
   const rr::sim::PackedRunList* bank =
       table.data() + rr::sim::HopRow::kNumPersonalities;
-  double pipeline_ns = std::numeric_limits<double>::infinity();
-  double batch4_ns = pipeline_ns;
-  double batch8_ns = pipeline_ns;
-  double batch16_ns = pipeline_ns;
-  double batch_speedup = 0.0;
-  for (int rep = 0; rep < 7; ++rep) {
-    const double rep_pipeline_ns =
-        time_loop_ns(original,
-                     [&](auto& bytes) {
-                       walk_with_pipeline(
-                           bytes,
-                           table.data() +
-                               rr::sim::HopRow::kNumPersonalities,
-                           elements, rows, &counters);
-                     }) -
-        reset_ns;
-    const double rep_batch4_ns = time_batch_walk_ns(
-        original, 4, bank, elements, rows, path, &counters, reset_ns);
-    const double rep_batch8_ns = time_batch_walk_ns(
-        original, 8, bank, elements, rows, path, &counters, reset_ns);
-    const double rep_batch16_ns = time_batch_walk_ns(
-        original, 16, bank, elements, rows, path, &counters, reset_ns);
-    pipeline_ns = std::min(pipeline_ns, rep_pipeline_ns);
-    batch4_ns = std::min(batch4_ns, rep_batch4_ns);
-    batch8_ns = std::min(batch8_ns, rep_batch8_ns);
-    batch16_ns = std::min(batch16_ns, rep_batch16_ns);
-    // The gated speedup is a per-rep ratio over the best campaign-eligible
-    // width (>= 8, the probe_batch default's regime): a rep's four samples
-    // are temporally adjacent, so they share the box's frequency regime,
-    // while min-of-mins across reps can pair a fast scalar window with a
-    // throttled batch one and report a phantom slowdown. The best rep is
-    // the cleanest aligned window the run caught.
-    batch_speedup =
-        std::max(batch_speedup, rep_pipeline_ns / std::min(rep_batch8_ns,
-                                                           rep_batch16_ns));
-  }
+  const double pipeline_ns = min_over_reps([&] {
+    return time_loop_ns(original,
+                        [&](auto& bytes) {
+                          walk_with_pipeline(bytes, bank, elements, rows,
+                                             &counters);
+                        }) -
+           reset_ns;
+  });
   telemetry.value("walk_reset_ns", reset_ns);
   telemetry.value("walk_pipeline_ns", pipeline_ns);
-  telemetry.value("walk_batch4_ns", batch4_ns);
-  telemetry.value("walk_batch8_ns", batch8_ns);
-  telemetry.value("walk_batch16_ns", batch16_ns);
-  telemetry.value("walk_batch_speedup", batch_speedup);
   std::printf("walk (9 stamping hops): pipeline %.1f ns\n", pipeline_ns);
-  std::printf("batched walk: width 4 %.1f ns, width 8 %.1f ns, width 16 "
-              "%.1f ns per probe (batch speedup %.2fx over scalar "
-              "pipeline)\n", batch4_ns, batch8_ns, batch16_ns, batch_speedup);
   return 0;
 }

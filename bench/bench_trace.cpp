@@ -29,9 +29,8 @@ int main() {
   measure::TraceCensusConfig census;
   census.per_vp_dests = 512;
   if (std::getenv("RROPT_QUICK") != nullptr) census.per_vp_dests = 128;
-  if (const char* dests = std::getenv("RROPT_TRACE_DESTS")) {
-    census.per_vp_dests =
-        static_cast<std::size_t>(std::strtoull(dests, nullptr, 10));
+  if (const auto dests = bench::env_uint("RROPT_TRACE_DESTS")) {
+    census.per_vp_dests = static_cast<std::size_t>(*dests);
   }
 
   telemetry.phase("census_off");

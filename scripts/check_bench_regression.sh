@@ -145,34 +145,6 @@ if [[ -n "$fresh_walk_pipeline" ]]; then
     }' || failures=1
 fi
 
-# The batched walk engine (walk_batch_pipeline) must beat the scalar
-# interpreter per probe. walk_batch_speedup is bench_micro's best per-rep
-# ratio of scalar over the best campaign-eligible width (batch >= 8, the
-# probe_batch default regime): both sides of each rep's ratio are
-# temporally adjacent samples of the same run, so the ratio is machine-
-# speed-independent — it gates the batching win itself, not the box's
-# frequency that day. The floor funds Campaign pass A's probe_batch
-# default: if batching stops paying, this trips before the campaign
-# quietly slows down.
-walk_batch_speedup_floor=${RROPT_WALK_BATCH_SPEEDUP:-1.25}
-fresh_walk_batch8=$(extract "$fresh" walk_batch8_ns)
-fresh_walk_batch_speedup=$(extract "$fresh" walk_batch_speedup)
-if [[ -n "$fresh_walk_batch_speedup" ]]; then
-  awk -v ratio="$fresh_walk_batch_speedup" \
-      -v floor="$walk_batch_speedup_floor" '
-    BEGIN {
-      printf "walk_batch_speedup: %.2fx over scalar (floor %.2fx)\n",
-             ratio, floor
-      if (ratio < floor) {
-        printf "check_bench_regression: batched walk speedup %.2fx below " \
-               "the %.2fx floor\n", ratio, floor > "/dev/stderr"
-        exit 1
-      }
-    }' || failures=1
-fi
-check_band "walk_batch8_ns" "$fresh_walk_batch8" \
-  "$(extract "$reference" walk_batch8_ns)" "$tolerance" || failures=1
-
 # ------------------------------------------------ stop-set probing gates
 # The trace census (BENCH_trace.json only) must keep delivering the
 # Doubletree win: the honest off-vs-on probe reduction carries a hard

@@ -43,22 +43,6 @@ for f in bench_telemetry/BENCH_*.json; do
     "${threads:--}" "${rss:--}" "${sent:--}" "${saved:--}" "${hit:--}"
 done
 
-# Headline walk numbers: the batched engine's per-probe win over the
-# scalar interpreter (what funds Campaign pass A's probe_batch default).
-# walk_batch_speedup is bench_micro's best per-rep same-window ratio.
-micro=bench_telemetry/BENCH_micro.json
-if [[ -f "$micro" ]]; then
-  scalar=$(sed -n 's/.*"walk_pipeline_ns": *\([0-9.eE+-]*\).*/\1/p' "$micro" | head -n1)
-  batch8=$(sed -n 's/.*"walk_batch8_ns": *\([0-9.eE+-]*\).*/\1/p' "$micro" | head -n1)
-  speedup=$(sed -n 's/.*"walk_batch_speedup": *\([0-9.eE+-]*\).*/\1/p' "$micro" | head -n1)
-  if [[ -n "$scalar" && -n "$batch8" && -n "$speedup" ]]; then
-    awk -v s="$scalar" -v b="$batch8" -v r="$speedup" 'BEGIN {
-      if (b > 0) printf "\nbatched walk: %.1f ns/probe vs %.1f ns scalar " \
-                        "(%.2fx speedup at batch >= 8)\n", b, s, r
-    }'
-  fi
-fi
-
 # Headline stop-set numbers: the trace census's honest probe reduction
 # (off-vs-on, bench_trace) — the figure the Doubletree stop sets exist
 # to deliver, gated by check_bench_regression.sh's RROPT_STOPSET_REDUCTION

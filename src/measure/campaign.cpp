@@ -121,11 +121,9 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
   // Hosts that originate campaign probes — the compiled forwarding
   // table's row set. Stable across blocks.
   std::vector<topo::HostId> fib_sources;
-  if (config.use_compiled_fib) {
-    fib_sources.reserve(n_vps + 1);
-    for (const auto* vp : campaign.vps_) fib_sources.push_back(vp->host);
-    if (probe_host != topo::kNoHost) fib_sources.push_back(probe_host);
-  }
+  fib_sources.reserve(n_vps + 1);
+  for (const auto* vp : campaign.vps_) fib_sources.push_back(vp->host);
+  if (probe_host != topo::kNoHost) fib_sources.push_back(probe_host);
 
   // Streaming: destinations are processed in blocks (stream_block == 0 is
   // one block over the whole census, bit-identical to the pre-streaming
@@ -149,11 +147,8 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
         testbed.make_prober(campaign.vps_[v]->host, config.vp_pps));
   }
   constexpr std::size_t kChunkSteps = 64;
-  // Probes driven through the network per batched walk; 1 selects the
-  // scalar probe_into path bit-for-bit (the differential baseline).
-  const std::size_t batch = static_cast<std::size_t>(
-      std::clamp(config.probe_batch, 1,
-                 static_cast<int>(sim::WalkBatch::kMaxProbes)));
+  // Probes driven through the network per batched send.
+  constexpr std::size_t batch = sim::WalkBatch::kMaxProbes;
   std::vector<std::vector<std::uint32_t>> orders(n_vps);
   // Slot i of VP v lives at v * batch + i; each batch slot needs its own
   // context so counters and traces stay per-probe. All reused per chunk.
@@ -172,19 +167,15 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
     const std::size_t block_end = std::min(block_begin + block_size, n_dests);
     const std::size_t block_len = block_end - block_begin;
 
-    std::shared_ptr<const route::CompiledFib> fib;
-    if (config.use_compiled_fib) {
-      // Release the previous block's table *before* compiling the next
-      // one: the network held the only remaining reference, so this frees
-      // the old spine arena immediately and two block tables never
-      // coexist — peak RSS sees one compiled FIB, not two.
-      net.set_compiled_fib(nullptr);
-      fib = route::CompiledFib::build(
-          net.stitcher(), fib_sources,
-          std::span<const topo::HostId>{campaign.dests_}.subspan(block_begin,
-                                                                 block_len));
-    }
-    net.set_compiled_fib(fib);
+    // Release the previous block's table *before* compiling the next one:
+    // the network held the only remaining reference, so this frees the
+    // old spine arena immediately and two block tables never coexist —
+    // peak RSS sees one compiled FIB, not two.
+    net.set_compiled_fib(nullptr);
+    net.set_compiled_fib(route::CompiledFib::build(
+        net.stitcher(), fib_sources,
+        std::span<const topo::HostId>{campaign.dests_}.subspan(block_begin,
+                                                               block_len)));
 
     // ------------------------------------------------- plain-ping study
     // Three pings per destination from the probe host (USC in the paper).
@@ -278,17 +269,10 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
                 campaign.topology_->host_at(campaign.dests_[d]).address);
             contexts[v * batch + i].counters = sim::NetCounters{};
           }
-          if (batch == 1) {
-            // Scalar baseline: exactly the pre-batching exchange.
-            probers[v].probe_into(specs[v], &contexts[v], results[v]);
-          } else {
-            probers[v].probe_batch_into(
-                std::span<const probe::ProbeSpec>{specs.data() + v * batch,
-                                                  m},
-                std::span<sim::SendContext>{contexts.data() + v * batch, m},
-                std::span<probe::ProbeResult>{results.data() + v * batch,
-                                              m});
-          }
+          probers[v].probe_batch_into(
+              std::span<const probe::ProbeSpec>{specs.data() + v * batch, m},
+              std::span<sim::SendContext>{contexts.data() + v * batch, m},
+              std::span<probe::ProbeResult>{results.data() + v * batch, m});
           for (std::size_t i = 0; i < m; ++i) {
             PendingProbe& p = vp_pending[j0 + i];
             sim::SendContext& ctx = contexts[v * batch + i];

@@ -12,12 +12,14 @@
 //
 // Execution model: the campaign fans the per-VP probe streams across a
 // worker pool (see util::ThreadPool and CampaignConfig::threads) in fixed
-// chunks. All probe randomness is counter-based (sim::Network), so a
-// probe's fate is a pure function of the probe; the one piece of shared
-// mutable state — router token buckets — is resolved in a serial replay
-// phase per chunk, in exactly the order a single-threaded run would have
-// consumed tokens. Campaign contents are therefore bit-for-bit identical
-// at any thread count.
+// chunks; each stream drives its ping-RR probes through the network in
+// batches of sim::WalkBatch::kMaxProbes (Prober::probe_batch_into). All
+// probe randomness is counter-based (sim::Network), so a probe's fate is
+// a pure function of the probe; the one piece of shared mutable state —
+// router token buckets — is resolved in a serial replay phase per chunk,
+// in exactly the order a single-threaded run would have consumed tokens.
+// Campaign contents are therefore bit-for-bit identical at any thread
+// count.
 #pragma once
 
 #include <algorithm>
@@ -69,26 +71,13 @@ struct CampaignConfig {
   /// sim/fault.h). The default is inert: a campaign with all fault rates
   /// at zero is bit-identical to one that predates fault injection.
   sim::FaultParams faults;
-  /// Resolve campaign host paths through a compiled forwarding table
-  /// (routing/fib.h) built per destination block instead of the shared
-  /// path cache. Contents are bit-identical either way (asserted by the
-  /// FIB equivalence test); this knob exists for A/B benchmarking and as
-  /// a kill switch.
-  bool use_compiled_fib = true;
-  /// Probes driven through the network per batched walk in the ping-RR
-  /// study (see sim::WalkBatch). 1 = the scalar probe_into path, kept as a
-  /// differential baseline; values are clamped to
-  /// [1, sim::WalkBatch::kMaxProbes]. Contents are bit-identical at any
-  /// batch width: every per-probe decision is counter-based and token
-  /// consumption is deferred to the serial replay either way.
-  int probe_batch = 16;
   /// Streaming mode: process destinations in blocks of this many,
-  /// compiling the forwarding table per block, so resident path state is
-  /// bounded by the block size instead of the census size. 0 = one block
-  /// spanning every destination, which is bit-identical to the
-  /// pre-streaming campaign. Nonzero blocks reorder the per-VP probe
+  /// compiling the forwarding table (routing/fib.h) per block, so resident
+  /// path state is bounded by the block size instead of the census size.
+  /// 0 = one block spanning every destination, which is bit-identical to
+  /// the pre-streaming campaign. Nonzero blocks reorder the per-VP probe
   /// sequences (block-major), so contents differ from block size to block
-  /// size — but not with thread count or the FIB knob.
+  /// size — but not with thread count.
   std::size_t stream_block = 0;
 
   /// Sizes `stream_block` from a resident-memory budget for the per-block

@@ -240,102 +240,6 @@ class Ipv4HeaderView {
   /// incremental update.
   void mark_checksum_dirty() noexcept { checksum_dirty_ = true; }
 
-  /// A register-resident run of trusted fused hops: amortizes the header
-  /// checksum read-modify-write over a whole run of TTL/stamp hops
-  /// instead of paying it per hop. The per-hop fused op re-reads 16-bit
-  /// words straddling bytes it just stored — store-to-load stalls that
-  /// dominate its cost — so the burst keeps the TTL, the RR pointer, and
-  /// the accumulated checksum delta in locals, writes only each stamp's
-  /// slot bytes as it goes, and folds everything back into the header at
-  /// commit(). Deltas compose exactly (see IncrementalChecksum), so the
-  /// committed bytes are bit-identical to calling ttl_rr_stamp_trusted /
-  /// decrement_ttl once per hop. Legal under the same proof obligations
-  /// as rr_stamp_trusted, plus: nothing may read or write the header
-  /// between construction and commit(). Ineligible views (dirty checksum,
-  /// timestamp option present, malformed header) must take the per-hop
-  /// calls instead.
-  class TrustedBurst {
-   public:
-    explicit TrustedBurst(Ipv4HeaderView& view) noexcept
-        : v_(view),
-          eligible_(!view.checksum_dirty_ && view.valid() &&
-                    view.ts_offset_ == kNone) {
-      if (!eligible_) return;
-      ttl_ = v_.data_[8];
-      csum_ = v_.read_u16(10);
-      if (v_.rr_offset_ != kNone) {
-        rr_ = v_.rr_offset_;
-        length_ = v_.data_[rr_ + 1];
-        pointer_ = v_.data_[rr_ + 2];
-        if (length_ < 3) rr_ = kNone;  // degenerate option: never stamp
-      }
-    }
-
-    [[nodiscard]] bool eligible() const noexcept { return eligible_; }
-
-    /// ttl_rr_stamp_trusted on the burst registers: decrement, then stamp
-    /// when the packet survives and the option has room. Same return.
-    std::optional<std::uint8_t> ttl_rr_stamp(
-        net::IPv4Address address) noexcept {
-      if (ttl_ == 0) return std::nullopt;
-      note_byte(8, ttl_, static_cast<std::uint8_t>(ttl_ - 1));
-      --ttl_;
-      if (ttl_ != 0 && rr_ != kNone && pointer_ + 3u <= length_) {
-        const std::size_t slot = rr_ + pointer_ - 1;  // pointer is 1-based
-        const auto bytes = address.to_bytes();
-        for (std::size_t k = 0; k < 4; ++k) {
-          note_byte(slot + k, v_.data_[slot + k], bytes[k]);
-          v_.data_[slot + k] = bytes[k];
-        }
-        note_byte(rr_ + 2, pointer_, static_cast<std::uint8_t>(pointer_ + 4));
-        pointer_ = static_cast<std::uint8_t>(pointer_ + 4);
-      }
-      return ttl_;
-    }
-
-    /// decrement_ttl on the burst registers. Same return.
-    std::optional<std::uint8_t> ttl_only() noexcept {
-      if (ttl_ == 0) return std::nullopt;
-      note_byte(8, ttl_, static_cast<std::uint8_t>(ttl_ - 1));
-      --ttl_;
-      return ttl_;
-    }
-
-    /// Folds the burst back into the header bytes. Call exactly once, at
-    /// the run boundary.
-    void commit() noexcept {
-      if (!eligible_) return;
-      v_.data_[8] = ttl_;
-      if (rr_ != kNone) v_.data_[rr_ + 2] = pointer_;
-      v_.write_u16(10, delta_.apply(csum_));
-    }
-
-   private:
-    /// One changed byte folded into the delta at its word position: a
-    /// byte at an even offset is the high half of its big-endian word, so
-    /// its diff contributes shifted — exactly the word-level update with
-    /// the unchanged sibling byte cancelled (update is diff-based, mod
-    /// 0xffff).
-    void note_byte(std::size_t offset, std::uint8_t old_byte,
-                   std::uint8_t new_byte) noexcept {
-      if ((offset & 1) == 0) {
-        delta_.update(static_cast<std::uint16_t>(old_byte << 8),
-                      static_cast<std::uint16_t>(new_byte << 8));
-      } else {
-        delta_.update(old_byte, new_byte);
-      }
-    }
-
-    Ipv4HeaderView& v_;
-    bool eligible_;
-    std::uint8_t ttl_ = 0;
-    std::uint8_t pointer_ = 0;
-    std::uint8_t length_ = 0;
-    std::size_t rr_ = kNone;
-    std::uint16_t csum_ = 0;
-    net::IncrementalChecksum delta_;
-  };
-
  private:
   static constexpr std::size_t kNone = 0;
 

@@ -67,9 +67,9 @@ void Prober::probe_into(const ProbeSpec& spec, sim::SendContext* ctx,
   // storage is reclaimed below, so the steady state allocates nothing —
   // rropt_lint keeps it that way by banning unwaived allocation here.
   //
-  // Reset here, not just in Network::send: an early return before the send
-  // must not leave the previous probe's trace (or result fields) behind
-  // for a deferred-replay caller to mistake for this probe's.
+  // Reset here, not just in Network::send_reusing: an early return before
+  // the send must not leave the previous probe's trace (or result fields)
+  // behind for a deferred-replay caller to mistake for this probe's.
   out.reset();
   if (ctx != nullptr) ctx->trace.reset();
   const double send_time = clock_;
@@ -120,8 +120,8 @@ void Prober::build_probe_into(const ProbeSpec& spec, std::uint16_t seq,
 void Prober::probe_batch_into(std::span<const ProbeSpec> specs,
                               std::span<sim::SendContext> ctxs,
                               std::span<ProbeResult> results) {
-  // RROPT_HOT_BEGIN(prober-batch): the campaign's inner loop when batching
-  // is on. Pacing, sequencing, and per-slot bookkeeping are exactly what a
+  // RROPT_HOT_BEGIN(prober-batch): the campaign's ping-RR inner loop.
+  // Pacing, sequencing, and per-slot bookkeeping are exactly what a
   // scalar probe_into sequence would do; only the network traversal is
   // batched.
   const std::size_t n = specs.size();

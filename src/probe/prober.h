@@ -77,11 +77,13 @@ class Prober {
 
   /// Batched variant: builds up to sim::WalkBatch::kMaxProbes datagrams
   /// into recycled per-slot buffers and hands them to Network::send_batch,
-  /// which walks all forward legs (then all reply legs) slot-major.
-  /// Each slot gets its own SendContext so counters and traces stay
-  /// per-probe; pacing, sequence numbers, and parsing are identical to
-  /// calling probe_into once per spec, in order. `specs`, `ctxs`, and
-  /// `results` must have equal sizes.
+  /// which walks all forward legs, then all reply legs, through the same
+  /// hop walk probe_into uses. Each slot gets its own SendContext so
+  /// counters and traces stay per-probe; pacing, sequence numbers, and
+  /// parsing are identical to calling probe_into once per spec, in order,
+  /// so slot k's result, trace and counters equal that probe_into's
+  /// (reply IP-IDs aside: device counters count global sends).
+  /// `specs`, `ctxs`, and `results` must have equal sizes.
   void probe_batch_into(std::span<const ProbeSpec> specs,
                         std::span<sim::SendContext> ctxs,
                         std::span<ProbeResult> results);

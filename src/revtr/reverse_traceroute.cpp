@@ -1,9 +1,13 @@
 #include "revtr/reverse_traceroute.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
+#include <utility>
 
-#include "packet/datagram.h"
+#include "packet/icmp.h"
+#include "packet/ipv4.h"
+#include "packet/wire.h"
 #include "probe/prober.h"
 #include "util/log.h"
 
@@ -89,30 +93,30 @@ ReverseTraceroute::spoof_segment(topo::HostId vp_host,
   const auto source_addr = testbed_->topology().host_at(source).address;
   const std::uint16_t id = ++next_id_;
   // The probe claims to come from S; V merely injects it.
-  const auto probe =
-      pkt::make_ping(source_addr, target, id, 1, /*ttl=*/64, /*rr_slots=*/9);
-  auto bytes = probe.serialize();
-  if (!bytes) return std::nullopt;
+  pkt::build_ping(probe_buf_, source_addr, target, id, /*sequence=*/1,
+                  /*ttl=*/64, /*rr_slots=*/9);
 
   clock_ += 1.0 / config_.pps;
-  const auto delivery =
-      testbed_->network().send(vp_host, std::move(*bytes), clock_);
+  auto delivery =
+      testbed_->network().send_reusing(vp_host, probe_buf_, clock_);
   if (!delivery) return std::nullopt;
+  // The reply's storage becomes the next probe's buffer.
+  probe_buf_ = std::move(delivery->bytes);
   if (delivery->receiver != source) return std::nullopt;  // mis-delivered
 
-  const auto reply = pkt::Datagram::parse(delivery->bytes);
-  if (!reply || !reply->icmp() ||
-      reply->icmp()->type != pkt::IcmpType::kEchoReply) {
+  const std::span<const std::uint8_t> reply{probe_buf_};
+  const auto info = pkt::inspect_datagram(reply);
+  if (!info ||
+      info->protocol != static_cast<std::uint8_t>(pkt::IpProto::kIcmp) ||
+      info->icmp_type !=
+          static_cast<std::uint8_t>(pkt::IcmpType::kEchoReply) ||
+      info->echo_identifier != id || info->rr_offset == 0) {
     return std::nullopt;
   }
-  const auto* echo = reply->icmp()->echo();
-  if (!echo || echo->identifier != id) return std::nullopt;
-  const auto* rr = reply->header.record_route();
-  if (!rr) return std::nullopt;
-
-  const auto stamp =
-      std::find(rr->recorded.begin(), rr->recorded.end(), target);
-  if (stamp == rr->recorded.end()) {
+  const pkt::RrWire rr = pkt::rr_wire(reply, info->rr_offset);
+  std::size_t slot = 0;
+  while (slot < rr.filled && pkt::rr_slot(reply, rr, slot) != target) ++slot;
+  if (slot == rr.filled) {
     // The target did not record itself (too far from this VP, or a
     // non-stamping device): this VP cannot anchor the segment.
     return std::nullopt;
@@ -120,8 +124,10 @@ ReverseTraceroute::spoof_segment(topo::HostId vp_host,
 
   SpoofResult result;
   result.responded = true;
-  result.reverse_hops.assign(stamp + 1, rr->recorded.end());
-  result.slots_remained = rr->remaining_slots() > 0;
+  for (++slot; slot < rr.filled; ++slot) {
+    result.reverse_hops.push_back(pkt::rr_slot(reply, rr, slot));
+  }
+  result.slots_remained = rr.filled < rr.capacity;
   return result;
 }
 

@@ -121,6 +121,7 @@ class ReverseTraceroute {
   util::Rng rng_;
   std::uint16_t next_id_ = 0x7a00;
   double clock_ = 0.0;
+  std::vector<std::uint8_t> probe_buf_;  // spoofed probe/reply, recycled
   /// Atlas index: probed address -> campaign destination index, built once
   /// so per-target candidate lookup is O(1) instead of a campaign scan.
   std::unordered_map<std::uint32_t, std::size_t> dest_index_;

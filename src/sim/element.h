@@ -19,7 +19,7 @@
 //
 // An element reads and mutates one HopContext and returns a HopVerdict;
 // sim/pipeline.h compiles per-personality run lists of these elements at
-// topology freeze and Network::walk just executes the list. New router
+// topology freeze and sim::walk_hops just executes the list. New router
 // personalities become new element compositions, not new branches.
 //
 // Contract: element semantics reproduce the retired branch forest bit for

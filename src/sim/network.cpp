@@ -96,26 +96,10 @@ std::uint16_t Network::next_ip_id(bool is_router, std::uint32_t id,
       (base + n + static_cast<std::uint32_t>(velocity * now)) & 0xffff);
 }
 
-Network::WalkResult Network::walk_pipeline(
-    std::vector<std::uint8_t>& bytes, std::span<const route::PathHop> hops,
-    double start, topo::AsId src_as, topo::AsId dst_as, std::uint64_t flow,
-    int leg, SendContext* ctx, bool doomed_in) {
-  // RROPT_HOT_BEGIN(network-walk): the per-hop run list executes once per
-  // router per leg at campaign scale. rropt_lint bans heap-allocating
-  // calls between these markers unless the line carries an RROPT_HOT_OK
-  // waiver explaining why the allocation is steady-state-free.
-  WalkResult result;
-  // One view per leg: option offsets are located once, and every per-hop
-  // TTL decrement and RR/TS stamp is an O(1) in-place mutation with an
-  // RFC 1624 incremental checksum update (see packet/view.h). The
-  // HopContext is also per leg; only the per-hop fields below are
-  // refreshed inside the loop.
-  pkt::Ipv4HeaderView view{bytes};
-  HopContext hc;
-  hc.view = &view;
-  hc.bytes = bytes;
-  hc.has_options = view.has_options();
-  hc.doomed = doomed_in;
+void Network::bind_leg(HopContext& hc, int leg, std::uint64_t flow,
+                       topo::AsId src_as, topo::AsId dst_as, SendContext* ctx,
+                       bool doomed) {
+  hc.doomed = doomed;
   hc.leg = leg;
   hc.flow = flow;
   hc.src_as = src_as;
@@ -133,39 +117,26 @@ Network::WalkResult Network::walk_pipeline(
     serial_gate_.assert_held();
     hc.buckets = buckets_.data();
   }
-  const ElementSet& es = pipeline_.elements();
-  const PackedRunList* bank = pipeline_.list_bank(hc.has_options);
-  const HopRow* rows = pipeline_.rows().data();
-  double now = start;
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    now += params_.hop_delay_s;
-    const RouterId router = hops[i].router;
-    const HopRow row = rows[router];
-    hc.router = router;
-    hc.egress = hops[i].egress;
-    hc.as_id = row.as_id;
-    hc.hop = i;
-    hc.now = now;
-    switch (run_hop(bank[row.flags], es, hc)) {
-      case HopVerdict::kContinue:
-        break;
-      case HopVerdict::kDrop:
-        return result;
-      case HopVerdict::kExpire:
-        result.outcome = WalkOutcome::kTtlExpired;
-        result.expired_hop = i;
-        result.time = now;
-        return result;
-    }
-  }
-  // A doomed packet that walked the full path is still "delivered" so the
-  // endpoint raises its ghost reply — the caller must treat a doomed
-  // delivery as unobservable.
-  result.outcome = WalkOutcome::kDelivered;
-  result.doomed = hc.doomed;
-  result.time = now + params_.hop_delay_s;  // final hop to the device
-  return result;
-  // RROPT_HOT_END(network-walk)
+}
+
+WalkResult Network::walk_pipeline(std::vector<std::uint8_t>& bytes,
+                                  std::span<const route::PathHop> hops,
+                                  double start, topo::AsId src_as,
+                                  topo::AsId dst_as, std::uint64_t flow,
+                                  int leg, SendContext* ctx, bool doomed_in) {
+  // One view per leg: option offsets are located once, and every per-hop
+  // TTL decrement and RR/TS stamp is an O(1) in-place mutation with an
+  // RFC 1624 incremental checksum update (see packet/view.h).
+  pkt::Ipv4HeaderView view{bytes};
+  HopContext hc;
+  hc.view = &view;
+  hc.bytes = bytes;
+  hc.has_options = view.has_options();
+  hc.now = start;
+  bind_leg(hc, leg, flow, src_as, dst_as, ctx, doomed_in);
+  return walk_hops(hc, hops, pipeline_.list_bank(hc.has_options),
+                   pipeline_.rows().data(), pipeline_.elements(),
+                   params_.hop_delay_s);
 }
 
 std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
@@ -176,33 +147,26 @@ std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
   return owner->id;
 }
 
-std::optional<Network::Delivery> Network::send(HostId src,
-                                               std::vector<std::uint8_t> bytes,
-                                               double time, SendContext* ctx) {
-  return send_reusing(src, bytes, time, ctx);
-}
-
-std::optional<Network::Delivery> Network::send_reusing(
-    HostId src, std::vector<std::uint8_t>& bytes, double time,
-    SendContext* ctx) {
+bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
+                         double time, SendContext* ctx, StagedSend& out) {
   NetCounters& c = counters_for(ctx);
   if (ctx != nullptr) ctx->trace.reset();
   ++c.sent;
   const auto dst_addr = pkt::peek_destination(bytes);
-  if (!dst_addr) return std::nullopt;
+  if (!dst_addr) return false;
   const auto owner = topology_->owner_of(*dst_addr);
   if (!owner) {
     ++c.dropped_unroutable;
-    return std::nullopt;
+    return false;
   }
 
   // Responses chase the header's source address, which may be spoofed.
   const auto src_addr = pkt::peek_source(bytes);
-  if (!src_addr) return std::nullopt;
+  if (!src_addr) return false;
   const auto reply_to = host_owning(*src_addr);
   if (!reply_to) {
     ++c.dropped_unroutable;
-    return std::nullopt;
+    return false;
   }
 
   // The packet's flow key: every random decision along both legs derives
@@ -219,13 +183,14 @@ std::optional<Network::Delivery> Network::send_reusing(
   // global send counter through the serial-gate-checked reference.
   if (ctx == nullptr) flow = util::mix64(flow ^ c.sent);
 
-  const topo::AsId src_as = topology_->host_at(src).as_id;
-  topo::AsId dst_as;
-  route::PathCache::EntryPtr fwd_entry;
-  std::span<const route::PathHop> fwd_hops;
-  bool fwd_routable = false;
+  out.flow = flow;
+  out.owner = *owner;
+  out.dst_addr = *dst_addr;
+  out.reply_to = *reply_to;
+  out.src_as = topology_->host_at(src).as_id;
+  bool routable = false;
   if (owner->kind == topo::AddressOwner::Kind::kHost) {
-    dst_as = topology_->host_at(owner->id).as_id;
+    out.dst_as = topology_->host_at(owner->id).as_id;
     bool resolved = false;
     if (fib_ != nullptr) {
       // Compiled fast path: the table copies the spine into the per-send
@@ -234,151 +199,7 @@ std::optional<Network::Delivery> Network::send_reusing(
           ctx != nullptr ? ctx->fwd_path_scratch : serial_fwd_path_scratch_;
       switch (fib_->forward(src, owner->id, scratch)) {
         case route::CompiledFib::Lookup::kHit:
-          fwd_hops = scratch;
-          fwd_routable = true;
-          resolved = true;
-          break;
-        case route::CompiledFib::Lookup::kUnroutable:
-          resolved = true;
-          break;
-        case route::CompiledFib::Lookup::kMiss:
-          break;  // pair not compiled; consult the cache
-      }
-    }
-    if (!resolved) {
-      fwd_entry = paths_.host_path(src, owner->id);
-      fwd_routable = fwd_entry->routable;
-      if (fwd_routable) fwd_hops = fwd_entry->hops;
-    }
-  } else {
-    dst_as = topology_->router_at(owner->id).as_id;
-    fwd_entry = paths_.host_to_router_path(src, owner->id);
-    fwd_routable = fwd_entry->routable;
-    if (fwd_routable) fwd_hops = fwd_entry->hops;
-  }
-  if (!fwd_routable) {
-    ++c.dropped_unroutable;
-    return std::nullopt;
-  }
-  if (owner->kind == topo::AddressOwner::Kind::kRouter &&
-      !fwd_hops.empty()) {
-    // The probed router is the final element; it answers rather than
-    // forwards, so exclude it from the forwarding walk.
-    fwd_hops = fwd_hops.first(fwd_hops.size() - 1);
-  }
-
-  const auto fwd = walk_pipeline(bytes, fwd_hops, time, src_as, dst_as, flow,
-                                 /*leg=*/0, ctx);
-  switch (fwd.outcome) {
-    case WalkOutcome::kDropped:
-      return std::nullopt;
-    case WalkOutcome::kTtlExpired: {
-      const auto& hop = fwd_hops[fwd.expired_hop];
-      const RouterBehavior& rb = behaviors_->router(hop.router);
-      if (rb.anonymous) {
-        ++c.dropped_ttl;
-        return std::nullopt;
-      }
-      ++c.ttl_errors;
-      if (ctx != nullptr) ctx->trace.counted_ttl_error = true;
-      return emit_router_error(
-          hop.router, hop.ingress,
-          static_cast<std::uint8_t>(pkt::IcmpType::kTimeExceeded),
-          pkt::kCodeTtlExceededInTransit, bytes, *reply_to, fwd.time, flow,
-          ctx);
-    }
-    case WalkOutcome::kDelivered:
-      break;
-  }
-  if (!fwd.doomed) {
-    ++c.delivered;
-    if (ctx != nullptr) ctx->trace.counted_delivered = true;
-  }
-
-  if (owner->kind == topo::AddressOwner::Kind::kHost) {
-    return host_respond(owner->id, *reply_to, bytes, fwd.time, flow, ctx,
-                        fwd.doomed);
-  }
-  return router_respond(owner->id, *dst_addr, *reply_to, bytes, fwd.time,
-                        flow, ctx, fwd.doomed);
-}
-
-void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
-  const std::size_t n = probes.size();
-  assert(n <= WalkBatch::kMaxProbes);
-
-  // Per-slot resolution state that must outlive the batched walks: the
-  // forward spine (scratch- or cache-backed) is still consulted after the
-  // walk for TTL-expiry error generation.
-  struct SlotState {
-    bool active = false;
-    std::uint64_t flow = 0;
-    topo::AsId dst_as = 0;
-    HostId dst_host = topo::kNoHost;
-    HostId reply_to = topo::kNoHost;
-    route::PathCache::EntryPtr fwd_entry;
-    std::span<const route::PathHop> fwd_hops;
-  };
-  std::array<SlotState, WalkBatch::kMaxProbes> slots;
-  WalkBatch batch;
-  const HopRow* rows = pipeline_.rows().data();
-  const topo::AsId src_as = topology_->host_at(src).as_id;
-
-  // Phase 1 — stage: replicate send_reusing's per-probe preamble exactly
-  // (trace reset, sent/unroutable accounting, flow key, forward-path
-  // resolution) and bind the survivors into the batch. Each slot works
-  // against its own SendContext, so per-slot work is order-independent.
-  for (std::size_t k = 0; k < n; ++k) {
-    BatchProbe& probe = probes[k];
-    probe.delivery.reset();
-    SendContext* ctx = probe.ctx;
-    assert(ctx != nullptr);  // batch sends are deferred-mode only
-    std::vector<std::uint8_t>& bytes = *probe.bytes;
-    SlotState& slot = slots[k];
-
-    // Probed router interfaces answer rather than forward; they are rare
-    // (alias-resolution traffic, never the campaign hot path), so peek —
-    // before any counter is touched — and take the scalar path per slot,
-    // which is bit-identical because a send's fate is a pure function of
-    // the packet given its own context.
-    const auto dst_addr = pkt::peek_destination(bytes);
-    std::optional<topo::AddressOwner> owner;
-    if (dst_addr) owner = topology_->owner_of(*dst_addr);
-    if (owner && owner->kind == topo::AddressOwner::Kind::kRouter) {
-      probe.delivery = send_reusing(src, bytes, probe.time, ctx);
-      continue;
-    }
-
-    NetCounters& c = ctx->counters;
-    ctx->trace.reset();
-    ++c.sent;
-    if (!dst_addr) continue;  // delivery stays nullopt, like send_reusing
-    if (!owner) {
-      ++c.dropped_unroutable;
-      continue;
-    }
-    const auto src_addr = pkt::peek_source(bytes);
-    if (!src_addr) continue;
-    const auto reply_to = host_owning(*src_addr);
-    if (!reply_to) {
-      ++c.dropped_unroutable;
-      continue;
-    }
-
-    // Same flow key as send_reusing; the serial-mode send-counter fold
-    // does not apply (ctx is always non-null here).
-    std::uint64_t flow = util::mix64(params_.seed ^ 0x5252464c4f57ULL);
-    flow = util::mix64(flow ^
-                       ((std::uint64_t{src} << 32) ^ dst_addr->value()));
-    flow = util::mix64(flow ^ std::bit_cast<std::uint64_t>(probe.time));
-
-    slot.dst_as = topology_->host_at(owner->id).as_id;
-    bool resolved = false;
-    bool routable = false;
-    if (fib_ != nullptr) {
-      switch (fib_->forward(src, owner->id, ctx->fwd_path_scratch)) {
-        case route::CompiledFib::Lookup::kHit:
-          slot.fwd_hops = ctx->fwd_path_scratch;
+          out.fwd_hops = scratch;
           routable = true;
           resolved = true;
           break;
@@ -390,122 +211,149 @@ void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
       }
     }
     if (!resolved) {
-      slot.fwd_entry = paths_.host_path(src, owner->id);
-      routable = slot.fwd_entry->routable;
-      if (routable) slot.fwd_hops = slot.fwd_entry->hops;
+      out.fwd_entry = paths_.host_path(src, owner->id);
+      routable = out.fwd_entry->routable;
+      if (routable) out.fwd_hops = out.fwd_entry->hops;
     }
-    if (!routable) {
-      ++c.dropped_unroutable;
-      continue;
-    }
-
-    slot.flow = flow;
-    slot.dst_host = owner->id;
-    slot.reply_to = *reply_to;
-    slot.active = true;
-
-    HopContext& hc = batch.bind(k, bytes, slot.fwd_hops, probe.time);
-    hc.leg = 0;
-    hc.flow = flow;
-    hc.src_as = src_as;
-    hc.dst_as = slot.dst_as;
-    hc.counters = &c;
-    hc.fault_counters = &fault_counters_;
-    hc.trace = &ctx->trace;
-    batch.banks[k] = pipeline_.list_bank(hc.has_options);
-    // Warm the first hop's row while later slots resolve their paths.
-    if (!slot.fwd_hops.empty()) {
-      RROPT_PREFETCH(&rows[slot.fwd_hops[0].router]);
+  } else {
+    out.dst_as = topology_->router_at(owner->id).as_id;
+    out.fwd_entry = paths_.host_to_router_path(src, owner->id);
+    routable = out.fwd_entry->routable;
+    // The probed router is the final element; it answers rather than
+    // forwards, so exclude it from the forwarding walk.
+    if (routable && !out.fwd_entry->hops.empty()) {
+      out.fwd_hops = std::span<const route::PathHop>{out.fwd_entry->hops}
+                         .first(out.fwd_entry->hops.size() - 1);
     }
   }
-
-  // Phase 2 — all forward legs, one slot-major kernel call.
-  if (batch.live != 0) {
-    walk_batch_pipeline(batch, rows, pipeline_.elements(),
-                        params_.hop_delay_s);
+  if (!routable) {
+    ++c.dropped_unroutable;
+    return false;
   }
+  return true;
+}
 
-  // Phase 3 — per-slot outcome handling, mirroring send_reusing's
-  // post-walk switch, then reply staging: delivered slots build their
-  // reply (host_prepare_reply — the exact front half of host_respond) and
-  // rebind into the batch for the reverse leg.
-  std::array<BatchWalkResult, WalkBatch::kMaxProbes> fwd_results;
-  std::array<PendingReply, WalkBatch::kMaxProbes> pending;
+bool Network::settle_forward(const WalkResult& fwd, const StagedSend& staged,
+                             std::vector<std::uint8_t>& bytes,
+                             SendContext* ctx, std::optional<Delivery>& out) {
+  NetCounters& c = counters_for(ctx);
+  switch (fwd.outcome) {
+    case WalkResult::Outcome::kDropped:
+      return false;
+    case WalkResult::Outcome::kTtlExpired: {
+      const route::PathHop& hop = staged.fwd_hops[fwd.expired_hop];
+      if (behaviors_->router(hop.router).anonymous) {
+        ++c.dropped_ttl;
+        return false;
+      }
+      ++c.ttl_errors;
+      if (ctx != nullptr) ctx->trace.counted_ttl_error = true;
+      out = emit_router_error(
+          hop.router, hop.ingress,
+          static_cast<std::uint8_t>(pkt::IcmpType::kTimeExceeded),
+          pkt::kCodeTtlExceededInTransit, bytes, staged.reply_to, fwd.time,
+          staged.flow, ctx);
+      return false;
+    }
+    case WalkResult::Outcome::kDelivered:
+      break;
+  }
+  if (!fwd.doomed) {
+    ++c.delivered;
+    if (ctx != nullptr) ctx->trace.counted_delivered = true;
+  }
+  return true;
+}
+
+std::optional<Network::Delivery> Network::send_reusing(
+    HostId src, std::vector<std::uint8_t>& bytes, double time,
+    SendContext* ctx) {
+  StagedSend staged;
+  if (!stage_send(src, bytes, time, ctx, staged)) return std::nullopt;
+  const WalkResult fwd =
+      walk_pipeline(bytes, staged.fwd_hops, time, staged.src_as,
+                    staged.dst_as, staged.flow, /*leg=*/0, ctx);
+  std::optional<Delivery> out;
+  if (!settle_forward(fwd, staged, bytes, ctx, out)) return out;
+  if (staged.owner.kind == topo::AddressOwner::Kind::kHost) {
+    return host_respond(staged.owner.id, staged.reply_to, bytes, fwd.time,
+                        staged.flow, ctx, fwd.doomed);
+  }
+  return router_respond(staged.owner.id, staged.dst_addr, staged.reply_to,
+                        bytes, fwd.time, staged.flow, ctx, fwd.doomed);
+}
+
+void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
+  const std::size_t n = probes.size();
+  assert(n <= WalkBatch::kMaxProbes);
+
+  // Per-slot staging state outlives the forward walks: the forward spine
+  // (scratch- or cache-backed) is still consulted for TTL-expiry errors.
+  std::array<StagedSend, WalkBatch::kMaxProbes> staged;
+  std::array<bool, WalkBatch::kMaxProbes> active{};
+  WalkBatch batch;
+  const HopRow* rows = pipeline_.rows().data();
+
+  // Phase 1 — stage every slot exactly as send_reusing does and bind the
+  // survivors' forward legs. Each slot works against its own
+  // SendContext, so per-slot work is order-independent.
   for (std::size_t k = 0; k < n; ++k) {
-    if (slots[k].active) fwd_results[k] = batch.results[k];
+    BatchProbe& probe = probes[k];
+    probe.delivery.reset();
+    assert(probe.ctx != nullptr);  // batch sends are deferred-mode only
+    StagedSend& s = staged[k];
+    if (!stage_send(src, *probe.bytes, probe.time, probe.ctx, s)) continue;
+    active[k] = true;
+    HopContext& hc = batch.bind(k, *probe.bytes, s.fwd_hops, probe.time);
+    bind_leg(hc, /*leg=*/0, s.flow, s.src_as, s.dst_as, probe.ctx,
+             /*doomed=*/false);
+    batch.banks[k] = pipeline_.list_bank(hc.has_options);
   }
+
+  // Phase 2 — all forward legs, one kernel call.
+  walk_batch_pipeline(batch, rows, pipeline_.elements(), params_.hop_delay_s);
+
+  // Phase 3 — settle each forward leg. Probed routers answer on the spot;
+  // delivered host slots build their reply (host_prepare_reply — the
+  // exact front half of host_respond) and rebind for the reverse leg.
+  // Rebinding slot k resets only slot k, after its result was read.
+  std::array<PendingReply, WalkBatch::kMaxProbes> pending;
   batch.clear();
   for (std::size_t k = 0; k < n; ++k) {
-    SlotState& slot = slots[k];
-    if (!slot.active) continue;
+    if (!active[k]) continue;
+    active[k] = false;
     BatchProbe& probe = probes[k];
-    SendContext* ctx = probe.ctx;
-    NetCounters& c = ctx->counters;
+    const StagedSend& s = staged[k];
+    const WalkResult fwd = batch.results[k];
     std::vector<std::uint8_t>& bytes = *probe.bytes;
-    const BatchWalkResult& fwd = fwd_results[k];
-    switch (fwd.outcome) {
-      case BatchWalkResult::Outcome::kDropped:
-        slot.active = false;
-        break;
-      case BatchWalkResult::Outcome::kTtlExpired: {
-        slot.active = false;
-        const auto& hop = slot.fwd_hops[fwd.expired_hop];
-        const RouterBehavior& rb = behaviors_->router(hop.router);
-        if (rb.anonymous) {
-          ++c.dropped_ttl;
-          break;
-        }
-        ++c.ttl_errors;
-        ctx->trace.counted_ttl_error = true;
-        // ICMP errors carry no options and are a cold path; the scalar
-        // emit helper (which walks the error home itself) is exact.
-        probe.delivery = emit_router_error(
-            hop.router, hop.ingress,
-            static_cast<std::uint8_t>(pkt::IcmpType::kTimeExceeded),
-            pkt::kCodeTtlExceededInTransit, bytes, slot.reply_to, fwd.time,
-            slot.flow, ctx);
-        break;
-      }
-      case BatchWalkResult::Outcome::kDelivered: {
-        if (!fwd.doomed) {
-          ++c.delivered;
-          ctx->trace.counted_delivered = true;
-        }
-        host_prepare_reply(slot.dst_host, slot.reply_to, bytes, fwd.time,
-                           slot.flow, ctx, fwd.doomed, pending[k]);
-        if (!pending[k].has_reply) {
-          slot.active = false;
-          break;
-        }
-        HopContext& hc = batch.bind(k, bytes, pending[k].rev_hops, fwd.time);
-        hc.doomed = fwd.doomed;
-        hc.leg = 1;
-        hc.flow = slot.flow;
-        hc.src_as = pending[k].src_as;
-        hc.dst_as = pending[k].dst_as;
-        hc.counters = &c;
-        hc.fault_counters = &fault_counters_;
-        hc.trace = &ctx->trace;
-        batch.banks[k] = pipeline_.list_bank(hc.has_options);
-        break;
-      }
+    if (!settle_forward(fwd, s, bytes, probe.ctx, probe.delivery)) continue;
+    if (s.owner.kind == topo::AddressOwner::Kind::kRouter) {
+      probe.delivery = router_respond(s.owner.id, s.dst_addr, s.reply_to,
+                                      bytes, fwd.time, s.flow, probe.ctx,
+                                      fwd.doomed);
+      continue;
     }
+    host_prepare_reply(s.owner.id, s.reply_to, bytes, fwd.time, s.flow,
+                       probe.ctx, fwd.doomed, pending[k]);
+    if (!pending[k].has_reply) continue;
+    active[k] = true;
+    HopContext& hc = batch.bind(k, bytes, pending[k].rev_hops, fwd.time);
+    bind_leg(hc, /*leg=*/1, s.flow, pending[k].src_as, pending[k].dst_as,
+             probe.ctx, fwd.doomed);
+    batch.banks[k] = pipeline_.list_bank(hc.has_options);
   }
 
-  // Phase 4 — all reply legs together.
-  if (batch.live != 0) {
-    walk_batch_pipeline(batch, rows, pipeline_.elements(),
-                        params_.hop_delay_s);
-  }
+  // Phase 4 — all host reply legs together.
+  walk_batch_pipeline(batch, rows, pipeline_.elements(), params_.hop_delay_s);
 
   // Phase 5 — arrivals: the deliver_back tail per surviving slot.
   for (std::size_t k = 0; k < n; ++k) {
-    if (!slots[k].active) continue;
-    const BatchWalkResult& rev = batch.results[k];
+    if (!active[k]) continue;
+    const WalkResult& rev = batch.results[k];
     probes[k].delivery = finish_delivery(
         *probes[k].bytes,
-        rev.outcome == BatchWalkResult::Outcome::kDelivered && !rev.doomed,
-        rev.time, pending[k].receiver, slots[k].flow, probes[k].ctx);
+        rev.outcome == WalkResult::Outcome::kDelivered && !rev.doomed,
+        rev.time, pending[k].receiver, staged[k].flow, probes[k].ctx);
   }
 }
 
@@ -681,10 +529,11 @@ std::optional<Network::Delivery> Network::deliver_back(
     std::vector<std::uint8_t>& bytes, std::span<const route::PathHop> hops,
     double start, topo::AsId src_as, topo::AsId dst_as, HostId receiver,
     std::uint64_t flow, SendContext* ctx, bool doomed) {
-  const auto result = walk_pipeline(bytes, hops, start, src_as, dst_as, flow,
-                                    /*leg=*/1, ctx, doomed);
+  const WalkResult result = walk_pipeline(bytes, hops, start, src_as, dst_as,
+                                          flow, /*leg=*/1, ctx, doomed);
   return finish_delivery(
-      bytes, result.outcome == WalkOutcome::kDelivered && !result.doomed,
+      bytes,
+      result.outcome == WalkResult::Outcome::kDelivered && !result.doomed,
       result.time, receiver, flow, ctx);
 }
 

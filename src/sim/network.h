@@ -1,10 +1,10 @@
 // The packet-level network simulator.
 //
-// Network::send() injects a serialized IPv4 datagram at a source host at a
-// virtual time and returns the response datagram (if any) exactly as the
-// probing host would capture it. In between, the packet is walked hop by
-// hop along the policy-routed forward path, each router applying its
-// behaviour to the real wire bytes:
+// Network::send_reusing() injects a serialized IPv4 datagram at a source
+// host at a virtual time and returns the response datagram (if any)
+// exactly as the probing host would capture it. In between, the packet is
+// walked hop by hop along the policy-routed forward path, each router
+// applying its behaviour to the real wire bytes:
 //
 //   * slow-path diversion for packets with IP options (rate limiting,
 //     AS edge/transit filtering),
@@ -124,20 +124,18 @@ class Network {
   /// owns the datagram's source address, or nullopt if nothing comes back
   /// (including when the named source is not a host).
   ///
+  /// The probe is consumed from (and replies are built by recycling)
+  /// `bytes`, whose storage ends up either in the returned Delivery
+  /// (reclaim it from there) or back in `bytes`. Steady-state callers that
+  /// reuse one buffer per worker — and reclaim the delivery's bytes after
+  /// parsing — allocate nothing per exchange.
+  ///
   /// With `ctx == nullptr` the call is serial-mode: counters and token
   /// buckets live in the network and the call must not race other sends.
   /// With a context, the call is safe to run concurrently with other
   /// sends holding *different* contexts; bucket consumes are deferred into
   /// `ctx->trace` (see the header comment) and the returned delivery is
   /// optimistic until the caller resolves those events.
-  std::optional<Delivery> send(HostId src, std::vector<std::uint8_t> bytes,
-                               double time, SendContext* ctx = nullptr);
-
-  /// Allocation-free variant of send(): the probe is consumed from (and
-  /// replies are built by recycling) `bytes`, whose storage ends up either
-  /// in the returned Delivery (reclaim it from there) or back in `bytes`.
-  /// Steady-state callers that reuse one buffer per worker — and reclaim
-  /// the delivery's bytes after parsing — allocate nothing per exchange.
   std::optional<Delivery> send_reusing(HostId src,
                                        std::vector<std::uint8_t>& bytes,
                                        double time, SendContext* ctx = nullptr);
@@ -154,15 +152,15 @@ class Network {
   };
 
   /// Batched variant of send_reusing: up to WalkBatch::kMaxProbes probes
-  /// from one source, resolved per slot and then walked by the slot-major
-  /// batch kernel (walk_batch_pipeline, DESIGN.md §12) — all forward legs
-  /// in one kernel call, then all reply legs in another. Bit-identical to
-  /// calling send_reusing per slot with the same contexts: every random
+  /// from one source (DESIGN.md §12). Each slot is staged exactly as
+  /// send_reusing stages it; then all forward legs walk in one
+  /// walk_batch_pipeline call and all host reply legs in another.
+  /// Replies from probed router interfaces walk home per slot. Every leg
+  /// runs the one walk_hops loop on its slot's own context, every random
   /// decision is a counter-based draw keyed on the packet, and bucket
-  /// consumes are deferred per slot into each ctx's trace exactly as in
-  /// scalar deferred mode, so slot interleaving is unobservable. Probes
-  /// aimed at router interfaces take the scalar path per slot (identical
-  /// by per-slot purity).
+  /// consumes are deferred per slot into each ctx's trace, so each slot's
+  /// delivery, counters and trace equal send_reusing's for the same probe
+  /// (device IP-IDs aside: they count global sends by design).
   void send_batch(HostId src, std::span<BatchProbe> probes);
 
   /// Serial-phase resolution of one deferred options-token consume.
@@ -199,7 +197,7 @@ class Network {
     return fault_plan_;
   }
   /// Installs (or, with nullptr, removes) a compiled forwarding table for
-  /// host-to-host campaign traffic. While installed, send() resolves
+  /// host-to-host campaign traffic. While installed, sends resolve
   /// covered forward/reverse host paths from the table — bit-identical to
   /// the stitcher's output — and falls back to the path cache for pairs
   /// outside its coverage. Swapping tables between campaign blocks is a
@@ -243,23 +241,49 @@ class Network {
   }
 
  private:
-  enum class WalkOutcome : std::uint8_t { kDelivered, kDropped, kTtlExpired };
-
-  struct WalkResult {
-    WalkOutcome outcome = WalkOutcome::kDropped;
-    std::size_t expired_hop = 0;  // valid when kTtlExpired
-    double time = 0.0;
-    // The packet walked the full path — consuming every token a fault-free
-    // walk would — but a fault discarded it; it must not be observed.
-    bool doomed = false;
+  /// What a send resolves before its forward walk.
+  struct StagedSend {
+    std::uint64_t flow = 0;
+    topo::AddressOwner owner;  // the destination address's owner
+    net::IPv4Address dst_addr;
+    HostId reply_to = topo::kNoHost;  // host owning the header's source
+    topo::AsId src_as = 0;
+    topo::AsId dst_as = 0;
+    route::PathCache::EntryPtr fwd_entry;  // pins cache-backed fwd_hops
+    std::span<const route::PathHop> fwd_hops;
   };
 
-  /// Runs the compiled element pipeline (sim/pipeline.h) over `hops`,
-  /// mutating `bytes` in place. `flow` keys the packet's counter-based
-  /// draws; `leg` is 0 on the forward walk and 1 on any reply walk.
-  /// `doomed_in` marks a ghost continuation of an exchange a fault already
-  /// discarded: the walk consumes shared state exactly as the baseline
-  /// would but charges no further counters and the result stays doomed.
+  /// The staging step send_reusing and send_batch share, so both charge
+  /// the same counters in the same order and derive the same flow key:
+  /// trace reset, sent/unroutable accounting, flow key, owner and reply-to
+  /// lookup, and forward-spine resolution (a probed router is trimmed off
+  /// the spine: it answers rather than forwards). Returns false when the
+  /// send ends here, with no delivery.
+  bool stage_send(HostId src, std::span<const std::uint8_t> bytes,
+                  double time, SendContext* ctx, StagedSend& out);
+
+  /// Settles a forward walk, shared by the scalar and batched sends: a
+  /// drop ends the exchange silently, a TTL expiry raises the router's
+  /// Time-Exceeded error (unless the router is anonymous), and a delivery
+  /// is counted unless doomed. Returns true only for a delivery, which the
+  /// caller hands to the endpoint; otherwise `out` holds the exchange's
+  /// final result.
+  bool settle_forward(const WalkResult& fwd, const StagedSend& staged,
+                      std::vector<std::uint8_t>& bytes, SendContext* ctx,
+                      std::optional<Delivery>& out);
+
+  /// Fills the per-leg fields of a walk context. `flow` keys the packet's
+  /// counter-based draws; `leg` is 0 on the forward walk and 1 on any
+  /// reply walk. `doomed` marks a ghost continuation of an exchange a
+  /// fault already discarded: the walk consumes shared state exactly as
+  /// the baseline would but charges no further counters and the result
+  /// stays doomed.
+  void bind_leg(HopContext& hc, int leg, std::uint64_t flow,
+                topo::AsId src_as, topo::AsId dst_as, SendContext* ctx,
+                bool doomed);
+
+  /// Runs one leg through walk_hops over `hops`, mutating `bytes` in
+  /// place (see bind_leg for the other parameters).
   WalkResult walk_pipeline(std::vector<std::uint8_t>& bytes,
                            std::span<const route::PathHop> hops, double start,
                            topo::AsId src_as, topo::AsId dst_as,
@@ -282,7 +306,7 @@ class Network {
                                             SendContext* ctx);
 
   /// Response from the destination host for an echo request / UDP probe.
-  /// `doomed` continues a ghost exchange (see walk_pipeline()). The reply
+  /// `doomed` continues a ghost exchange (see bind_leg()). The reply
   /// is built by mutating `bytes` in place (echo replies that keep the
   /// request's options) or by swapping in the reply scratch.
   std::optional<Delivery> host_respond(HostId dst, HostId reply_to,
@@ -340,9 +364,9 @@ class Network {
 
   [[nodiscard]] NetCounters& counters_for(SendContext* ctx) noexcept {
     if (ctx != nullptr) return ctx->counters;
-    // ctx == nullptr is the serial-mode promise (see send()): the caller
-    // asserted no concurrent sends, so the network totals are safe to
-    // mutate directly.
+    // ctx == nullptr is the serial-mode promise (see send_reusing()): the
+    // caller asserted no concurrent sends, so the network totals are safe
+    // to mutate directly.
     serial_gate_.assert_held();
     return counters_;
   }

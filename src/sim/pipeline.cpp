@@ -19,201 +19,41 @@ static_assert(sizeof(route::PathHop) ==
                   sizeof(topo::RouterId) + 2 * sizeof(net::IPv4Address),
               "PathHop must stay a packed (router, ingress, egress) row");
 
-namespace {
-
-/// Single-opcode run lists the batched walk special-cases: the fused
-/// visible-stamper personality (options bank, fault-free) and the plain
-/// TTL personality (no-options bank). A one-nibble list's packed value is
-/// its opcode.
-constexpr PackedRunList kFusedStampList =
-    static_cast<PackedRunList>(ElementOp::kTtlStampTrusted);
-constexpr PackedRunList kTtlOnlyList =
-    static_cast<PackedRunList>(ElementOp::kTtl);
-
-/// Walks one batch slot to completion: bursts of single-op TTL/stamp hops
-/// run against a *local copy* of the slot's header view, everything else
-/// through the scalar run_hop interpreter on the slot's HopContext.
-///
-/// The burst is the whole point of the batched engine. Stores through the
-/// packet's byte pointer may alias any object the compiler can't prove
-/// disjoint — including the slot's HopContext and its Ipv4HeaderView,
-/// whose addresses escape at bind — so a straight pass-major loop reloads
-/// every cached header offset after every stamp. (We measured that
-/// variant: 0.8x the scalar walk, with the reloads and per-slot-pass
-/// bookkeeping outweighing the cross-slot overlap it was built for; see
-/// DESIGN.md §12.) Copying the view into a local whose address never
-/// escapes lets the compiler keep the offsets and checksum state in
-/// registers across the run, and the copy is written back only at run
-/// boundaries. Times accumulate (now += delay per hop) in the exact order
-/// the scalar walk adds them, so every double compares bit-equal.
-void walk_batch_slot(WalkBatch& b, std::size_t p, const HopRow* rows,
+WalkResult walk_hops(HopContext& hc, std::span<const route::PathHop> path,
+                     const PackedRunList* bank, const HopRow* rows,
                      const ElementSet& es, double hop_delay_s) {
-  HopContext& hc = b.hc[p];
-  const std::span<const route::PathHop> path = b.hops[p];
-  const PackedRunList* bank = b.banks[p];
-  BatchWalkResult& r = b.results[p];
-  const std::size_t n = path.size();
-  std::size_t pass = 0;
-  while (true) {
-    if (pass >= n) {
-      // A doomed slot that walked the full path is still "delivered" so
-      // the endpoint raises its ghost reply; the caller must treat a
-      // doomed delivery as unobservable (same contract as the scalar
-      // walk).
-      r.outcome = BatchWalkResult::Outcome::kDelivered;
-      r.doomed = hc.doomed;
-      r.time = hc.now + hop_delay_s;  // final hop to the device
-      return;
-    }
-    const HopRow row = rows[path[pass].router];
-    const PackedRunList list = bank[row.flags];
-    if (list == kFusedStampList || list == kTtlOnlyList) {
-      // Maximal run of the census's two dominant personalities (visible
-      // stamping router / visible plain router, fault-free): the header
-      // RMW runs on TrustedBurst registers and is folded back once at the
-      // run boundary — one checksum read-modify-write per run instead of
-      // per hop. Semantics are the element bodies' exactly; the batched-
-      // vs-scalar differential test holds this path to bit-identity.
-      pkt::Ipv4HeaderView::TrustedBurst burst{b.views[p]};
-      if (burst.eligible()) [[likely]] {
-        double now = hc.now;
-        PackedRunList cur = list;
-        const route::PathHop* hop = &path[pass];
-        while (true) {
-          now += hop_delay_s;
-          const auto ttl = cur == kFusedStampList
-                               ? burst.ttl_rr_stamp(hop->egress)
-                               : burst.ttl_only();
-          if (!ttl) [[unlikely]] {
-            burst.commit();
-            hc.now = now;
-            if (!hc.doomed) ++hc.counters->dropped_ttl;
-            return;  // malformed or already expired: default kDropped
-          }
-          if (*ttl == 0) [[unlikely]] {
-            burst.commit();
-            hc.now = now;
-            if (hc.doomed) return;  // doomed TTL death is a silent drop
-            r.outcome = BatchWalkResult::Outcome::kTtlExpired;
-            r.expired_hop = static_cast<std::uint32_t>(pass);
-            r.time = now;
-            return;
-          }
-          ++pass;
-          ++hop;
-          if (pass >= n) {
-            burst.commit();
-            hc.now = now;
-            r.outcome = BatchWalkResult::Outcome::kDelivered;
-            r.doomed = hc.doomed;
-            r.time = now + hop_delay_s;
-            return;
-          }
-          if (pass + 1 < n) {
-            RROPT_PREFETCH(&rows[hop[1].router]);
-          }
-          const HopRow next_row = rows[hop->router];
-          const PackedRunList next_list = bank[next_row.flags];
-          if (next_list != kFusedStampList && next_list != kTtlOnlyList) {
-            // Hand the slot back to the interpreter at this pass.
-            burst.commit();
-            hc.now = now;
-            break;
-          }
-          cur = next_list;
-        }
-        continue;
-      }
-      // Ineligible view (timestamp option, dirty checksum): same run, but
-      // per-hop fused calls against a local view copy — still bit-exact,
-      // just without the amortized checksum fold.
-      pkt::Ipv4HeaderView view = b.views[p];
-      double now = hc.now;
-      PackedRunList cur = list;
-      const route::PathHop* hop = &path[pass];
-      while (true) {
-        now += hop_delay_s;
-        const auto ttl = cur == kFusedStampList
-                             ? view.ttl_rr_stamp_trusted(hop->egress)
-                             : view.decrement_ttl();
-        if (!ttl) [[unlikely]] {
-          b.views[p] = view;
-          hc.now = now;
-          if (!hc.doomed) ++hc.counters->dropped_ttl;
-          return;  // malformed or already expired: default kDropped result
-        }
-        if (*ttl == 0) [[unlikely]] {
-          b.views[p] = view;
-          hc.now = now;
-          if (hc.doomed) return;  // doomed TTL death is a silent drop
-          r.outcome = BatchWalkResult::Outcome::kTtlExpired;
-          r.expired_hop = static_cast<std::uint32_t>(pass);
-          r.time = now;
-          return;
-        }
-        if (cur == kFusedStampList && view.has_ts()) [[unlikely]] {
-          view.ts_stamp(hop->egress,
-                        static_cast<std::uint32_t>(now * 1000.0));
-        }
-        ++pass;
-        ++hop;
-        if (pass >= n) {
-          b.views[p] = view;
-          hc.now = now;
-          r.outcome = BatchWalkResult::Outcome::kDelivered;
-          r.doomed = hc.doomed;
-          r.time = now + hop_delay_s;
-          return;
-        }
-        if (pass + 1 < n) {
-          RROPT_PREFETCH(&rows[hop[1].router]);
-        }
-        const HopRow next_row = rows[hop->router];
-        const PackedRunList next_list = bank[next_row.flags];
-        if (next_list != kFusedStampList && next_list != kTtlOnlyList) {
-          // Hand the slot back to the interpreter at this pass.
-          b.views[p] = view;
-          hc.now = now;
-          break;
-        }
-        cur = next_list;
-      }
-      continue;
-    }
-    // Interpreter hop: run lists with loss gates, filters, CoPP, or fault
-    // elements — the exact scalar semantics on the slot's own context.
-    hc.now += hop_delay_s;
-    hc.router = path[pass].router;
-    hc.egress = path[pass].egress;
+  // The per-hop run list executes once per router per leg at campaign
+  // scale; rropt_lint holds this body to the hot-path no-allocation rule.
+  WalkResult result;
+  double now = hc.now;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    now += hop_delay_s;
+    const HopRow row = rows[path[i].router];
+    hc.router = path[i].router;
+    hc.egress = path[i].egress;
     hc.as_id = row.as_id;
-    hc.hop = pass;
-    switch (run_hop(list, es, hc)) {
+    hc.hop = i;
+    hc.now = now;
+    switch (run_hop(bank[row.flags], es, hc)) {
       case HopVerdict::kContinue:
-        ++pass;
         break;
       case HopVerdict::kDrop:
-        return;  // default kDropped result
+        return result;
       case HopVerdict::kExpire:
-        r.outcome = BatchWalkResult::Outcome::kTtlExpired;
-        r.expired_hop = static_cast<std::uint32_t>(pass);
-        r.time = hc.now;
-        return;
+        result.outcome = WalkResult::Outcome::kTtlExpired;
+        result.expired_hop = static_cast<std::uint32_t>(i);
+        result.time = now;
+        return result;
     }
   }
+  result.outcome = WalkResult::Outcome::kDelivered;
+  result.doomed = hc.doomed;
+  result.time = now + hop_delay_s;  // final hop to the device
+  return result;
 }
-
-}  // namespace
 
 void walk_batch_pipeline(WalkBatch& b, const HopRow* rows,
                          const ElementSet& es, double hop_delay_s) {
-  // Every mutation below reproduces the scalar walk's order of operations
-  // per slot, only the slot interleaving differs — and every cross-slot
-  // interaction is either a counter-based draw (order-free) or a deferred
-  // bucket event (recorded per slot), so the interleaving is
-  // unobservable. Before any slot walks, prime the cache with every
-  // slot's first HopRow: by the time slot k's burst dereferences its row,
-  // the line has had k slots' worth of work to arrive — the batch analog
-  // of the per-slot next-hop prefetch inside the burst.
   const std::uint32_t live = b.live;
   for (std::uint32_t m = live; m != 0; m &= m - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(m));
@@ -223,7 +63,8 @@ void walk_batch_pipeline(WalkBatch& b, const HopRow* rows,
   }
   for (std::uint32_t m = live; m != 0; m &= m - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(m));
-    walk_batch_slot(b, p, rows, es, hop_delay_s);
+    b.results[p] = walk_hops(b.hc[p], b.hops[p], b.banks[p], rows, es,
+                             hop_delay_s);
   }
   b.live = 0;
 }

@@ -1,7 +1,7 @@
 // Per-personality element run lists, compiled at topology freeze.
 //
 // sim/element.h defines the behaviour elements; this header compiles them
-// into the flat structure Network::walk executes:
+// into the flat structure walk_hops executes:
 //
 //   * one packed HopRow per router (element.h) — as_id plus the 5-bit
 //     personality flags byte, built from the frozen topology and the
@@ -32,7 +32,7 @@
 // The result reproduces the retired branch forest at every observable
 // byte (tests/pipeline_differential_test.cpp pins its campaign hashes and
 // counters) while making personalities data: a new router behaviour is a
-// new element plus a compilation rule, not a new branch in Network::walk.
+// new element plus a compilation rule, not a new branch in the walk.
 #pragma once
 
 #include <array>
@@ -48,8 +48,7 @@
 
 /// Software prefetch of the cache line holding `p`. Advisory only: the
 /// batched walk prefetches every live slot's first HopRow before any slot
-/// walks, and each burst prefetches the next hop's row, hiding the
-/// dependent row load behind the element work in flight.
+/// walks, hiding the dependent row loads behind earlier slots' walks.
 #if defined(__GNUC__) || defined(__clang__)
 #define RROPT_PREFETCH(p) __builtin_prefetch(p)
 #else
@@ -157,7 +156,7 @@ using RunTable = std::array<PackedRunList, 2 * HopRow::kNumPersonalities>;
 [[nodiscard]] RunTable compile_run_table(const PipelineConfig& config);
 
 /// Executes one hop's run list over the context. Inline: this *is* the
-/// per-hop inner loop of Network::walk — one table word in a register,
+/// per-hop inner loop of walk_hops — one table word in a register,
 /// a predictable switch per element.
 inline HopVerdict run_hop(PackedRunList list, const ElementSet& es,
                           HopContext& ctx) noexcept {
@@ -188,10 +187,9 @@ inline HopVerdict run_hop(PackedRunList list, const ElementSet& es,
   // RROPT_HOT_END(pipeline-run-hop)
 }
 
-/// Per-slot outcome of a batched walk — the pipeline-level mirror of
-/// Network's private WalkResult. A default-constructed result is a drop
-/// (time 0, not doomed), exactly what the scalar walk returns for one.
-struct BatchWalkResult {
+/// How one leg's hop walk ended. A default-constructed result is a drop
+/// (time 0, not doomed).
+struct WalkResult {
   enum class Outcome : std::uint8_t {
     kDropped = 0,
     kDelivered = 1,
@@ -200,16 +198,29 @@ struct BatchWalkResult {
   Outcome outcome = Outcome::kDropped;
   std::uint32_t expired_hop = 0;  // valid when kTtlExpired
   double time = 0.0;
-  bool doomed = false;  // walked the full path but a fault discarded it
+  // The packet walked the full path — consuming every token a fault-free
+  // walk would — but a fault discarded it; it must not be observed.
+  bool doomed = false;
 };
+
+/// The hop walk: executes each hop's run list (`bank[rows[hop].flags]`)
+/// over `hc`, advancing virtual time by `hop_delay_s` per hop from
+/// `hc.now`. `hc` arrives with its per-leg fields filled (view, bytes,
+/// flow, leg, ASes, counters, trace or buckets, doomed); the walk sets the
+/// per-hop ones. Every leg — scalar send or batch slot, forward or reply —
+/// runs this one loop. A doomed packet that walks the full path is still
+/// "delivered" so the endpoint raises its ghost reply; callers treat a
+/// doomed delivery as unobservable.
+WalkResult walk_hops(HopContext& hc, std::span<const route::PathHop> path,
+                     const PackedRunList* bank, const HopRow* rows,
+                     const ElementSet& es, double hop_delay_s);
 
 /// A structure-of-arrays batch of in-flight walks for
 /// walk_batch_pipeline: each slot holds a bound header view, its per-leg
 /// HopContext, its run-list bank, its path spine, and its result.
 /// The caller binds up to kMaxProbes slots (bind()), fills the per-leg
-/// context fields the scalar walk would have filled, and hands the batch
-/// to the kernel. Non-copyable: each slot's HopContext points at the
-/// view stored in the same batch.
+/// context fields, and hands the batch to the kernel. Non-copyable: each
+/// slot's HopContext points at the view stored in the same batch.
 struct WalkBatch {
   static constexpr std::size_t kMaxProbes = 16;
 
@@ -217,19 +228,15 @@ struct WalkBatch {
   WalkBatch(const WalkBatch&) = delete;
   WalkBatch& operator=(const WalkBatch&) = delete;
 
-  std::size_t size = 0;
   std::uint32_t live = 0;  // bitmask of slots still walking
   pkt::Ipv4HeaderView views[kMaxProbes];
   HopContext hc[kMaxProbes];
   const PackedRunList* banks[kMaxProbes] = {};
   std::span<const route::PathHop> hops[kMaxProbes];
-  BatchWalkResult results[kMaxProbes];
+  WalkResult results[kMaxProbes];
 
   /// Empties the batch for reuse (slot state is rebuilt by bind()).
-  void clear() noexcept {
-    size = 0;
-    live = 0;
-  }
+  void clear() noexcept { live = 0; }
 
   /// Binds slot `i` to a datagram buffer and a path spine starting at
   /// virtual time `start`, resetting the slot's context and result.
@@ -247,23 +254,18 @@ struct WalkBatch {
     ctx.has_options = views[i].has_options();
     ctx.now = start;
     hops[i] = path;
-    results[i] = BatchWalkResult{};
+    results[i] = WalkResult{};
     live |= 1u << i;
-    if (i >= size) size = i + 1;
     return ctx;
   }
 };
 
-/// Drives every live slot of `b` through the compiled pipeline. Each
-/// slot's walk executes as bursts: maximal runs of the census's dominant
-/// single-op TTL/stamp personalities run against a register-resident copy
-/// of the slot's header view (written back only at run boundaries), with
-/// the next hop's HopRow prefetched a hop ahead and every slot's first
-/// row prefetched before any slot walks; everything else goes through the
-/// scalar run_hop interpreter on the slot's own HopContext. Results land
-/// in b.results; semantics are bit-identical to running the scalar walk
-/// loop over each slot (the batch differential test proves it at dataset
-/// level).
+/// Drives every live slot of `b` through walk_hops, after prefetching
+/// every live slot's first HopRow so slot k's first row load has k slots'
+/// worth of walking to arrive behind. Results land in b.results. Each
+/// slot walks on its own HopContext, and every cross-slot interaction is
+/// a counter-based draw (order-free) or a deferred bucket event (recorded
+/// per slot), so the slot interleaving is unobservable.
 void walk_batch_pipeline(WalkBatch& b, const HopRow* rows,
                          const ElementSet& es, double hop_delay_s);
 

@@ -77,11 +77,10 @@ namespace {
                               std::string{text} + "'");
 }
 
-}  // namespace
-
-std::int64_t parse_int(std::string_view text, std::string_view name,
-                       std::int64_t min, std::int64_t max) {
-  std::int64_t value = 0;
+template <typename Int>
+Int parse_integer(std::string_view text, std::string_view name, Int min,
+                  Int max) {
+  Int value = 0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec == std::errc::invalid_argument || end != text.data() + text.size()) {
@@ -93,6 +92,18 @@ std::int64_t parse_int(std::string_view text, std::string_view name,
                std::to_string(max) + "]");
   }
   return value;
+}
+
+}  // namespace
+
+std::int64_t parse_int(std::string_view text, std::string_view name,
+                       std::int64_t min, std::int64_t max) {
+  return parse_integer(text, name, min, max);
+}
+
+std::uint64_t parse_uint(std::string_view text, std::string_view name,
+                         std::uint64_t min, std::uint64_t max) {
+  return parse_integer(text, name, min, max);
 }
 
 double parse_double(std::string_view text, std::string_view name) {

@@ -39,6 +39,11 @@ namespace rr::util {
     std::string_view text, std::string_view name,
     std::int64_t min = std::numeric_limits<std::int64_t>::min(),
     std::int64_t max = std::numeric_limits<std::int64_t>::max());
+/// parse_int for values that need the full unsigned 64-bit range (world
+/// seeds); a sign is malformed input.
+[[nodiscard]] std::uint64_t parse_uint(
+    std::string_view text, std::string_view name, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 [[nodiscard]] double parse_double(std::string_view text,
                                   std::string_view name);
 

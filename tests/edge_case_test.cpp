@@ -33,8 +33,9 @@ TEST(NetworkReset, IdenticalTrafficReplaysIdentically) {
           topology.host_at(src).address,
           topology.host_at(topology.destinations()[i]).address,
           7, static_cast<std::uint16_t>(i), 64, 9);
+      auto bytes = *probe.serialize();
       const auto delivery =
-          testbed.network().send(src, *probe.serialize(), i * 0.05);
+          testbed.network().send_reusing(src, bytes, i * 0.05);
       outcomes.push_back(delivery ? static_cast<int>(delivery->bytes.size())
                                   : -1);
     }
@@ -51,7 +52,8 @@ TEST(NetworkCounters, ResetClearsEverything) {
   const auto probe = pkt::make_ping(
       topology.host_at(src).address,
       topology.host_at(topology.destinations()[0]).address, 7, 1, 64, 9);
-  (void)testbed.network().send(src, *probe.serialize(), 0.0);
+  auto bytes = *probe.serialize();
+  (void)testbed.network().send_reusing(src, bytes, 0.0);
   EXPECT_GT(testbed.network().counters().sent, 0u);
   testbed.network().reset();
   EXPECT_EQ(testbed.network().counters().sent, 0u);

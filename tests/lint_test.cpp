@@ -135,8 +135,8 @@ TEST(LintRules, ElementProcessBodyIsImplicitlyHot) {
 
 TEST(LintRules, BatchWalkKernelsAreImplicitlyHot) {
   const std::string body =
-      "void walk_batch_slot(B& b, int p) {\n"
-      "  b.v.push_back(p);\n"
+      "WalkResult walk_hops(Ctx& c, int p) {\n"
+      "  c.v.push_back(p);\n"
       "}\n"
       "void walk_batch_pipeline(B& b) {\n"
       "  int* s = new int[4];\n"

@@ -62,8 +62,8 @@ TEST_F(RevTrTest, SpoofedProbeIsDeliveredToTheNamedSource) {
   const auto target = topology.host_at(topology.destinations()[0]).address;
   const auto probe = pkt::make_ping(topology.host_at(named).address, target,
                                     0x9999, 1, 64, 9);
-  const auto delivery =
-      testbed_->network().send(injector, *probe.serialize(), 0.0);
+  auto bytes = *probe.serialize();
+  const auto delivery = testbed_->network().send_reusing(injector, bytes, 0.0);
   ASSERT_TRUE(delivery.has_value());
   EXPECT_EQ(delivery->receiver, named);
   const auto reply = pkt::Datagram::parse(delivery->bytes);
@@ -77,9 +77,9 @@ TEST_F(RevTrTest, SpoofingAnUnownedAddressGetsNothing) {
   const auto target = topology.host_at(topology.destinations()[0]).address;
   const auto probe = pkt::make_ping(net::IPv4Address(203, 0, 113, 7), target,
                                     1, 1, 64, 9);
+  auto bytes = *probe.serialize();
   EXPECT_FALSE(
-      testbed_->network().send(injector, *probe.serialize(), 0.0)
-          .has_value());
+      testbed_->network().send_reusing(injector, bytes, 0.0).has_value());
 }
 
 TEST_F(RevTrTest, MeasuresReversePathsForReachableDestinations) {

@@ -1,9 +1,11 @@
 // BGP policy routing and router-level path stitching.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <unordered_set>
 
 #include "routing/bgp.h"
+#include "routing/fib.h"
 #include "routing/oracle.h"
 #include "routing/stitcher.h"
 #include "topology/generator.h"
@@ -286,6 +288,50 @@ TEST_F(StitcherTest, DeterministicStitching) {
     EXPECT_EQ(a[i].egress, b[i].egress);
     EXPECT_EQ(a[i].ingress, b[i].ingress);
   }
+}
+
+/// The compiled forwarding table answers exactly what the stitcher
+/// would: for every (source, block destination) pair, both directions
+/// match host_path hop for hop, with hit vs unroutable agreeing. A host
+/// outside the compiled rows misses (the Network then asks its path
+/// cache).
+TEST_F(StitcherTest, CompiledFibMatchesStitcherHopForHop) {
+  std::vector<topo::HostId> sources;
+  for (const auto& vp : topo_->vantage_points()) sources.push_back(vp.host);
+  if (topo_->probe_host() != topo::kNoHost) {
+    sources.push_back(topo_->probe_host());
+  }
+  ASSERT_GE(sources.size(), 2u);
+  const topo::HostId outsider = sources.front();
+  sources.erase(sources.begin());
+  const std::span<const topo::HostId> block = topo_->destinations();
+  const auto fib = CompiledFib::build(*stitcher_, sources, block);
+
+  std::vector<PathHop> expected, got;
+  const auto expect_same = [&](CompiledFib::Lookup lookup, bool routable) {
+    ASSERT_NE(lookup, CompiledFib::Lookup::kMiss);
+    ASSERT_EQ(lookup == CompiledFib::Lookup::kHit, routable);
+    if (!routable) return;
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t h = 0; h < got.size(); ++h) {
+      EXPECT_EQ(got[h].router, expected[h].router);
+      EXPECT_EQ(got[h].ingress, expected[h].ingress);
+      EXPECT_EQ(got[h].egress, expected[h].egress);
+    }
+  };
+  for (const topo::HostId src : sources) {
+    for (const topo::HostId dst : block) {
+      SCOPED_TRACE(testing::Message() << "src " << src << " dst " << dst);
+      const bool fwd_ok = stitcher_->host_path(src, dst, expected);
+      expect_same(fib->forward(src, dst, got), fwd_ok);
+      const bool rev_ok = stitcher_->host_path(dst, src, expected);
+      expect_same(fib->reverse(dst, src, got), rev_ok);
+    }
+  }
+  EXPECT_EQ(fib->forward(outsider, block.front(), got),
+            CompiledFib::Lookup::kMiss);
+  EXPECT_EQ(fib->reverse(block.front(), outsider, got),
+            CompiledFib::Lookup::kMiss);
 }
 
 }  // namespace

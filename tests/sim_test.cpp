@@ -104,7 +104,7 @@ class SimTest : public ::testing::Test {
                        topo_->host_at(dst).address, 100, 1, ttl, rr_slots);
     auto bytes = probe.serialize();
     if (!bytes) return std::nullopt;
-    const auto delivery = network_->send(src, std::move(*bytes), 0.0);
+    const auto delivery = network_->send_reusing(src, *bytes, 0.0);
     if (!delivery) return std::nullopt;
     return pkt::Datagram::parse(delivery->bytes);
   }
@@ -255,7 +255,7 @@ TEST_F(SimTest, UdpProbeGetsPortUnreachableWithQuote) {
         33435, 64, 9);
     auto bytes = probe.serialize();
     ASSERT_TRUE(bytes.has_value());
-    const auto delivery = network_->send(src, std::move(*bytes), 0.0);
+    const auto delivery = network_->send_reusing(src, *bytes, 0.0);
     if (!delivery) continue;
     const auto reply = pkt::Datagram::parse(delivery->bytes);
     ASSERT_TRUE(reply.has_value());
@@ -307,7 +307,7 @@ TEST_F(SimTest, RateLimiterDropsFastOptionsTraffic) {
                                       topo_->host_at(candidate).address, 7,
                                       1, 64, 9);
     auto bytes = probe.serialize();
-    const auto delivery = network_->send(src, std::move(*bytes), 1000.0);
+    const auto delivery = network_->send_reusing(src, *bytes, 1000.0);
     if (delivery) {
       dst = candidate;
       break;
@@ -324,7 +324,7 @@ TEST_F(SimTest, RateLimiterDropsFastOptionsTraffic) {
         topo_->host_at(src).address, topo_->host_at(dst).address, 7,
         static_cast<std::uint16_t>(i + 2), 64, 9);
     auto bytes = probe.serialize();
-    if (network_->send(src, std::move(*bytes), i * 0.005)) ++answered;
+    if (network_->send_reusing(src, *bytes, i * 0.005)) ++answered;
   }
   EXPECT_LT(answered, probes / 2);
   EXPECT_GT(network_->counters().dropped_rate_limit, 0u);

@@ -236,6 +236,29 @@ TEST(Flags, AcceptsWholeNumbersAtTheBoundaries) {
   EXPECT_THROW((void)parse_int("8", "N", 0, 7), std::invalid_argument);
 }
 
+/// The unsigned twin keeps the full uint64 range (world seeds) and treats
+/// a sign, a suffix or an out-of-range value as malformed.
+TEST(Strings, ParseUintSpansUint64AndRejectsMalformedInput) {
+  EXPECT_EQ(parse_uint("18446744073709551615", "SEED"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_uint("0", "SEED"), 0u);
+  EXPECT_EQ(parse_uint("100", "N", 100, 200), 100u);
+  for (const char* bad : {"", "-1", "+1", " 1", "8k", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_THROW((void)parse_uint(bad, "SEED"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW((void)parse_uint("99", "N", 100, 200), std::invalid_argument);
+  try {
+    (void)parse_uint("8k", "RROPT_STREAM_BLOCK");
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("RROPT_STREAM_BLOCK"),
+              std::string::npos);
+    EXPECT_NE(std::string{e.what()}.find("'8k'"), std::string::npos);
+  }
+}
+
 /// RROPT_THREADS is parsed strictly too; 0 keeps meaning all cores, and an
 /// explicit request never reads the variable.
 TEST(ThreadPool, ResolveThreadCountParsesEnvStrictly) {

@@ -462,14 +462,14 @@ class Checker {
     const std::vector<FnDef> defs = collect_fn_defs();
 
     // Dataplane element process() bodies are implicitly hot (the contract
-    // of sim/element.h), and so are the batched walk kernels
-    // (sim/pipeline.cpp's walk_batch_pipeline / walk_batch_slot) — the
-    // same per-hop dataplane with the probe loop inverted: every such
-    // body obeys the same no-allocation rule as a marker-delimited
-    // RROPT_HOT region, without each function needing its own markers.
-    // RROPT_HOT_OK waives individual lines as usual.
+    // of sim/element.h), and so are the hop walk every leg runs and the
+    // batch driver around it (sim/pipeline.cpp's walk_hops /
+    // walk_batch_pipeline): every such body obeys the same no-allocation
+    // rule as a marker-delimited RROPT_HOT region, without each function
+    // needing its own markers. RROPT_HOT_OK waives individual lines as
+    // usual.
     static const std::unordered_set<std::string> kImplicitHotFns{
-        "process", "walk_batch_pipeline", "walk_batch_slot"};
+        "process", "walk_hops", "walk_batch_pipeline"};
     std::vector<std::pair<int, int>> process_bodies;
     if (scope_.determinism) {
       for (const FnDef& def : defs) {
@@ -935,9 +935,8 @@ std::vector<std::string> rule_descriptions() {
       "probe/, netbase/, routing/, measure/",
       "no-hot-alloc — allocation keywords banned between RROPT_HOT_BEGIN "
       "and RROPT_HOT_END, inside dataplane element process() bodies, and "
-      "inside the batched walk kernels (walk_batch_pipeline / "
-      "walk_batch_slot) in sim/, measure/, routing/, unless waived with "
-      "RROPT_HOT_OK",
+      "inside the hop walk (walk_hops / walk_batch_pipeline) in sim/, "
+      "measure/, routing/, unless waived with RROPT_HOT_OK",
       "raw-mutex — std::mutex members only under util/ (use util::Mutex "
       "so Clang TSA sees the locks)",
       "umbrella-include — \"rropt.h\" must not be included from inside "

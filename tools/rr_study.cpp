@@ -2,7 +2,7 @@
 // freeze it into a dataset file.
 //
 //   rr-study [--scale paper] [--ases N] [--seed S] [--epoch 2011|2016]
-//            [--stride K] [--pps R] [--fib on|off] [--stream-block B]
+//            [--stride K] [--pps R] [--stream-block B]
 //            [--mem-budget-mib M] [--fault-plan SPEC] [--out study.rrds]
 //
 // The dataset can then be re-analyzed offline with rr-analyze.
@@ -26,15 +26,13 @@ int main(int argc, char** argv) try {
     std::printf(
         "usage: rr-study [--scale paper] [--ases N] [--seed S]\n"
         "                [--epoch 2011|2016] [--stride K] [--pps R]\n"
-        "                [--threads T] [--fib on|off] [--stream-block B]\n"
+        "                [--threads T] [--stream-block B]\n"
         "                [--fault-plan SPEC] [--out FILE.rrds]\n"
         "  --scale paper\n"
         "               census-scale world (~510k destination prefixes,\n"
         "               141 VPs); overrides --ases\n"
         "  --threads T  campaign worker threads (0 = RROPT_THREADS or all\n"
         "               cores; results are identical at any value)\n"
-        "  --fib on|off resolve campaign paths via the compiled forwarding\n"
-        "               table (default on; contents identical either way)\n"
         "  --stream-block B\n"
         "               streaming campaign: process destinations in blocks\n"
         "               of B with a per-block forwarding table (0 = one\n"
@@ -79,7 +77,6 @@ int main(int argc, char** argv) try {
       static_cast<int>(flags.get_int("stride", 1));
   campaign_config.vp_pps = flags.get_double("pps", 20.0);
   campaign_config.threads = static_cast<int>(flags.get_int("threads", 0));
-  campaign_config.use_compiled_fib = flags.get("fib", "on") != "off";
   if (const long budget = flags.get_int("mem-budget-mib", 0); budget > 0) {
     // Adaptive streaming: size the block from a per-block memory budget.
     // The resolved size shapes dataset contents (block-major probe order),
@@ -136,8 +133,8 @@ int main(int argc, char** argv) try {
   std::printf("dataset written to %s (%zu VPs x %zu destinations)\n",
               out_path.c_str(), dataset.num_vps(),
               dataset.num_destinations());
-  // Stable fingerprint for cross-run equivalence checks (--fib on/off,
-  // different --threads must print the same hash).
+  // Stable fingerprint for cross-run equivalence checks (different
+  // --threads must print the same hash).
   std::printf("dataset hash: %016llx\n",
               static_cast<unsigned long long>(dataset.content_hash()));
 
