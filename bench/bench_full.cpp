@@ -78,10 +78,10 @@ int main() {
   std::printf("\n  stream block: %zu destinations, peak RSS: %.0f MiB\n",
               campaign_config.stream_block, rss);
   std::printf("  dataset hash: %s\n", hash);
-  std::printf("  campaign phases: pass A %.2fs, pass B %.2fs "
+  std::printf("  campaign phases: FIB %.2fs, pass A %.2fs, pass B %.2fs "
               "(serial fraction %.1f%%)\n",
-              phases.pass_a_seconds, phases.pass_b_seconds,
-              100.0 * phases.serial_fraction());
+              phases.fib_seconds, phases.pass_a_seconds,
+              phases.pass_b_seconds, 100.0 * phases.serial_fraction());
 
   telemetry.value("destinations", campaign.num_destinations());
   telemetry.value("stream_block", campaign_config.stream_block);
@@ -92,6 +92,7 @@ int main() {
   telemetry.value("dataset_hash", std::string(hash));
   telemetry.value("campaign_pass_a_s", phases.pass_a_seconds);
   telemetry.value("campaign_pass_b_s", phases.pass_b_seconds);
+  telemetry.value("campaign_fib_s", phases.fib_seconds);
   telemetry.value("campaign_serial_fraction", phases.serial_fraction());
   telemetry.value("probes_sent", phases.probes_sent);
   return 0;

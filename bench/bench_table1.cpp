@@ -53,6 +53,7 @@ int main() {
   const auto& phases = campaign.phase_stats();
   telemetry.value("campaign_pass_a_s", phases.pass_a_seconds);
   telemetry.value("campaign_pass_b_s", phases.pass_b_seconds);
+  telemetry.value("campaign_fib_s", phases.fib_seconds);
   telemetry.value("campaign_serial_fraction", phases.serial_fraction());
   telemetry.value("probes_sent", phases.probes_sent);
   const auto table = measure::build_response_table(campaign);

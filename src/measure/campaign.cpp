@@ -1,6 +1,7 @@
 #include "measure/campaign.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <span>
 #include <utility>
@@ -157,10 +158,55 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
   std::vector<probe::ProbeSpec> specs(n_vps * batch);
   // Probe (j, v)'s pending slot is v * kChunkSteps + j: each VP owns one
   // contiguous row, so pass A's writers touch disjoint cache lines instead
-  // of interleaving every VP's slots within a step.
-  std::vector<PendingProbe> pending(kChunkSteps * n_vps);
+  // of interleaving every VP's slots within a step. Two buffers: pass A
+  // fills one chunk's while pass B replays the previous chunk's.
+  std::array<std::vector<PendingProbe>, 2> pending;
+  for (auto& buffer : pending) buffer.resize(kChunkSteps * n_vps);
   // Raw per-destination address sightings, deduplicated per block.
   std::vector<std::vector<net::IPv4Address>> collected(n_dests);
+
+  // Pass B for one chunk: token replay + result application, serially in
+  // the canonical (step, VP, event) order described in the study comment.
+  const auto replay = [&](std::vector<PendingProbe>& chunk,
+                          std::size_t steps) {
+    const auto pass_b_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
+    for (std::size_t j = 0; j < steps; ++j) {
+      for (std::size_t v = 0; v < n_vps; ++v) {
+        PendingProbe& p = chunk[v * kChunkSteps + j];
+        bool killed_forward = false;
+        bool killed_reply = false;
+        std::size_t kill_index = 0;
+        for (std::size_t e = 0; e < p.trace.events.size(); ++e) {
+          const auto& ev = p.trace.events[e];
+          if (!net.try_consume_options_token(ev.router, ev.time)) {
+            // A policed drop is silent: a forward-leg failure means the
+            // probe never arrived anywhere, a reply-leg failure means the
+            // response never came home. Later events of this probe would
+            // not have happened (reply events always follow forward ones).
+            (ev.reply_leg ? killed_reply : killed_forward) = true;
+            kill_index = e;
+            break;
+          }
+        }
+        if (killed_forward || killed_reply) {
+          p.obs = RrObservation{};
+          p.recorded.clear();
+          p.counters = killed_counters(p.trace, killed_reply, kill_index);
+        }
+        net.merge_counters(p.counters);
+        campaign.observations_[v * n_dests + p.dest] = p.obs;
+        if (!p.recorded.empty()) {
+          auto& sightings = collected[p.dest];
+          sightings.insert(sightings.end(), p.recorded.begin(),
+                           p.recorded.end());
+        }
+      }
+    }
+    campaign.phase_stats_.pass_b_seconds +=
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - pass_b_begin)  // rropt-lint: allow(no-wallclock)
+            .count();
+  };
 
   for (std::size_t block_begin = 0; block_begin < n_dests;
        block_begin += block_size) {
@@ -169,13 +215,20 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
 
     // Release the previous block's table *before* compiling the next one:
     // the network held the only remaining reference, so this frees the
-    // old spine arena immediately and two block tables never coexist —
-    // peak RSS sees one compiled FIB, not two.
+    // old spine arenas immediately and two block tables never coexist —
+    // peak RSS sees one compiled FIB, not two. The rows compile across
+    // the pool; no send is in flight here.
+    const auto fib_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
     net.set_compiled_fib(nullptr);
     net.set_compiled_fib(route::CompiledFib::build(
         net.stitcher(), fib_sources,
         std::span<const topo::HostId>{campaign.dests_}.subspan(block_begin,
-                                                               block_len)));
+                                                               block_len),
+        &pool));
+    campaign.phase_stats_.fib_seconds +=
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - fib_begin)  // rropt-lint: allow(no-wallclock)
+            .count();
 
     // ------------------------------------------------- plain-ping study
     // Three pings per destination from the probe host (USC in the paper).
@@ -243,6 +296,14 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
     // the counters the serial run would have produced. Chunk size is
     // fixed, and chunk boundaries are invisible to both passes, so
     // contents are identical at any thread count.
+    //
+    // Chunk k's pass B runs as one more task of chunk k+1's pass A region
+    // (index 0, claimed first), so the serial replay hides under the
+    // parallel walk. The overlap is exact: deferred sends never read what
+    // the replay writes (token buckets, network counters, observations,
+    // sightings), and the two chunks' pending probes sit in different
+    // buffers. Replays still run one at a time in chunk order, so tokens
+    // are consumed in the same serial order as before.
     for (std::size_t v = 0; v < n_vps; ++v) {
       auto& order = orders[v];
       order.resize(block_len);
@@ -252,14 +313,25 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
       order_rng.shuffle(order);
     }
 
+    // The chunk awaiting its replay sits in pending[back]; pass A fills
+    // the other buffer. The block's first region has nothing to replay.
+    std::size_t back = 0;
+    std::size_t back_steps = 0;
     for (std::size_t k0 = 0; k0 < block_len; k0 += kChunkSteps) {
       const std::size_t steps = std::min(kChunkSteps, block_len - k0);
+      std::vector<PendingProbe>& front = pending[1 - back];
 
       // Pass A: per-VP probe streams, one worker at a time per VP, each
-      // stream advancing `batch` probes per walk through the network.
+      // stream advancing `batch` probes per walk through the network;
+      // index 0 replays the previous chunk meanwhile.
       const auto pass_a_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
-      pool.parallel_for(n_vps, [&](std::size_t v) {
-        PendingProbe* vp_pending = pending.data() + v * kChunkSteps;
+      pool.parallel_for(n_vps + 1, [&](std::size_t task) {
+        if (task == 0) {
+          replay(pending[back], back_steps);
+          return;
+        }
+        const std::size_t v = task - 1;
+        PendingProbe* vp_pending = front.data() + v * kChunkSteps;
         for (std::size_t j0 = 0; j0 < steps; j0 += batch) {
           const std::size_t m = std::min(batch, steps - j0);
           for (std::size_t i = 0; i < m; ++i) {
@@ -287,47 +359,12 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
           std::chrono::duration<double>(
               std::chrono::steady_clock::now() - pass_a_begin)  // rropt-lint: allow(no-wallclock)
               .count();
-
-      // Pass B: token replay + result application, serially in the
-      // canonical (step, VP, event) order described above.
-      const auto pass_b_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
-      for (std::size_t j = 0; j < steps; ++j) {
-        for (std::size_t v = 0; v < n_vps; ++v) {
-          PendingProbe& p = pending[v * kChunkSteps + j];
-          bool killed_forward = false;
-          bool killed_reply = false;
-          std::size_t kill_index = 0;
-          for (std::size_t e = 0; e < p.trace.events.size(); ++e) {
-            const auto& ev = p.trace.events[e];
-            if (!net.try_consume_options_token(ev.router, ev.time)) {
-              // A policed drop is silent: a forward-leg failure means the
-              // probe never arrived anywhere, a reply-leg failure means the
-              // response never came home. Later events of this probe would
-              // not have happened (reply events always follow forward ones).
-              (ev.reply_leg ? killed_reply : killed_forward) = true;
-              kill_index = e;
-              break;
-            }
-          }
-          if (killed_forward || killed_reply) {
-            p.obs = RrObservation{};
-            p.recorded.clear();
-            p.counters = killed_counters(p.trace, killed_reply, kill_index);
-          }
-          net.merge_counters(p.counters);
-          campaign.observations_[v * n_dests + p.dest] = p.obs;
-          if (!p.recorded.empty()) {
-            auto& sightings = collected[p.dest];
-            sightings.insert(sightings.end(), p.recorded.begin(),
-                             p.recorded.end());
-          }
-        }
-      }
-      campaign.phase_stats_.pass_b_seconds +=
-          std::chrono::duration<double>(
-              std::chrono::steady_clock::now() - pass_b_begin)  // rropt-lint: allow(no-wallclock)
-              .count();
+      back = 1 - back;
+      back_steps = steps;
     }
+    // Drain the block's last replay before the union fold, so the next
+    // block's FIB swap and ping sweep never run beside a replay.
+    replay(pending[back], back_steps);
 
     // Deduplicate each block destination's sightings in one sort instead
     // of the old per-probe sorted-insert (quadratic in popular

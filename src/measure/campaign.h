@@ -16,10 +16,13 @@
 // batches of sim::WalkBatch::kMaxProbes (Prober::probe_batch_into). All
 // probe randomness is counter-based (sim::Network), so a probe's fate is
 // a pure function of the probe; the one piece of shared mutable state —
-// router token buckets — is resolved in a serial replay phase per chunk,
-// in exactly the order a single-threaded run would have consumed tokens.
-// Campaign contents are therefore bit-for-bit identical at any thread
-// count.
+// router token buckets — is resolved in a serial replay per chunk, in
+// exactly the order a single-threaded run would have consumed tokens.
+// The replay is serial but off the critical path: chunk k's replay runs
+// as one task beside chunk k+1's parallel probe streams, which never read
+// what it writes. The same pool compiles each destination block's
+// forwarding table (routing/fib.h) row by row. Campaign contents are
+// therefore bit-for-bit identical at any thread count.
 #pragma once
 
 #include <algorithm>
@@ -117,13 +120,18 @@ struct CampaignAllocStats {
   std::uint64_t probe_buffers = 0;
 };
 
-/// Wall-time split of the ping-RR study: pass A (parallel probe streams)
-/// vs pass B (the serial token replay — the campaign's serial tail). The
-/// serial fraction pass_b / (pass_a + pass_b) is the Amdahl ceiling
-/// benchmarks track.
+/// Wall-time split of the ping-RR study and the per-block table compile.
 struct CampaignPhaseStats {
+  /// Wall time of the pass A regions: the parallel probe streams plus the
+  /// previous chunk's replay, which runs beside them as one more task.
   double pass_a_seconds = 0.0;
+  /// Time spent in the serial token replay itself. Most of it overlaps
+  /// pass_a_seconds; only each block's last replay (drained before the
+  /// block's union fold) runs alone.
   double pass_b_seconds = 0.0;
+  /// Wall time of the per-block table swap: releasing the previous
+  /// block's CompiledFib and building the next (rows across the pool).
+  double fib_seconds = 0.0;
   /// Always 0: pass B has one engine, the serial replay, so no chunk ever
   /// attempts a sharded replay. Kept because benchmark ledgers read them
   /// (a zero sum means "no chunk attempted sharding").
@@ -134,6 +142,8 @@ struct CampaignPhaseStats {
   /// probing-cost figure benches report alongside stop-set savings.
   std::uint64_t probes_sent = 0;
 
+  /// pass_b / (pass_a + pass_b). Since the replay overlaps pass A, this
+  /// counts replay work, not serial wall time.
   [[nodiscard]] double serial_fraction() const noexcept {
     const double total = pass_a_seconds + pass_b_seconds;
     return total > 0.0 ? pass_b_seconds / total : 0.0;

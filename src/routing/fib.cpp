@@ -2,11 +2,13 @@
 
 #include <cassert>
 
+#include "util/thread_pool.h"
+
 namespace rr::route {
 
 std::shared_ptr<const CompiledFib> CompiledFib::build(
     PathStitcher& stitcher, std::span<const HostId> sources,
-    std::span<const HostId> dests) {
+    std::span<const HostId> dests, util::ThreadPool* pool) {
   std::shared_ptr<CompiledFib> fib{new CompiledFib};
   const topo::Topology& topo = stitcher.topology();
   fib->topology_ = &topo;
@@ -46,25 +48,37 @@ std::shared_ptr<const CompiledFib> CompiledFib::build(
 
   fib->columns_ = reps.size();
   fib->pairs_.assign(rows.size() * reps.size(), SpinePair{});
-  std::vector<PathHop> hops;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
+  fib->arenas_.resize(rows.size());
+  // One row per task: it writes only its own pairs and arena, and the
+  // stitcher is safe for concurrent callers. The row grows in a scratch
+  // and is copied out exact-size, so the table holds no doubling slack.
+  const auto build_row = [&](std::size_t r) {
+    SpinePair* row_pairs = fib->pairs_.data() + r * fib->columns_;
+    std::vector<PathHop> row_hops;
+    std::vector<PathHop> hops;
     for (std::size_t c = 0; c < reps.size(); ++c) {
-      SpinePair& pair = fib->pairs_[r * fib->columns_ + c];
+      SpinePair& pair = row_pairs[c];
       if (stitcher.host_path(rows[r], reps[c], hops)) {
         assert(hops.size() < 0x10000);
-        pair.fwd_off = static_cast<std::uint32_t>(fib->arena_.size());
+        pair.fwd_off = static_cast<std::uint32_t>(row_hops.size());
         pair.fwd_len = static_cast<std::uint16_t>(hops.size());
         pair.flags |= kFwdRoutable;
-        fib->arena_.insert(fib->arena_.end(), hops.begin(), hops.end());
+        row_hops.insert(row_hops.end(), hops.begin(), hops.end());
       }
       if (stitcher.host_path(reps[c], rows[r], hops)) {
         assert(hops.size() < 0x10000);
-        pair.rev_off = static_cast<std::uint32_t>(fib->arena_.size());
+        pair.rev_off = static_cast<std::uint32_t>(row_hops.size());
         pair.rev_len = static_cast<std::uint16_t>(hops.size());
         pair.flags |= kRevRoutable;
-        fib->arena_.insert(fib->arena_.end(), hops.begin(), hops.end());
+        row_hops.insert(row_hops.end(), hops.begin(), hops.end());
       }
     }
+    fib->arenas_[r] = std::vector<PathHop>(row_hops.begin(), row_hops.end());
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(rows.size(), build_row);
+  } else {
+    for (std::size_t r = 0; r < rows.size(); ++r) build_row(r);
   }
   return fib;
 }
@@ -78,8 +92,9 @@ CompiledFib::Lookup CompiledFib::forward(HostId src, HostId dst,
   if (col == kNoSlot) return Lookup::kMiss;
   const SpinePair& pair = pairs_[row * columns_ + col];
   if (!(pair.flags & kFwdRoutable)) return Lookup::kUnroutable;
-  out.assign(arena_.begin() + pair.fwd_off,
-             arena_.begin() + pair.fwd_off + pair.fwd_len);
+  const std::vector<PathHop>& arena = arenas_[row];
+  out.assign(arena.begin() + pair.fwd_off,
+             arena.begin() + pair.fwd_off + pair.fwd_len);
   // The spine was stitched toward the column's representative host; only
   // the final egress pick depends on the actual destination.
   out.back().egress = PathStitcher::pick_interface(
@@ -96,8 +111,9 @@ CompiledFib::Lookup CompiledFib::reverse(HostId dst, HostId reply_to,
   if (col == kNoSlot) return Lookup::kMiss;
   const SpinePair& pair = pairs_[row * columns_ + col];
   if (!(pair.flags & kRevRoutable)) return Lookup::kUnroutable;
-  out.assign(arena_.begin() + pair.rev_off,
-             arena_.begin() + pair.rev_off + pair.rev_len);
+  const std::vector<PathHop>& arena = arenas_[row];
+  out.assign(arena.begin() + pair.rev_off,
+             arena.begin() + pair.rev_off + pair.rev_len);
   // Mirror image of forward(): the reply's source host picks the first
   // hop's ingress.
   out.front().ingress = PathStitcher::pick_interface(

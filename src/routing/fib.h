@@ -24,6 +24,11 @@
 // object is immutable and safe for any number of concurrent readers.
 // Lookups for pairs outside the compiled (sources x block) coverage
 // return kMiss and the caller falls back to the PathCache.
+//
+// Rows (sources) are independent: each row's spines live in that row's
+// own exact-size arena, so build() can stitch rows across a worker pool
+// and the table is the same at any thread count — every spine is a pure
+// function of the stitcher, whichever worker stitched it.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +37,10 @@
 #include <vector>
 
 #include "routing/stitcher.h"
+
+namespace rr::util {
+class ThreadPool;
+}  // namespace rr::util
 
 namespace rr::route {
 
@@ -46,9 +55,11 @@ class CompiledFib {
   /// Compiles dual-direction spines for every (source, destination access
   /// router) pair. `sources` are the probing hosts (VPs and the plain-ping
   /// probe host); `dests` are the destination hosts of the current block.
+  /// With a `pool`, rows are stitched across its workers; without one, on
+  /// the calling thread. The table is identical either way.
   [[nodiscard]] static std::shared_ptr<const CompiledFib> build(
       PathStitcher& stitcher, std::span<const HostId> sources,
-      std::span<const HostId> dests);
+      std::span<const HostId> dests, util::ThreadPool* pool = nullptr);
 
   /// Forward path `src` -> `dst` into `out` (equivalent to
   /// PathStitcher::host_path(src, dst)).
@@ -63,10 +74,14 @@ class CompiledFib {
     return pairs_.size();
   }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return pairs_.capacity() * sizeof(SpinePair) +
-           arena_.capacity() * sizeof(PathHop) +
-           (source_slot_.capacity() + ar_slot_.capacity()) *
-               sizeof(std::uint32_t);
+    std::size_t bytes = pairs_.capacity() * sizeof(SpinePair) +
+                        arenas_.capacity() * sizeof(arenas_.front()) +
+                        (source_slot_.capacity() + ar_slot_.capacity()) *
+                            sizeof(std::uint32_t);
+    for (const auto& arena : arenas_) {
+      bytes += arena.capacity() * sizeof(PathHop);
+    }
+    return bytes;
   }
 
  private:
@@ -74,6 +89,7 @@ class CompiledFib {
   static constexpr std::uint8_t kFwdRoutable = 1 << 0;
   static constexpr std::uint8_t kRevRoutable = 1 << 1;
 
+  /// Offsets index the pair's row arena (arenas_[row]).
   struct SpinePair {
     std::uint32_t fwd_off = 0;
     std::uint32_t rev_off = 0;
@@ -89,7 +105,7 @@ class CompiledFib {
   std::vector<std::uint32_t> ar_slot_;      // RouterId -> table column
   std::size_t columns_ = 0;
   std::vector<SpinePair> pairs_;  // [row * columns_ + column]
-  std::vector<PathHop> arena_;
+  std::vector<std::vector<PathHop>> arenas_;  // [row], exact-size
 };
 
 }  // namespace rr::route

@@ -38,6 +38,14 @@
 //     whose deferred consume fails simply has its optimistic response
 //     discarded; nothing else about the walk would have differed.
 //
+// Buckets and aggregate counters sit behind a serial gate (util/mutex.h).
+// A deferred send never reads or writes them, so a gate holder — a replay
+// through try_consume_options_token(), a merge_counters() — may run beside
+// deferred sends; the campaign replays one chunk's consumes while the
+// next chunk's probes walk. A gate holder must never run beside a
+// serial-mode send or another gate holder, and table or plan installs
+// (set_compiled_fib, set_fault_plan, reset) never beside any send.
+//
 // Device IP-ID counters are atomics: response IP-IDs depend on global send
 // order (they model background traffic on a shared counter), but they
 // never enter campaign observations, so campaign output stays bit-for-bit
@@ -167,7 +175,8 @@ class Network {
   /// Callers must feed events in their chosen canonical order (the
   /// campaign uses virtual-time order); concurrent calls are not allowed —
   /// the serial gate (util/mutex.h) turns that sentence into a capability
-  /// the thread-safety analysis checks on every bucket access.
+  /// the thread-safety analysis checks on every bucket access. Deferred
+  /// sends may be in flight meanwhile; serial-mode sends may not.
   bool try_consume_options_token(RouterId router, double now)
       RROPT_EXCLUDES(serial_gate_) {
     util::SerialGateLock gate(serial_gate_);
@@ -175,7 +184,8 @@ class Network {
   }
 
   /// Folds a per-worker counter tally into the network totals. Serial
-  /// phase only: must not race sends or other merges.
+  /// phase only: must not race serial-mode sends or other gate holders
+  /// (deferred sends never touch the totals).
   void merge_counters(const NetCounters& tally) RROPT_EXCLUDES(serial_gate_);
 
   /// Resets token buckets and counters (fresh measurement campaign).
@@ -399,13 +409,14 @@ class Network {
   NetParams params_;
   /// Phase capability for the caller-serialized state below. Not a lock
   /// (zero cost): it names the campaign's structural guarantee — buckets
-  /// and aggregate counters are only consulted live in serial phases
-  /// (serial-mode sends, deferred replay, reset/merge between chunks) —
-  /// so the compiler can reject code that touches them without it.
-  /// `fault_plan_` and `fib_` are deliberately outside the capability:
-  /// they are written only between campaigns but *read* concurrently by
-  /// every send, so a guarded-by would demand a capability on the hot
-  /// path; installs go through the gate-acquiring setters instead.
+  /// and aggregate counters are only consulted live by one serial actor
+  /// at a time (a serial-mode send, the deferred replay and its merges,
+  /// reset), never by a deferred send — so the compiler can reject code
+  /// that touches them without it. `fault_plan_` and `fib_` are
+  /// deliberately outside the capability: they are written only while no
+  /// send is in flight but *read* concurrently by every send, so a
+  /// guarded-by would demand a capability on the hot path; installs go
+  /// through the gate-acquiring setters instead.
   mutable util::SerialGate serial_gate_;
   NetCounters counters_ RROPT_GUARDED_BY(serial_gate_);
   FaultPlan fault_plan_;

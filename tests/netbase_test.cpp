@@ -216,8 +216,8 @@ TEST(Checksum, ValidatedBufferSumsToZero) {
     data[0] = static_cast<std::uint8_t>(sum >> 8);
     data[1] = static_cast<std::uint8_t>(sum);
     EXPECT_TRUE(checksum_ok(data));
-    data[2] ^= 0xff;  // corrupt
     if (data.size() > 2) {
+      data[2] ^= 0xff;  // corrupt
       EXPECT_FALSE(checksum_ok(data));
     }
   }

@@ -1,6 +1,7 @@
 // BGP policy routing and router-level path stitching.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
 #include <unordered_set>
 
@@ -9,6 +10,7 @@
 #include "routing/oracle.h"
 #include "routing/stitcher.h"
 #include "topology/generator.h"
+#include "util/thread_pool.h"
 
 namespace rr::route {
 namespace {
@@ -294,7 +296,8 @@ TEST_F(StitcherTest, DeterministicStitching) {
 /// would: for every (source, block destination) pair, both directions
 /// match host_path hop for hop, with hit vs unroutable agreeing. A host
 /// outside the compiled rows misses (the Network then asks its path
-/// cache).
+/// cache). Holds whether the rows were stitched on the calling thread or
+/// across a worker pool.
 TEST_F(StitcherTest, CompiledFibMatchesStitcherHopForHop) {
   std::vector<topo::HostId> sources;
   for (const auto& vp : topo_->vantage_points()) sources.push_back(vp.host);
@@ -305,33 +308,38 @@ TEST_F(StitcherTest, CompiledFibMatchesStitcherHopForHop) {
   const topo::HostId outsider = sources.front();
   sources.erase(sources.begin());
   const std::span<const topo::HostId> block = topo_->destinations();
-  const auto fib = CompiledFib::build(*stitcher_, sources, block);
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* build_pool :
+       std::array<util::ThreadPool*, 2>{nullptr, &pool}) {
+    SCOPED_TRACE(build_pool == nullptr ? "serial build" : "pooled build");
+    const auto fib = CompiledFib::build(*stitcher_, sources, block, build_pool);
 
-  std::vector<PathHop> expected, got;
-  const auto expect_same = [&](CompiledFib::Lookup lookup, bool routable) {
-    ASSERT_NE(lookup, CompiledFib::Lookup::kMiss);
-    ASSERT_EQ(lookup == CompiledFib::Lookup::kHit, routable);
-    if (!routable) return;
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t h = 0; h < got.size(); ++h) {
-      EXPECT_EQ(got[h].router, expected[h].router);
-      EXPECT_EQ(got[h].ingress, expected[h].ingress);
-      EXPECT_EQ(got[h].egress, expected[h].egress);
+    std::vector<PathHop> expected, got;
+    const auto expect_same = [&](CompiledFib::Lookup lookup, bool routable) {
+      ASSERT_NE(lookup, CompiledFib::Lookup::kMiss);
+      ASSERT_EQ(lookup == CompiledFib::Lookup::kHit, routable);
+      if (!routable) return;
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t h = 0; h < got.size(); ++h) {
+        EXPECT_EQ(got[h].router, expected[h].router);
+        EXPECT_EQ(got[h].ingress, expected[h].ingress);
+        EXPECT_EQ(got[h].egress, expected[h].egress);
+      }
+    };
+    for (const topo::HostId src : sources) {
+      for (const topo::HostId dst : block) {
+        SCOPED_TRACE(testing::Message() << "src " << src << " dst " << dst);
+        const bool fwd_ok = stitcher_->host_path(src, dst, expected);
+        expect_same(fib->forward(src, dst, got), fwd_ok);
+        const bool rev_ok = stitcher_->host_path(dst, src, expected);
+        expect_same(fib->reverse(dst, src, got), rev_ok);
+      }
     }
-  };
-  for (const topo::HostId src : sources) {
-    for (const topo::HostId dst : block) {
-      SCOPED_TRACE(testing::Message() << "src " << src << " dst " << dst);
-      const bool fwd_ok = stitcher_->host_path(src, dst, expected);
-      expect_same(fib->forward(src, dst, got), fwd_ok);
-      const bool rev_ok = stitcher_->host_path(dst, src, expected);
-      expect_same(fib->reverse(dst, src, got), rev_ok);
-    }
+    EXPECT_EQ(fib->forward(outsider, block.front(), got),
+              CompiledFib::Lookup::kMiss);
+    EXPECT_EQ(fib->reverse(block.front(), outsider, got),
+              CompiledFib::Lookup::kMiss);
   }
-  EXPECT_EQ(fib->forward(outsider, block.front(), got),
-            CompiledFib::Lookup::kMiss);
-  EXPECT_EQ(fib->reverse(block.front(), outsider, got),
-            CompiledFib::Lookup::kMiss);
 }
 
 }  // namespace

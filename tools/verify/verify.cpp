@@ -459,18 +459,21 @@ std::vector<Violation> verify_chain(std::span<const ElementOp> chain,
                                     OptionState options,
                                     const PipelineConfig& config) {
   std::vector<Violation> violations;
-  PackedRunList list = 0;
-  for (const ElementOp op : chain) list = sim::run_list_append(list, op);
-  Reporter report{violations, 0, options == OptionState::kPresent, list};
+  const bool has_options = options == OptionState::kPresent;
+  // Checked before packing: run_list_append asserts on a full list, and an
+  // overlong chain is exactly the input this check exists to flag.
   if (chain.size() > kMaxRunOps) {
-    report.violation("overflow",
-                     "element chain holds " + std::to_string(chain.size()) +
-                         " opcodes; the packed run list caps at " +
-                         std::to_string(kMaxRunOps) +
-                         " and run_list_append rejects the rest — the "
-                         "compile would silently drop behaviour");
+    Reporter{violations, 0, has_options, 0}.violation(
+        "overflow", "element chain holds " + std::to_string(chain.size()) +
+                        " opcodes; the packed run list caps at " +
+                        std::to_string(kMaxRunOps) +
+                        " and run_list_append rejects the rest — the "
+                        "compile would silently drop behaviour");
     return violations;
   }
+  PackedRunList list = 0;
+  for (const ElementOp op : chain) list = sim::run_list_append(list, op);
+  Reporter report{violations, 0, has_options, list};
   // Encode round-trip: the packed form must decode to the chain (an
   // append/terminator bug would show up here before any semantic check).
   if (sim::run_list_size(list) != chain.size()) {
