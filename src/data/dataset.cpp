@@ -6,6 +6,7 @@
 
 #include "netbase/byte_io.h"
 #include "netbase/checksum.h"
+#include "topology/types.h"
 #include "util/log.h"
 
 namespace rr::data {
@@ -225,6 +226,15 @@ std::optional<CampaignDataset> CampaignDataset::parse(
   if (!in.ok()) return std::nullopt;
   // Sanity caps against corrupt headers.
   if (n_vps > 100000 || n_dests > 50000000) return std::nullopt;
+  // The counts must also fit the bytes that follow, checked before
+  // anything is reserved: a VP record takes at least 5 bytes (empty site,
+  // platform), a destination 10 and an observation 4. The caps keep the
+  // products far inside 64 bits.
+  const std::uint64_t cells = std::uint64_t{n_vps} * n_dests;
+  const std::uint64_t tail_bytes = std::uint64_t{n_dests} * 10 + cells * 4;
+  if (in.remaining() < std::uint64_t{n_vps} * 5 + tail_bytes) {
+    return std::nullopt;
+  }
 
   dataset.vps.reserve(n_vps);
   for (std::uint32_t v = 0; v < n_vps; ++v) {
@@ -235,6 +245,8 @@ std::optional<CampaignDataset> CampaignDataset::parse(
     vp.platform = in.u8();
     dataset.vps.push_back(std::move(vp));
   }
+  // VP sites vary in length, so recheck against what the table left.
+  if (!in.ok() || in.remaining() < tail_bytes) return std::nullopt;
   dataset.destinations.reserve(n_dests);
   for (std::uint32_t d = 0; d < n_dests; ++d) {
     DatasetDestination dest;
@@ -242,12 +254,12 @@ std::optional<CampaignDataset> CampaignDataset::parse(
     dest.asn = in.u32();
     dest.as_type = in.u8();
     dest.ping_responsive = in.u8();
+    // response_table() indexes its per-type rows by this field.
+    if (dest.as_type >= topo::kNumAsTypes) return std::nullopt;
     dataset.destinations.push_back(dest);
   }
-  const std::size_t cells =
-      static_cast<std::size_t>(n_vps) * static_cast<std::size_t>(n_dests);
   dataset.observations.reserve(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
+  for (std::uint64_t i = 0; i < cells; ++i) {
     measure::RrObservation obs;
     obs.flags = in.u8();
     obs.stamp_count = in.u8();

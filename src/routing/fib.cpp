@@ -19,7 +19,7 @@ std::shared_ptr<const CompiledFib> CompiledFib::build(
   // the first destination that uses it. The spine-identity argument needs
   // every host behind a column to share the representative's AS; the
   // generator guarantees that, but a mismatched column is demoted to
-  // kMiss (PathCache fallback) rather than trusted.
+  // kMiss (the caller stitches it) rather than trusted.
   std::vector<HostId> reps;
   std::vector<RouterId> column_ar;
   std::vector<std::uint8_t> poisoned;

@@ -1,11 +1,9 @@
 // Compiled forwarding plane for campaign traffic.
 //
 // The campaign's steady state resolves two host-to-host router paths per
-// probe (forward to the destination, reverse for the reply). The shared
-// PathCache makes repeats cheap, but a campaign visits each (VP,
-// destination) pair exactly once — at scale the cache is all misses, and
-// every probe pays a full assemble + derive stitch twice, plus a shard
-// mutex and a shared_ptr handoff.
+// probe (forward to the destination, reverse for the reply). A campaign
+// visits each (VP, destination) pair exactly once, so without a table
+// every probe would pay a full assemble + derive stitch twice.
 //
 // CompiledFib precomputes those paths once per destination block, keyed by
 // what they actually depend on. A stitched host path is a function of the
@@ -23,7 +21,7 @@
 // Build-then-freeze: build() stitches everything eagerly; the finished
 // object is immutable and safe for any number of concurrent readers.
 // Lookups for pairs outside the compiled (sources x block) coverage
-// return kMiss and the caller falls back to the PathCache.
+// return kMiss and the caller stitches the path itself.
 //
 // Rows (sources) are independent: each row's spines live in that row's
 // own exact-size arena, so build() can stitch rows across a worker pool
@@ -47,7 +45,7 @@ namespace rr::route {
 class CompiledFib {
  public:
   enum class Lookup : std::uint8_t {
-    kMiss,        // pair not compiled; fall back to the stitcher/cache
+    kMiss,        // pair not compiled; fall back to the stitcher
     kUnroutable,  // compiled, and BGP has no route
     kHit,         // `out` holds the full hop list
   };

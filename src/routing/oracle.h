@@ -98,7 +98,7 @@ class RoutingOracle {
 
   // Small FIFO cache for everything else, guarded for concurrent callers.
   // Eviction replaces the slot at `fallback_evict_at_` and advances it (a
-  // ring), the same idiom as PathCache::Shard — never an O(n) pop-front.
+  // ring) — never an O(n) pop-front.
   static constexpr std::size_t kFallbackCacheSize = 64;
   util::Mutex fallback_mu_;
   std::unordered_map<AsId, std::unique_ptr<RouteTree>> fallback_

@@ -12,10 +12,24 @@ std::uint64_t pair_mix(std::uint64_t a, std::uint64_t b) noexcept {
   return util::mix64((a << 32) ^ b ^ 0x5bd1e995);
 }
 
+/// Storage for AS paths the oracle cannot alias: every path that is not
+/// source-origin, which includes every reply path. One per thread, reused
+/// across stitches, so concurrent callers never share it and the stitcher
+/// keeps no per-instance state.
+std::vector<topo::AsId>& thread_path_storage() {
+  thread_local std::vector<topo::AsId> storage;
+  return storage;
+}
+
+/// Appends a hop whose addresses derive_addresses() fills in later.
+void push_router(std::vector<PathHop>& out, RouterId router) {
+  out.emplace_back().router = router;
+}
+
 }  // namespace
 
 void PathStitcher::append_intra(topo::AsId as, RouterId from, RouterId to,
-                                std::vector<RouterId>& seq) const {
+                                std::vector<PathHop>& out) const {
   if (from == to) return;
   const topo::AsInfo& info = topology_->as_at(as);
   if (info.core.empty() || info.internal_hops == 0) return;
@@ -30,7 +44,7 @@ void PathStitcher::append_intra(topo::AsId as, RouterId from, RouterId to,
     const RouterId candidate = info.core[index];
     index = (index + 1) % n;
     if (candidate == from || candidate == to) continue;
-    seq.push_back(candidate);
+    push_router(out, candidate);
     --wanted;
   }
 }
@@ -39,8 +53,8 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
                             std::optional<RouterId> src_router,
                             std::optional<HostId> dst_host,
                             std::optional<RouterId> dst_router,
-                            std::vector<RouterId>& seq) {
-  seq.clear();
+                            std::vector<PathHop>& out) {
+  out.clear();
   const topo::AsId dst_as =
       dst_host ? topology_->host_at(*dst_host).as_id
                : topology_->router_at(*dst_router).as_id;
@@ -54,10 +68,10 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
     // Host-side chain runs core -> ... -> access; the packet traverses it
     // in reverse.
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      seq.push_back(*it);
+      push_router(out, *it);
     }
     entry = chain.empty() ? src_info.access_router : chain.front();
-    if (chain.empty()) seq.push_back(src_info.access_router);
+    if (chain.empty()) push_router(out, src_info.access_router);
   } else {
     src_as = topology_->router_at(*src_router).as_id;
     entry = *src_router;  // excluded from the sequence itself
@@ -65,9 +79,8 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
 
   // Span view: source-origin queries (every campaign forward path) alias
   // the oracle's arena directly — no per-assembly path copy.
-  std::vector<topo::AsId> path_storage;
   const std::span<const topo::AsId> as_path =
-      oracle_->path_view(src_as, dst_as, path_storage);
+      oracle_->path_view(src_as, dst_as, thread_path_storage());
   if (as_path.empty()) return false;
 
   for (std::size_t i = 0; i + 1 < as_path.size(); ++i) {
@@ -78,9 +91,9 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
     const bool a_side = link.a == as_path[i];
     const RouterId egress_border = a_side ? link.router_a : link.router_b;
     const RouterId ingress_border = a_side ? link.router_b : link.router_a;
-    append_intra(as_path[i], entry, egress_border, seq);
-    seq.push_back(egress_border);
-    seq.push_back(ingress_border);
+    append_intra(as_path[i], entry, egress_border, out);
+    push_router(out, egress_border);
+    push_router(out, ingress_border);
     entry = ingress_border;
   }
 
@@ -91,24 +104,28 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
     const auto dst_chain = topology_->access_chain(dst_info.access_router);
     const RouterId dst_top =
         dst_chain.empty() ? dst_info.access_router : dst_chain.front();
-    append_intra(dst_as, entry, dst_top, seq);
+    append_intra(dst_as, entry, dst_top, out);
     if (dst_chain.empty()) {
-      seq.push_back(dst_info.access_router);
+      push_router(out, dst_info.access_router);
     } else {
-      seq.insert(seq.end(), dst_chain.begin(), dst_chain.end());
+      for (const RouterId router : dst_chain) push_router(out, router);
     }
   } else {
-    append_intra(dst_as, entry, *dst_router, seq);
-    seq.push_back(*dst_router);
+    append_intra(dst_as, entry, *dst_router, out);
+    push_router(out, *dst_router);
   }
 
   // Collapse consecutive duplicates introduced at seams (e.g. a stub AS
   // whose single core router is simultaneously border and access top).
-  seq.erase(std::unique(seq.begin(), seq.end()), seq.end());
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const PathHop& a, const PathHop& b) {
+                          return a.router == b.router;
+                        }),
+            out.end());
   // A router-originated packet is not processed by its own originator
   // (it may be its own egress border).
-  if (src_router && !seq.empty() && seq.front() == *src_router) {
-    seq.erase(seq.begin());
+  if (src_router && !out.empty() && out.front().router == *src_router) {
+    out.erase(out.begin());
   }
   return true;
 }
@@ -124,79 +141,66 @@ net::IPv4Address PathStitcher::pick_interface(const topo::Topology& topology,
   return info.interfaces[index];
 }
 
-void PathStitcher::derive_addresses(const std::vector<RouterId>& seq,
-                                    std::uint64_t dst_salt,
+void PathStitcher::derive_addresses(std::uint64_t dst_salt,
                                     std::optional<HostId> src,
-                                    std::vector<PathHop>& out) const {
-  out.clear();
-  out.reserve(seq.size());
+                                    std::vector<PathHop>& hops) const {
   const std::uint64_t src_salt =
       src ? (kSrcHostSaltTag | *src) : 0x7000000000000000ULL;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    PathHop hop;
-    hop.router = seq[i];
-    const topo::AsId as = topology_->router_at(seq[i]).as_id;
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    PathHop& hop = hops[i];
+    const topo::AsId as = topology_->router_at(hop.router).as_id;
 
     // Ingress: how upstream addresses this router.
     if (i == 0) {
-      hop.ingress = pick_interface(seq[i], src_salt);
+      hop.ingress = pick_interface(hop.router, src_salt);
     } else {
-      const topo::AsId prev_as = topology_->router_at(seq[i - 1]).as_id;
+      const RouterId prev = hops[i - 1].router;
+      const topo::AsId prev_as = topology_->router_at(prev).as_id;
       if (prev_as != as) {
         const auto link_id = topology_->link_between(prev_as, as);
         const topo::AsLink& link = topology_->link_at(*link_id);
         hop.ingress = link.a == as ? link.addr_a : link.addr_b;
       } else {
-        hop.ingress = pick_interface(seq[i], seq[i - 1]);
+        hop.ingress = pick_interface(hop.router, prev);
       }
     }
 
     // Egress: the outgoing interface (what RR records).
-    if (i + 1 == seq.size()) {
-      hop.egress = pick_interface(seq[i], kDstSaltTag | dst_salt);
+    if (i + 1 == hops.size()) {
+      hop.egress = pick_interface(hop.router, kDstSaltTag | dst_salt);
     } else {
-      const topo::AsId next_as = topology_->router_at(seq[i + 1]).as_id;
+      const RouterId next = hops[i + 1].router;
+      const topo::AsId next_as = topology_->router_at(next).as_id;
       if (next_as != as) {
         const auto link_id = topology_->link_between(as, next_as);
         const topo::AsLink& link = topology_->link_at(*link_id);
         hop.egress = link.a == as ? link.addr_a : link.addr_b;
       } else {
-        hop.egress = pick_interface(seq[i], seq[i + 1]);
+        hop.egress = pick_interface(hop.router, next);
       }
     }
-    out.push_back(hop);
   }
 }
 
 bool PathStitcher::host_path(HostId src, HostId dst,
                              std::vector<PathHop>& out) {
-  std::vector<RouterId> seq;
-  if (!assemble(src, std::nullopt, dst, std::nullopt, seq)) return false;
-  derive_addresses(seq, dst, src, out);
+  if (!assemble(src, std::nullopt, dst, std::nullopt, out)) return false;
+  derive_addresses(dst, src, out);
   return true;
 }
 
 bool PathStitcher::router_path(RouterId src, HostId dst,
                                std::vector<PathHop>& out) {
-  std::vector<RouterId> seq;
-  if (!assemble(std::nullopt, src, dst, std::nullopt, seq)) return false;
-  derive_addresses(seq, dst, std::nullopt, out);
+  if (!assemble(std::nullopt, src, dst, std::nullopt, out)) return false;
+  derive_addresses(dst, std::nullopt, out);
   return true;
 }
 
 bool PathStitcher::host_to_router_path(HostId src, RouterId dst,
                                        std::vector<PathHop>& out) {
-  std::vector<RouterId> seq;
-  if (!assemble(src, std::nullopt, std::nullopt, dst, seq)) return false;
-  derive_addresses(seq, 0xf100000000000000ULL | dst, src, out);
+  if (!assemble(src, std::nullopt, std::nullopt, dst, out)) return false;
+  derive_addresses(0xf100000000000000ULL | dst, src, out);
   return true;
-}
-
-std::optional<std::vector<PathHop>> PathStitcher::host_path(HostId src,
-                                                            HostId dst) {
-  std::vector<PathHop> out;
-  if (!host_path(src, dst, out)) return std::nullopt;
-  return out;
 }
 
 }  // namespace rr::route

@@ -16,9 +16,12 @@
 //
 // A stitcher holds no per-call state, so one instance may be shared by
 // concurrent callers as long as the oracle it wraps is itself safe for
-// concurrent queries (RoutingOracle is). Repeated stitches of the same
-// endpoint pair should go through route::PathCache instead of re-deriving
-// the hops each time.
+// concurrent queries (RoutingOracle is). Every entry point assembles the
+// hops straight into the caller's vector, and AS paths the oracle cannot
+// alias go through per-thread storage, so a caller that recycles its
+// output vector stitches without allocating once both have seen the
+// longest path. Campaign traffic reads most paths from a compiled table
+// instead (routing/fib.h); the network stitches everything else per send.
 #pragma once
 
 #include <memory>
@@ -46,7 +49,9 @@ class PathStitcher {
       : topology_(std::move(topology)), oracle_(&oracle) {}
 
   /// Stitches the router path from `src` to `dst` (hosts excluded) into
-  /// `out`. Returns false when BGP has no route.
+  /// `out`, replacing its contents. Returns false when BGP has no route;
+  /// `out` is then unspecified. The same holds for the two entry points
+  /// below.
   bool host_path(HostId src, HostId dst, std::vector<PathHop>& out);
 
   /// Path from a mid-network router toward a host (used for ICMP errors
@@ -58,10 +63,6 @@ class PathStitcher {
   /// the final element of `out`.
   bool host_to_router_path(HostId src, RouterId dst,
                            std::vector<PathHop>& out);
-
-  /// Convenience allocating wrappers.
-  [[nodiscard]] std::optional<std::vector<PathHop>> host_path(HostId src,
-                                                              HostId dst);
 
   /// Salt tags for the per-host endpoint interface picks inside
   /// derive_addresses(). Exposed (with pick_interface) so the compiled
@@ -84,21 +85,22 @@ class PathStitcher {
   /// Appends the routers strictly between `from` and `to` inside one AS
   /// (a deterministic selection of the AS's core routers).
   void append_intra(topo::AsId as, RouterId from, RouterId to,
-                    std::vector<RouterId>& seq) const;
+                    std::vector<PathHop>& out) const;
 
-  /// Assembles the router id sequence; returns false if unroutable.
-  /// Exactly one of src_host/src_router and one of dst_host/dst_router
-  /// must be set.
+  /// Replaces `out` with the path's hops, routers only; returns false if
+  /// unroutable. Exactly one of src_host/src_router and one of
+  /// dst_host/dst_router must be set.
   bool assemble(std::optional<HostId> src_host,
                 std::optional<RouterId> src_router,
                 std::optional<HostId> dst_host,
                 std::optional<RouterId> dst_router,
-                std::vector<RouterId>& seq);
+                std::vector<PathHop>& out);
 
-  /// Converts a router sequence into hops with ingress/egress addresses.
-  void derive_addresses(const std::vector<RouterId>& seq, std::uint64_t
-                        dst_salt, std::optional<HostId> src,
-                        std::vector<PathHop>& out) const;
+  /// Fills every hop's ingress/egress addresses in place. A hop's
+  /// addresses depend only on its neighbours' routers, which this never
+  /// writes, so filling in place equals deriving from a separate copy.
+  void derive_addresses(std::uint64_t dst_salt, std::optional<HostId> src,
+                        std::vector<PathHop>& hops) const;
 
   [[nodiscard]] net::IPv4Address pick_interface(RouterId router,
                                                 std::uint64_t salt) const {

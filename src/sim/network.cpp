@@ -32,7 +32,6 @@ Network::Network(std::shared_ptr<const topo::Topology> topology,
     : topology_(std::move(topology)),
       behaviors_(std::move(behaviors)),
       stitcher_(topology_, oracle),
-      paths_(stitcher_, params.path_cache_entries),
       params_(params),
       router_ipid_count_(topology_->routers().size()),
       host_ipid_count_(topology_->hosts().size()) {
@@ -61,26 +60,20 @@ void Network::merge_counters(const NetCounters& tally) {
   counters_.merge(tally);
 }
 
-bool Network::reverse_hops(HostId dst, HostId reply_to, SendContext* ctx,
-                           route::PathCache::EntryPtr& entry,
-                           std::span<const route::PathHop>& hops) {
+bool Network::host_hops(HostId from, HostId to, bool reply,
+                        std::vector<route::PathHop>& out) {
   if (fib_ != nullptr) {
-    std::vector<route::PathHop>& scratch =
-        ctx != nullptr ? ctx->rev_path_scratch : serial_rev_path_scratch_;
-    switch (fib_->reverse(dst, reply_to, scratch)) {
+    switch (reply ? fib_->reverse(from, to, out)
+                  : fib_->forward(from, to, out)) {
       case route::CompiledFib::Lookup::kHit:
-        hops = scratch;
         return true;
       case route::CompiledFib::Lookup::kUnroutable:
         return false;
       case route::CompiledFib::Lookup::kMiss:
-        break;  // pair not compiled; consult the cache
+        break;  // pair not compiled; stitch it
     }
   }
-  entry = paths_.host_path(dst, reply_to);
-  if (!entry->routable) return false;
-  hops = entry->hops;
-  return true;
+  return stitcher_.host_path(from, to, out);
 }
 
 std::uint16_t Network::next_ip_id(bool is_router, std::uint32_t id,
@@ -188,48 +181,24 @@ bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
   out.dst_addr = *dst_addr;
   out.reply_to = *reply_to;
   out.src_as = topology_->host_at(src).as_id;
-  bool routable = false;
+  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/false);
   if (owner->kind == topo::AddressOwner::Kind::kHost) {
     out.dst_as = topology_->host_at(owner->id).as_id;
-    bool resolved = false;
-    if (fib_ != nullptr) {
-      // Compiled fast path: the table copies the spine into the per-send
-      // scratch, so no cache shard is touched and no entry is pinned.
-      std::vector<route::PathHop>& scratch =
-          ctx != nullptr ? ctx->fwd_path_scratch : serial_fwd_path_scratch_;
-      switch (fib_->forward(src, owner->id, scratch)) {
-        case route::CompiledFib::Lookup::kHit:
-          out.fwd_hops = scratch;
-          routable = true;
-          resolved = true;
-          break;
-        case route::CompiledFib::Lookup::kUnroutable:
-          resolved = true;
-          break;
-        case route::CompiledFib::Lookup::kMiss:
-          break;  // pair not compiled; consult the cache
-      }
+    if (!host_hops(src, owner->id, /*reply=*/false, hops)) {
+      ++c.dropped_unroutable;
+      return false;
     }
-    if (!resolved) {
-      out.fwd_entry = paths_.host_path(src, owner->id);
-      routable = out.fwd_entry->routable;
-      if (routable) out.fwd_hops = out.fwd_entry->hops;
-    }
-  } else {
-    out.dst_as = topology_->router_at(owner->id).as_id;
-    out.fwd_entry = paths_.host_to_router_path(src, owner->id);
-    routable = out.fwd_entry->routable;
-    // The probed router is the final element; it answers rather than
-    // forwards, so exclude it from the forwarding walk.
-    if (routable && !out.fwd_entry->hops.empty()) {
-      out.fwd_hops = std::span<const route::PathHop>{out.fwd_entry->hops}
-                         .first(out.fwd_entry->hops.size() - 1);
-    }
+    out.fwd_hops = hops;
+    return true;
   }
-  if (!routable) {
+  out.dst_as = topology_->router_at(owner->id).as_id;
+  if (!stitcher_.host_to_router_path(src, owner->id, hops)) {
     ++c.dropped_unroutable;
     return false;
   }
+  // The probed router is the final element; it answers rather than
+  // forwards, so exclude it from the forwarding walk.
+  out.fwd_hops = std::span<const route::PathHop>{hops}.first(hops.size() - 1);
   return true;
 }
 
@@ -288,7 +257,8 @@ void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
   assert(n <= WalkBatch::kMaxProbes);
 
   // Per-slot staging state outlives the forward walks: the forward spine
-  // (scratch- or cache-backed) is still consulted for TTL-expiry errors.
+  // (in the slot context's forward scratch) is still consulted for
+  // TTL-expiry errors.
   std::array<StagedSend, WalkBatch::kMaxProbes> staged;
   std::array<bool, WalkBatch::kMaxProbes> active{};
   WalkBatch batch;
@@ -380,15 +350,15 @@ std::optional<Network::Delivery> Network::emit_router_error(
 
   // Route the error from the originating router back to the prober. The
   // error itself carries no options, so edge filters leave it alone.
-  const auto rev_entry = paths_.router_path(router, reply_to);
-  if (!rev_entry->routable) {
+  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/true);
+  if (!stitcher_.router_path(router, reply_to, hops)) {
     ++counters_for(ctx).dropped_unroutable;
     return std::nullopt;
   }
   const topo::AsId router_as = topology_->router_at(router).as_id;
   const topo::AsId reply_as = topology_->host_at(reply_to).as_id;
-  return deliver_back(offending, rev_entry->hops, time, router_as, reply_as,
-                      reply_to, flow, ctx, /*doomed=*/false);
+  return deliver_back(offending, hops, time, router_as, reply_as, reply_to,
+                      flow, ctx, /*doomed=*/false);
 }
 
 void Network::host_prepare_reply(HostId dst, HostId reply_to,
@@ -396,7 +366,6 @@ void Network::host_prepare_reply(HostId dst, HostId reply_to,
                                  std::uint64_t flow, SendContext* ctx,
                                  bool doomed, PendingReply& out) {
   out.has_reply = false;
-  out.rev_entry = route::PathCache::EntryPtr{};
   NetCounters& c = counters_for(ctx);
   const HostBehavior& hb = behaviors_->host(dst);
   const auto info = pkt::inspect_datagram(bytes);
@@ -462,10 +431,12 @@ void Network::host_prepare_reply(HostId dst, HostId reply_to,
     std::swap(bytes, scratch.bytes);
   }
 
-  if (!reverse_hops(dst, reply_to, ctx, out.rev_entry, out.rev_hops)) {
+  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/true);
+  if (!host_hops(dst, reply_to, /*reply=*/true, hops)) {
     ++c.dropped_unroutable;
     return;
   }
+  out.rev_hops = hops;
   out.src_as = topology_->host_at(dst).as_id;
   out.dst_as = topology_->host_at(reply_to).as_id;
   out.receiver = reply_to;
@@ -514,13 +485,12 @@ std::optional<Network::Delivery> Network::router_respond(
     });
     std::swap(bytes, scratch.bytes);
   }
-  const auto rev_entry = paths_.router_path(router, reply_to);
-  if (!rev_entry->routable) {
+  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/true);
+  if (!stitcher_.router_path(router, reply_to, hops)) {
     ++counters_for(ctx).dropped_unroutable;
     return std::nullopt;
   }
-  return deliver_back(bytes, rev_entry->hops, time,
-                      topology_->router_at(router).as_id,
+  return deliver_back(bytes, hops, time, topology_->router_at(router).as_id,
                       topology_->host_at(reply_to).as_id, reply_to, flow,
                       ctx, doomed);
 }

@@ -60,7 +60,6 @@
 #include <vector>
 
 #include "routing/fib.h"
-#include "routing/path_cache.h"
 #include "routing/stitcher.h"
 #include "sim/behavior.h"
 #include "sim/fault.h"
@@ -79,8 +78,6 @@ struct NetParams {
   std::uint64_t seed = 0x51C0FFEE;
   double hop_delay_s = 0.0005;          // per router hop
   std::size_t quoted_payload_bytes = 8;  // ICMP error quotation depth
-  /// Router-level path cache capacity (paths, across all shards).
-  std::size_t path_cache_entries = 1 << 18;
 };
 
 /// Reusable buffer for building replies whose geometry differs from the
@@ -100,10 +97,13 @@ struct SendContext {
   NetCounters counters;
   ProbeTrace trace;
   ReplyScratch scratch;
-  /// Hop-list scratch for compiled-FIB lookups (routing/fib.h): the FIB
-  /// copies a path spine into these instead of handing out shared cache
-  /// entries. Forward and reverse are separate because the forward hops
-  /// must stay valid while the reply leg resolves its own path.
+  /// Hop-list scratch for every path a send resolves: the compiled FIB
+  /// (routing/fib.h) copies a spine into it, and the stitcher writes any
+  /// other path straight into it, so a warmed-up context resolves paths
+  /// without allocating. Forward and reverse are separate because the
+  /// forward hops must stay valid while the reply leg resolves its own
+  /// path (the reverse scratch serves every reply: host replies, router
+  /// errors and router echo replies).
   std::vector<route::PathHop> fwd_path_scratch;
   std::vector<route::PathHop> rev_path_scratch;
 };
@@ -209,9 +209,9 @@ class Network {
   /// Installs (or, with nullptr, removes) a compiled forwarding table for
   /// host-to-host campaign traffic. While installed, sends resolve
   /// covered forward/reverse host paths from the table — bit-identical to
-  /// the stitcher's output — and falls back to the path cache for pairs
-  /// outside its coverage. Swapping tables between campaign blocks is a
-  /// caller-serialized operation; concurrent sends must not be in flight.
+  /// the stitcher's output — and stitch pairs outside its coverage.
+  /// Swapping tables between campaign blocks is a caller-serialized
+  /// operation; concurrent sends must not be in flight.
   void set_compiled_fib(std::shared_ptr<const route::CompiledFib> fib)
       RROPT_EXCLUDES(serial_gate_) {
     util::SerialGateLock gate(serial_gate_);
@@ -241,9 +241,16 @@ class Network {
     return *behaviors_;
   }
   [[nodiscard]] route::PathStitcher& stitcher() noexcept { return stitcher_; }
-  [[nodiscard]] const route::PathCache& path_cache() const noexcept {
-    return paths_;
-  }
+
+  /// Always 0: the network caches no paths (each send reads the compiled
+  /// FIB or stitches into its own scratch), so nothing hits or misses.
+  /// Kept only because benchmark ledgers read these two counters; retire
+  /// it with their routing.path_cache_* metrics.
+  struct PathCacheStats {
+    [[nodiscard]] std::uint64_t hits() const noexcept { return 0; }
+    [[nodiscard]] std::uint64_t misses() const noexcept { return 0; }
+  };
+  [[nodiscard]] PathCacheStats path_cache() const noexcept { return {}; }
   /// The compiled dataplane (sim/pipeline.h): per-router HopRows plus the
   /// per-personality element run lists walk executes.
   [[nodiscard]] const CompiledPipeline& pipeline() const noexcept {
@@ -259,8 +266,7 @@ class Network {
     HostId reply_to = topo::kNoHost;  // host owning the header's source
     topo::AsId src_as = 0;
     topo::AsId dst_as = 0;
-    route::PathCache::EntryPtr fwd_entry;  // pins cache-backed fwd_hops
-    std::span<const route::PathHop> fwd_hops;
+    std::span<const route::PathHop> fwd_hops;  // views the forward scratch
   };
 
   /// The staging step send_reusing and send_batch share, so both charge
@@ -329,13 +335,12 @@ class Network {
   /// IP-ID draw, reply construction (in place or via the scratch swap),
   /// and reverse-path resolution. `out.has_reply` is false when no reply
   /// would be generated; otherwise `bytes` holds the built reply and
-  /// `out` pins/views the reverse path to walk. The scalar host_respond
+  /// `out` views the reverse path to walk. The scalar host_respond
   /// is this followed by deliver_back, so the two paths share every
   /// observable byte.
   struct PendingReply {
     bool has_reply = false;
-    route::PathCache::EntryPtr rev_entry;  // pins cache-backed rev_hops
-    std::span<const route::PathHop> rev_hops;
+    std::span<const route::PathHop> rev_hops;  // views the reverse scratch
     topo::AsId src_as = 0;
     topo::AsId dst_as = 0;
     HostId receiver = topo::kNoHost;
@@ -385,13 +390,24 @@ class Network {
     return ctx != nullptr ? ctx->scratch : serial_scratch_;
   }
 
-  /// Resolves the reverse host path for a response (`dst` -> `reply_to`)
-  /// via the compiled FIB when installed, else the path cache. Returns
-  /// false when unroutable; on success `hops` views either the context's
-  /// reverse scratch or the cache entry kept alive by `entry`.
-  bool reverse_hops(HostId dst, HostId reply_to, SendContext* ctx,
-                    route::PathCache::EntryPtr& entry,
-                    std::span<const route::PathHop>& hops);
+  /// The hop-list scratch a send resolves its forward leg (`reply`
+  /// false) or any reply leg into: the context's, or in serial mode the
+  /// network's own pair.
+  [[nodiscard]] std::vector<route::PathHop>& path_scratch_for(
+      SendContext* ctx, bool reply) noexcept {
+    if (ctx != nullptr) {
+      return reply ? ctx->rev_path_scratch : ctx->fwd_path_scratch;
+    }
+    return reply ? serial_rev_path_scratch_ : serial_fwd_path_scratch_;
+  }
+
+  /// Resolves the host path `from` -> `to` into `out`: from the compiled
+  /// FIB when one is installed and covers the pair, otherwise stitched.
+  /// `reply` selects the table's direction: false for a probe leaving
+  /// `from`, true for a reply returning to `to`. Returns false when
+  /// unroutable.
+  bool host_hops(HostId from, HostId to, bool reply,
+                 std::vector<route::PathHop>& out);
 
   [[nodiscard]] std::uint16_t next_ip_id(bool is_router, std::uint32_t id,
                                          double now);
@@ -404,7 +420,6 @@ class Network {
   std::shared_ptr<const topo::Topology> topology_;
   std::shared_ptr<const Behaviors> behaviors_;
   route::PathStitcher stitcher_;
-  route::PathCache paths_;
   std::shared_ptr<const route::CompiledFib> fib_;
   NetParams params_;
   /// Phase capability for the caller-serialized state below. Not a lock

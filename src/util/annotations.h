@@ -2,12 +2,12 @@
 //
 // The repo's core contract — bit-identical datasets at any thread count —
 // rests on a small set of lock and phase disciplines (ThreadPool region
-// state, PathCache shards, RoutingOracle fallback cache, Network's
-// serial-replay phases). These macros turn those disciplines into
-// compile-time facts: a clang build with -Wthread-safety (wired into the
-// static-analysis CI job as -Werror=thread-safety) refuses code that
-// touches guarded state without the declared capability. On non-clang
-// compilers every macro expands to nothing.
+// state, RoutingOracle fallback cache, Network's serial-replay phases).
+// These macros turn those disciplines into compile-time facts: a clang
+// build with -Wthread-safety (wired into the static-analysis CI job as
+// -Werror=thread-safety) refuses code that touches guarded state without
+// the declared capability. On non-clang compilers every macro expands to
+// nothing.
 //
 // Vocabulary (see https://clang.llvm.org/docs/ThreadSafetyAnalysis.html):
 //   RROPT_CAPABILITY(name)   — marks a class as a lockable capability

@@ -6,8 +6,10 @@
 //
 //   1. zero steady-state allocations: a warmed-up serial probe exchange
 //      (build -> walk -> reply -> parse) performs no heap allocation at
-//      all — every buffer (probe datagram, reply scratch, result vectors,
-//      trace events) is recycled;
+//      all — every buffer (probe datagram, reply scratch, hop-list
+//      scratches, result vectors, trace events) is recycled, on every
+//      path the network stitches: host to host, a router's Time-Exceeded
+//      error back to the prober, and host to router interface and back;
 //   2. flat growth counters: Prober::buffer_growths() and the context's
 //      ReplyScratch growths stop moving once the largest probe/reply
 //      geometry has been seen, and two identical campaigns report
@@ -115,46 +117,76 @@ void steady_state_prober_test(rr::measure::Testbed& testbed) {
   rr::probe::ProbeResult result;
 
   const auto& topology = testbed.topology();
+  const auto routers = topology.routers();
   const std::size_t n =
       std::min<std::size_t>(topology.destinations().size(), 64);
 
-  // Two warm-up sweeps: the first grows every reusable buffer to its
-  // steady geometry and populates the per-entity maps (path cache, IP-ID
-  // counters, token buckets); the second confirms the clock-dependent
-  // state (bucket refills) allocates nothing new either.
-  for (int sweep = 0; sweep < 2; ++sweep) {
+  struct SweepCounts {
+    std::uint64_t matched = 0;        // host pings and ping-RRs answered
+    std::uint64_t ttl_exceeded = 0;   // router errors (router_path back)
+    std::uint64_t router_echoes = 0;  // router interfaces answering
+  };
+  // Four exchanges per destination, one per way the network resolves a
+  // path: host to host both ways (ping-RR and ping), a ping whose TTL of
+  // 2-6 expires mid-path so a router's Time-Exceeded error is stitched
+  // back along router_path, and a ping to a router interface, stitched
+  // host_to_router_path out and router_path back.
+  const auto sweep = [&] {
+    SweepCounts counts;
     for (std::size_t i = 0; i < n; ++i) {
       const auto target =
           topology.host_at(topology.destinations()[i]).address;
       prober.probe_into(rr::probe::ProbeSpec::ping_rr(target), &ctx, result);
+      if (result.kind != rr::probe::ResponseKind::kNone) ++counts.matched;
       prober.probe_into(rr::probe::ProbeSpec::ping(target), &ctx, result);
+      if (result.kind != rr::probe::ResponseKind::kNone) ++counts.matched;
+
+      rr::probe::ProbeSpec short_ttl = rr::probe::ProbeSpec::ping(target);
+      short_ttl.ttl = static_cast<std::uint8_t>(2 + i % 5);
+      prober.probe_into(short_ttl, &ctx, result);
+      if (result.kind == rr::probe::ResponseKind::kTtlExceeded) {
+        ++counts.ttl_exceeded;
+      }
+
+      const auto iface = routers[(i * 53) % routers.size()].interfaces.front();
+      prober.probe_into(rr::probe::ProbeSpec::ping(iface), &ctx, result);
+      if (result.kind == rr::probe::ResponseKind::kEchoReply) {
+        ++counts.router_echoes;
+      }
     }
-  }
+    return counts;
+  };
+
+  // Two warm-up sweeps: the first grows every reusable buffer (probe
+  // datagram, reply and hop-list scratches, the stitcher's per-thread
+  // AS-path storage) to its steady geometry; the second confirms the
+  // clock-dependent state (bucket refills) allocates nothing new either.
+  sweep();
+  sweep();
 
   const std::uint64_t allocations_before =
       g_allocations.load(std::memory_order_relaxed);
   const std::uint64_t buffer_growths_before = prober.buffer_growths();
   const std::uint64_t scratch_growths_before = ctx.scratch.growths;
 
-  std::uint64_t matched = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto target = topology.host_at(topology.destinations()[i]).address;
-    prober.probe_into(rr::probe::ProbeSpec::ping_rr(target), &ctx, result);
-    if (result.kind != rr::probe::ResponseKind::kNone) ++matched;
-    prober.probe_into(rr::probe::ProbeSpec::ping(target), &ctx, result);
-    if (result.kind != rr::probe::ResponseKind::kNone) ++matched;
-  }
+  const SweepCounts counts = sweep();
 
   const std::uint64_t allocated =
       g_allocations.load(std::memory_order_relaxed) - allocations_before;
-  std::printf("steady-state sweep: %zu exchanges, %llu responses, "
+  std::printf("steady-state sweep: %zu exchanges, %llu host responses, "
+              "%llu ttl-exceeded, %llu router echoes, "
               "%llu heap allocations\n",
-              2 * n, static_cast<unsigned long long>(matched),
+              4 * n, static_cast<unsigned long long>(counts.matched),
+              static_cast<unsigned long long>(counts.ttl_exceeded),
+              static_cast<unsigned long long>(counts.router_echoes),
               static_cast<unsigned long long>(allocated));
   CHECK_EQ_U64(allocated, 0);
   CHECK_EQ_U64(prober.buffer_growths(), buffer_growths_before);
   CHECK_EQ_U64(ctx.scratch.growths, scratch_growths_before);
-  CHECK(matched > n / 2);  // the sweep must be exercising real exchanges
+  // The sweep must be exercising real exchanges of every kind.
+  CHECK(counts.matched > n / 2);
+  CHECK(counts.ttl_exceeded > 0);
+  CHECK(counts.router_echoes > 0);
 }
 
 void steady_state_batch_test(rr::measure::Testbed& testbed) {

@@ -7,6 +7,8 @@
 #include "data/dataset.h"
 #include "data/jsonl.h"
 #include "measure/testbed.h"
+#include "netbase/byte_io.h"
+#include "netbase/checksum.h"
 #include "util/rng.h"
 
 namespace rr::data {
@@ -104,6 +106,75 @@ TEST_F(DatasetTest, CorruptionIsDetected) {
 
 TEST_F(DatasetTest, LoadOfMissingFileFails) {
   EXPECT_FALSE(CampaignDataset::load("/tmp/does_not_exist.rrds").has_value());
+}
+
+/// A crafted file's fields up to the VP table: magic, version, an empty
+/// description and the two counts.
+net::ByteWriter crafted_header(std::uint32_t n_vps, std::uint32_t n_dests) {
+  net::ByteWriter out;
+  out.u32(CampaignDataset::kMagic);
+  out.u16(CampaignDataset::kVersion);
+  out.u32(0);
+  out.u32(n_vps);
+  out.u32(n_dests);
+  return out;
+}
+
+/// Appends the trailer serialize() writes (a zero pad to even length, then
+/// the RFC 1071 checksum), so a crafted body gets past the checksum and
+/// reaches the parser's own checks.
+std::vector<std::uint8_t> seal(net::ByteWriter body) {
+  if (body.size() % 2 != 0) body.u8(0);
+  body.u16(net::internet_checksum(body.view()));
+  return std::move(body).take();
+}
+
+TEST(DatasetParse, RejectsOutOfRangeAsType) {
+  // One VP, one destination of the given AS type, one observation.
+  const auto file = [](std::uint8_t as_type) {
+    net::ByteWriter body = crafted_header(1, 1);
+    body.u32(0);  // empty site
+    body.u8(0);   // platform
+    body.u32(0x0a000001);
+    body.u32(64512);
+    body.u8(as_type);
+    body.u8(1);
+    body.u32(0);
+    return seal(std::move(body));
+  };
+  const auto valid = CampaignDataset::parse(
+      file(static_cast<std::uint8_t>(topo::kNumAsTypes - 1)));
+  ASSERT_TRUE(valid.has_value());
+  EXPECT_EQ(valid->response_table().by_ip[0].probed, 1u);
+  EXPECT_FALSE(CampaignDataset::parse(
+                   file(static_cast<std::uint8_t>(topo::kNumAsTypes)))
+                   .has_value());
+  EXPECT_FALSE(CampaignDataset::parse(file(200)).has_value());
+}
+
+TEST(DatasetParse, RejectsCountsBeyondTheBytes) {
+  // 50,000,000 destinations declared, 6 bytes of them present.
+  net::ByteWriter body = crafted_header(0, 50000000);
+  body.zeros(6);
+  const auto bytes = seal(std::move(body));
+  ASSERT_EQ(bytes.size(), 26u);
+  EXPECT_FALSE(CampaignDataset::parse(bytes).has_value());
+}
+
+TEST(DatasetParse, HugeDeclaredMatrixIsRejectedWithoutThrowing) {
+  // 100,000 empty VP records, then nothing of the 50,000,000 destinations
+  // or of the 5e12-cell matrix they declare.
+  constexpr std::uint32_t kVps = 100000;
+  net::ByteWriter body = crafted_header(kVps, 50000000);
+  for (std::uint32_t v = 0; v < kVps; ++v) {
+    body.u32(0);
+    body.u8(0);
+  }
+  const auto bytes = seal(std::move(body));
+  ASSERT_EQ(bytes.size(), 500020u);
+  std::optional<CampaignDataset> parsed;
+  EXPECT_NO_THROW(parsed = CampaignDataset::parse(bytes));
+  EXPECT_FALSE(parsed.has_value());
 }
 
 TEST(Jsonl, EscapesStrings) {

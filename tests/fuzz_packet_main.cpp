@@ -7,6 +7,11 @@
 //      serialization canonicalizes it — serialize(parse(serialize(parse(b))))
 //      == serialize(parse(b)) byte for byte.
 //
+// The same bytes, sealed with a valid trailing checksum, also go to the
+// dataset file parser (CampaignDataset::parse), which must neither crash
+// nor throw; a dataset that parses must re-derive Table 1 and round-trip
+// through serialize() unchanged.
+//
 // The in-place mutators of packet/mutate.h are additionally exercised for
 // memory safety on arbitrary buffers (they may decline, they must not
 // scribble out of bounds).
@@ -25,10 +30,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "data/dataset.h"
 #include "netbase/byte_io.h"
+#include "netbase/checksum.h"
 #include "packet/datagram.h"
 #include "packet/icmp.h"
 #include "packet/ipv4.h"
@@ -251,6 +259,28 @@ void check_pipeline_walk(std::span<const std::uint8_t> input) {
   }
 }
 
+/// The input is a dataset body: it is sealed with the pad and checksum
+/// serialize() appends, or nearly every mutation would stop at the
+/// checksum check instead of reaching the parser's count and field checks.
+void check_dataset(std::span<const std::uint8_t> input) {
+  using rr::data::CampaignDataset;
+  ByteWriter sealed;
+  sealed.bytes(input);
+  if (sealed.size() % 2 != 0) sealed.u8(0);
+  sealed.u16(rr::net::internet_checksum(sealed.view()));
+  std::optional<CampaignDataset> parsed;
+  try {
+    parsed = CampaignDataset::parse(sealed.view());
+  } catch (...) {
+    fail("dataset: parse threw", input);
+  }
+  if (!parsed) return;
+  (void)parsed->response_table();
+  const auto reparsed = CampaignDataset::parse(parsed->serialize());
+  FUZZ_CHECK(reparsed.has_value() && *reparsed == *parsed,
+             "dataset: serialize/parse round trip");
+}
+
 void run_one(std::span<const std::uint8_t> input) {
   check_options(input);
   check_ipv4(input);
@@ -259,6 +289,7 @@ void run_one(std::span<const std::uint8_t> input) {
   check_datagram(input);
   check_mutators(input);
   check_pipeline_walk(input);
+  check_dataset(input);
 }
 
 }  // namespace
@@ -349,6 +380,33 @@ std::vector<std::vector<std::uint8_t>> seed_corpus() {
                     0x00, 0x00, 0x00, 0x00});
   corpus.push_back({0x83, 0x01});
   corpus.push_back({0x07, 0x07, 0x04, 0x00});
+
+  // A small dataset body (serialize() minus its checksum; a pad byte, if
+  // any, stays and re-seals to the same file): two VPs, one destination
+  // of every AS type, and a matrix of mixed observations.
+  {
+    rr::data::CampaignDataset dataset;
+    dataset.description = "fuzz seed";
+    dataset.vps = {{"site-a", 0}, {"site-b", 1}};
+    for (std::uint8_t type = 0; type < rr::topo::kNumAsTypes; ++type) {
+      dataset.destinations.push_back({0x0a000001u + type, 64512u + type,
+                                      type,
+                                      static_cast<std::uint8_t>(type % 2)});
+    }
+    const std::size_t cells =
+        dataset.vps.size() * dataset.destinations.size();
+    for (std::size_t i = 0; i < cells; ++i) {
+      rr::measure::RrObservation obs;
+      obs.flags = static_cast<std::uint8_t>(i * 5);
+      obs.stamp_count = static_cast<std::uint8_t>(i % 10);
+      obs.dest_slot = static_cast<std::uint8_t>(i % 9);
+      obs.free_slots = static_cast<std::uint8_t>(9 - i % 10);
+      dataset.observations.push_back(obs);
+    }
+    auto bytes = dataset.serialize();
+    bytes.resize(bytes.size() - 2);
+    corpus.push_back(std::move(bytes));
+  }
 
   // Truncated / implausible fixed headers.
   corpus.push_back({0x45});

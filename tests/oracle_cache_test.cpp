@@ -49,9 +49,20 @@ TEST_F(OracleCache, SelfPathIsSingleton) {
   }
 }
 
+/// Hop-for-hop equality: router, ingress and egress.
+void expect_same_hops(const std::vector<PathHop>& got,
+                      const std::vector<PathHop>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].router, want[i].router) << "hop " << i;
+    EXPECT_EQ(got[i].ingress, want[i].ingress) << "hop " << i;
+    EXPECT_EQ(got[i].egress, want[i].egress) << "hop " << i;
+  }
+}
+
 TEST_F(OracleCache, StitcherScratchReuseIsSafe) {
   // Interleave the three stitching entry points through one stitcher; the
-  // shared scratch buffer must never corrupt results.
+  // per-thread AS-path storage they share must never corrupt results.
   PathStitcher stitcher{topo_, *oracle_};
   const auto vps = topo_->vantage_points();
   ASSERT_GE(vps.size(), 2u);
@@ -66,11 +77,36 @@ TEST_F(OracleCache, StitcherScratchReuseIsSafe) {
   std::vector<PathHop> router_out;
   (void)stitcher.router_path(first.back().router, a, router_out);
   ASSERT_TRUE(stitcher.host_path(a, dest, again));
-  ASSERT_EQ(first.size(), again.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].router, again[i].router);
-    EXPECT_EQ(first[i].egress, again[i].egress);
+  expect_same_hops(again, first);
+
+  // Every entry point assembles in the caller's vector: stitching into
+  // one that still holds a different, longer path must give exactly what
+  // a stitch into an empty vector gives.
+  std::vector<PathHop> longest, hops;
+  for (const topo::HostId d : topo_->destinations()) {
+    if (stitcher.host_path(b, d, hops) && hops.size() > longest.size()) {
+      longest = hops;
+    }
   }
+  const RouterId mid = first[first.size() / 2].router;
+  const auto check_reuse = [&](const char* entry, const auto& stitch) {
+    SCOPED_TRACE(entry);
+    std::vector<PathHop> fresh;
+    ASSERT_TRUE(stitch(fresh));
+    ASSERT_LT(fresh.size(), longest.size());
+    std::vector<PathHop> used = longest;
+    ASSERT_TRUE(stitch(used));
+    expect_same_hops(used, fresh);
+  };
+  check_reuse("host_path", [&](std::vector<PathHop>& out) {
+    return stitcher.host_path(a, dest, out);
+  });
+  check_reuse("router_path", [&](std::vector<PathHop>& out) {
+    return stitcher.router_path(mid, a, out);
+  });
+  check_reuse("host_to_router_path", [&](std::vector<PathHop>& out) {
+    return stitcher.host_to_router_path(a, mid, out);
+  });
 }
 
 }  // namespace
