@@ -1,5 +1,5 @@
-// Microbenchmarks for the toolkit's primitives (google-benchmark): packet
-// serialization/parsing, in-place RR stamping, LPM lookups, BGP route-tree
+// Microbenchmarks for the toolkit's primitives (google-benchmark): probe
+// build and inspection, in-place RR stamping, LPM lookups, BGP route-tree
 // computation, and full simulated probes. Not a paper artifact, but the
 // numbers justify the harness's ability to replay census-scale studies.
 #include <benchmark/benchmark.h>
@@ -9,9 +9,8 @@
 #include "bench/telemetry.h"
 #include "measure/testbed.h"
 #include "netbase/lpm_trie.h"
-#include "packet/datagram.h"
-#include "packet/mutate.h"
 #include "packet/view.h"
+#include "packet/wire.h"
 #include "probe/prober.h"
 #include "routing/bgp.h"
 #include "sim/pipeline.h"
@@ -22,35 +21,43 @@ namespace {
 
 using namespace rr;
 
-void BM_PingSerialize(benchmark::State& state) {
-  const auto ping = pkt::make_ping(net::IPv4Address(1, 2, 3, 4),
-                                   net::IPv4Address(5, 6, 7, 8), 9, 1, 64, 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ping.serialize());
-  }
+/// A nine-slot RR ping, as the census sends it.
+std::vector<std::uint8_t> rr_ping() {
+  std::vector<std::uint8_t> bytes;
+  pkt::build_ping(bytes, net::IPv4Address(1, 2, 3, 4),
+                  net::IPv4Address(5, 6, 7, 8), 9, 1, 64, 9);
+  return bytes;
 }
-BENCHMARK(BM_PingSerialize);
 
-void BM_DatagramParse(benchmark::State& state) {
-  const auto bytes = *pkt::make_ping(net::IPv4Address(1, 2, 3, 4),
-                                     net::IPv4Address(5, 6, 7, 8), 9, 1, 64,
-                                     9).serialize();
+void BM_PingBuild(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pkt::Datagram::parse(bytes));
+    pkt::build_ping(bytes, net::IPv4Address(1, 2, 3, 4),
+                    net::IPv4Address(5, 6, 7, 8), 9, 1, 64, 9);
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_DatagramParse);
+BENCHMARK(BM_PingBuild);
+
+void BM_PingInspect(benchmark::State& state) {
+  const auto bytes = rr_ping();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pkt::inspect_datagram(bytes));
+  }
+}
+BENCHMARK(BM_PingInspect);
 
 void BM_RrStampAndTtl(benchmark::State& state) {
-  const auto original = *pkt::make_ping(net::IPv4Address(1, 2, 3, 4),
-                                        net::IPv4Address(5, 6, 7, 8), 9, 1,
-                                        64, 9).serialize();
+  const auto original = rr_ping();
   std::vector<std::uint8_t> bytes;
   for (auto _ : state) {
     bytes = original;
-    pkt::decrement_ttl(bytes);
-    pkt::rr_stamp(bytes, net::IPv4Address(10, 0, 0, 1));
-    benchmark::DoNotOptimize(bytes);
+    pkt::Ipv4HeaderView view{bytes};
+    view.decrement_ttl();
+    view.rr_stamp(net::IPv4Address(10, 0, 0, 1));
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_RrStampAndTtl);
@@ -220,9 +227,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   telemetry.phase("walk_timing");
-  const auto original = *rr::pkt::make_ping(rr::net::IPv4Address(1, 2, 3, 4),
-                                            rr::net::IPv4Address(5, 6, 7, 8),
-                                            9, 1, 64, 9).serialize();
+  const auto original = rr_ping();
   const double reset_ns =
       min_over_reps([&] { return time_loop_ns(original, [](auto&) {}); });
   // The compiled element pipeline over the nine hops: the run table is the

@@ -149,7 +149,6 @@ TraceCensusResult run_trace_census(Testbed& testbed,
   probe::TraceOptions topts;
   topts.max_ttl = config.max_ttl;
   topts.attempts = config.attempts;
-  topts.window = config.window;
 
   for (std::size_t begin = 0; begin < n_dests; begin += round) {
     const std::size_t end = std::min(begin + round, n_dests);

@@ -34,7 +34,6 @@ struct TraceCensusConfig {
   /// reduction is measured against).
   bool use_stop_sets = true;
   int first_hop = 5;   // Doubletree's h (forward from h, backward h-1..1)
-  int window = 4;      // forward-sweep batch width (TTLs per send_batch)
   /// Destinations each VP advances per commit round (global stop-set
   /// insertions become visible at round boundaries only). Smaller rounds
   /// surface inter-monitor facts sooner (more savings) at the cost of

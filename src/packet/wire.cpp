@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "netbase/checksum.h"
-#include "packet/icmp.h"
-#include "packet/ipv4.h"
-#include "packet/options.h"
+#include "packet/view.h"
 
 namespace rr::pkt {
 
@@ -25,11 +23,8 @@ void write_u16(std::span<std::uint8_t> buffer, std::size_t offset,
 
 void write_address(std::span<std::uint8_t> buffer, std::size_t offset,
                    net::IPv4Address address) noexcept {
-  const auto bytes = address.to_bytes();
-  buffer[offset] = bytes[0];
-  buffer[offset + 1] = bytes[1];
-  buffer[offset + 2] = bytes[2];
-  buffer[offset + 3] = bytes[3];
+  write_u16(buffer, offset, static_cast<std::uint16_t>(address.value() >> 16));
+  write_u16(buffer, offset + 2, static_cast<std::uint16_t>(address.value()));
 }
 
 net::IPv4Address read_address(std::span<const std::uint8_t> buffer,
@@ -74,12 +69,11 @@ bool walk_options(std::span<const std::uint8_t> data, std::size_t header_bytes,
     } else if (type == kOptTimestamp) {
       if (length < 4) return false;
       const std::uint8_t flags = data[i + 3] & 0x0f;
-      if (flags != TimestampOption::kFlagTimestampOnly &&
-          flags != TimestampOption::kFlagAddressAndTimestamp) {
+      if (flags != kTsFlagTimestampOnly &&
+          flags != kTsFlagAddressAndTimestamp) {
         return false;
       }
-      const int entry_bytes =
-          flags == TimestampOption::kFlagTimestampOnly ? 4 : 8;
+      const int entry_bytes = flags == kTsFlagTimestampOnly ? 4 : 8;
       if ((length - 4) % entry_bytes != 0) return false;
       const int capacity = (length - 4) / entry_bytes;
       if (capacity < 1) return false;
@@ -110,6 +104,25 @@ void write_echo_request(std::span<std::uint8_t> bytes, std::size_t offset,
   }
 }
 
+/// Header bytes of a probe carrying an empty `rr_slots`-slot RR option
+/// (none when rr_slots <= 0): the 3 + 4*slots option bytes are padded to a
+/// 32-bit boundary with End-of-List zeros (always exactly one byte).
+std::size_t rr_probe_header_bytes(int rr_slots) noexcept {
+  const int slots = std::min(rr_slots, kMaxRrSlots);
+  return slots > 0 ? 20 + ((3 + 4 * static_cast<std::size_t>(slots) + 3) &
+                           ~std::size_t{3})
+                   : 20;
+}
+
+/// Writes the empty RR option of a probe built with rr_probe_header_bytes.
+void write_empty_rr(std::span<std::uint8_t> bytes,
+                    std::size_t header_bytes) noexcept {
+  if (header_bytes == 20) return;
+  bytes[20] = kOptRecordRoute;
+  bytes[21] = static_cast<std::uint8_t>(header_bytes - 21);  // 3 + 4*slots
+  bytes[22] = kRrMinPointer;  // empty: slots and the pad byte stay zero
+}
+
 void write_base_header(std::span<std::uint8_t> bytes, std::size_t header_bytes,
                        std::size_t total, std::uint16_t identification,
                        std::uint8_t ttl, std::uint8_t protocol,
@@ -131,11 +144,8 @@ void write_base_header(std::span<std::uint8_t> bytes, std::size_t header_bytes,
 
 std::optional<WireInfo> inspect_header(
     std::span<const std::uint8_t> data) noexcept {
-  if (data.size() < 20) return std::nullopt;
-  if ((data[0] >> 4) != 4) return std::nullopt;
-  const std::size_t header_bytes =
-      static_cast<std::size_t>(data[0] & 0x0f) * 4;
-  if (header_bytes < 20 || header_bytes > data.size()) return std::nullopt;
+  const std::size_t header_bytes = peek_header_bytes(data);
+  if (header_bytes == 0) return std::nullopt;
   if (!net::checksum_ok(data.first(header_bytes))) return std::nullopt;
 
   WireInfo info;
@@ -191,6 +201,18 @@ std::optional<WireInfo> inspect_datagram(
   return info;
 }
 
+std::optional<net::IPv4Address> peek_source(
+    std::span<const std::uint8_t> datagram) noexcept {
+  if (peek_header_bytes(datagram) == 0) return std::nullopt;
+  return read_address(datagram, 12);
+}
+
+std::optional<net::IPv4Address> peek_destination(
+    std::span<const std::uint8_t> datagram) noexcept {
+  if (peek_header_bytes(datagram) == 0) return std::nullopt;
+  return read_address(datagram, 16);
+}
+
 RrWire rr_wire(std::span<const std::uint8_t> data,
                std::size_t rr_offset) noexcept {
   RrWire rr;
@@ -215,8 +237,7 @@ TsWire ts_wire(std::span<const std::uint8_t> data,
   const std::uint8_t pointer = data[ts_offset + 2];
   ts.flags = data[ts_offset + 3] & 0x0f;
   ts.overflow = data[ts_offset + 3] >> 4;
-  ts.entry_bytes =
-      ts.flags == TimestampOption::kFlagTimestampOnly ? 4 : 8;
+  ts.entry_bytes = ts.flags == kTsFlagTimestampOnly ? 4 : 8;
   ts.capacity = static_cast<std::uint8_t>((length - 4) / ts.entry_bytes);
   ts.filled = static_cast<std::uint8_t>((pointer - 5) / ts.entry_bytes);
   return ts;
@@ -226,39 +247,26 @@ TsEntryWire ts_entry(std::span<const std::uint8_t> data, const TsWire& ts,
                      std::size_t index) noexcept {
   TsEntryWire entry;
   std::size_t at = ts.offset + 4 + ts.entry_bytes * index;
-  if (ts.flags == TimestampOption::kFlagAddressAndTimestamp) {
+  if (ts.flags == kTsFlagAddressAndTimestamp) {
     entry.address = read_address(data, at);
     at += 4;
   }
-  entry.timestamp_ms = (std::uint32_t{data[at]} << 24) |
-                       (std::uint32_t{data[at + 1]} << 16) |
-                       (std::uint32_t{data[at + 2]} << 8) |
-                       std::uint32_t{data[at + 3]};
+  entry.timestamp_ms =
+      (std::uint32_t{read_u16(data, at)} << 16) | read_u16(data, at + 2);
   return entry;
 }
 
 void build_ping(std::vector<std::uint8_t>& out, net::IPv4Address source,
                 net::IPv4Address destination, std::uint16_t identifier,
                 std::uint16_t sequence, std::uint8_t ttl, int rr_slots) {
-  const int slots = rr_slots > 0 ? std::min(rr_slots, kMaxRrSlots) : 0;
-  // The RR option is 3 + 4*slots bytes; serialize pads options to a 32-bit
-  // boundary with End-of-List zeros (always exactly one byte here).
-  const std::size_t option_bytes =
-      slots > 0 ? ((3 + 4 * static_cast<std::size_t>(slots) + 3) &
-                   ~std::size_t{3})
-                : 0;
-  const std::size_t header_bytes = 20 + option_bytes;
+  const std::size_t header_bytes = rr_probe_header_bytes(rr_slots);
   const std::size_t total = header_bytes + 16;
   out.assign(total, 0);
   write_base_header(out, header_bytes, total,
                     static_cast<std::uint16_t>((identifier << 4) ^ sequence),
                     ttl, static_cast<std::uint8_t>(IpProto::kIcmp), source,
                     destination);
-  if (slots > 0) {
-    out[20] = kOptRecordRoute;
-    out[21] = static_cast<std::uint8_t>(3 + 4 * slots);
-    out[22] = kRrMinPointer;  // empty: slots and the pad byte stay zero
-  }
+  write_empty_rr(out, header_bytes);
   write_echo_request(out, header_bytes, identifier, sequence);
   finalize_checksums(out, header_bytes, total);
 }
@@ -278,7 +286,7 @@ void build_ping_ts(std::vector<std::uint8_t>& out, net::IPv4Address source,
   out[20] = kOptTimestamp;
   out[21] = static_cast<std::uint8_t>(4 + 8 * slots);
   out[22] = 5;  // first entry
-  out[23] = TimestampOption::kFlagAddressAndTimestamp;  // overflow 0
+  out[23] = kTsFlagAddressAndTimestamp;  // overflow 0
   write_echo_request(out, header_bytes, identifier, sequence);
   finalize_checksums(out, header_bytes, total);
 }
@@ -287,27 +295,19 @@ void build_udp_probe(std::vector<std::uint8_t>& out, net::IPv4Address source,
                      net::IPv4Address destination, std::uint16_t source_port,
                      std::uint16_t destination_port, std::uint8_t ttl,
                      int rr_slots) {
-  const int slots = rr_slots > 0 ? std::min(rr_slots, kMaxRrSlots) : 0;
-  const std::size_t option_bytes =
-      slots > 0 ? ((3 + 4 * static_cast<std::size_t>(slots) + 3) &
-                   ~std::size_t{3})
-                : 0;
-  const std::size_t header_bytes = 20 + option_bytes;
+  const std::size_t header_bytes = rr_probe_header_bytes(rr_slots);
   const std::size_t total = header_bytes + 12;  // 8 UDP + 4 payload
   out.assign(total, 0);
   write_base_header(
       out, header_bytes, total,
       static_cast<std::uint16_t>(source_port ^ (destination_port << 1)), ttl,
       static_cast<std::uint8_t>(IpProto::kUdp), source, destination);
-  if (slots > 0) {
-    out[20] = kOptRecordRoute;
-    out[21] = static_cast<std::uint8_t>(3 + 4 * slots);
-    out[22] = kRrMinPointer;
-  }
+  write_empty_rr(out, header_bytes);
   write_u16(out, header_bytes, source_port);
   write_u16(out, header_bytes + 2, destination_port);
   write_u16(out, header_bytes + 4, 12);
-  // UDP checksum stays 0 (not computed), matching UdpDatagram::serialize.
+  // The UDP checksum stays 0: legal for IPv4 UDP, and it keeps the
+  // simulator from relying on transport checksums.
   out[header_bytes + 8] = 0xde;
   out[header_bytes + 9] = 0xad;
   out[header_bytes + 10] = 0xbe;
@@ -374,6 +374,71 @@ void build_icmp_error(std::vector<std::uint8_t>& out, std::uint8_t icmp_type,
   // Bytes 22..27 (checksum + unused word) stay zero until finalize.
   std::copy_n(offending.begin(), quote_bytes, out.begin() + 28);
   finalize_checksums(out, 20, total);
+}
+
+// The RR surgery finds its option the way the walk does: a view's cached
+// offset, revalidated (Ipv4HeaderView::valid_rr_offset).
+
+bool rr_truncate(std::span<std::uint8_t> datagram) noexcept {
+  const Ipv4HeaderView view{datagram};
+  const std::size_t rr = view.valid_rr_offset();
+  if (rr == 0) return false;
+  // Zero every slot and exhaust the option (pointer one past the last
+  // slot): the record is gone and no later hop can stamp into the wreck.
+  const std::uint8_t length = datagram[rr + 1];
+  std::fill_n(datagram.begin() + static_cast<std::ptrdiff_t>(rr) + 3,
+              length - 3, std::uint8_t{0});
+  datagram[rr + 2] = static_cast<std::uint8_t>(length + 1);
+  rewrite_header_checksum(datagram, view.header_bytes());
+  return true;
+}
+
+bool rr_garble(std::span<std::uint8_t> datagram,
+               net::IPv4Address bogus) noexcept {
+  const Ipv4HeaderView view{datagram};
+  const std::size_t rr = view.valid_rr_offset();
+  if (rr == 0 || datagram[rr + 2] == kRrMinPointer) return false;  // empty
+  // The latest stamp sits just below the (1-based) pointer.
+  write_address(datagram, rr + datagram[rr + 2] - 5, bogus);
+  rewrite_header_checksum(datagram, view.header_bytes());
+  return true;
+}
+
+bool blank_options(std::span<std::uint8_t> datagram) noexcept {
+  const std::size_t header_bytes = peek_header_bytes(datagram);
+  if (header_bytes <= 20) return false;
+  std::fill(datagram.begin() + 20,
+            datagram.begin() + static_cast<std::ptrdiff_t>(header_bytes),
+            kOptNop);
+  rewrite_header_checksum(datagram, header_bytes);
+  return true;
+}
+
+bool mangle_icmp_quote(std::span<std::uint8_t> datagram) noexcept {
+  const std::size_t header_bytes = peek_header_bytes(datagram);
+  if (header_bytes == 0) return false;
+  if (datagram[9] != static_cast<std::uint8_t>(IpProto::kIcmp)) return false;
+  const std::size_t total = read_u16(datagram, 2);
+  if (total > datagram.size()) return false;
+  // The ICMP header (8) and a quoted base header (20), checked before the
+  // subtraction below could underflow on a lying total length.
+  if (total < header_bytes + 8 + 20) return false;
+  const std::size_t icmp_begin = header_bytes;
+  const std::size_t icmp_len = total - header_bytes;
+  const std::uint8_t type = datagram[icmp_begin];
+  if (type != 3 && type != 11 && type != 12) return false;  // not an error
+
+  // Scribble over the quoted inner header: source address and protocol.
+  const std::size_t quote = icmp_begin + 8;
+  datagram[quote + 9] ^= 0xFF;   // protocol
+  datagram[quote + 12] ^= 0xA5;  // source address, first octet
+  datagram[quote + 15] ^= 0x5A;  // source address, last octet
+
+  // Repair the ICMP checksum so the message still parses.
+  write_u16(datagram, icmp_begin + 2, 0);
+  write_u16(datagram, icmp_begin + 2,
+            net::internet_checksum(datagram.subspan(icmp_begin, icmp_len)));
+  return true;
 }
 
 }  // namespace rr::pkt

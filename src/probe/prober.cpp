@@ -5,12 +5,18 @@
 #include <cassert>
 #include <utility>
 
-#include "packet/icmp.h"
-#include "packet/ipv4.h"
-#include "packet/udp.h"
 #include "packet/wire.h"
 
 namespace rr::probe {
+
+namespace {
+
+/// TTLs in flight per forward-sweep batch of Prober::traceroute. Outcomes
+/// per probe do not depend on it; it only groups sends.
+constexpr int kTraceWindow = 4;
+static_assert(kTraceWindow <= static_cast<int>(sim::WalkBatch::kMaxProbes));
+
+}  // namespace
 
 const char* to_string(ProbeType type) noexcept {
   switch (type) {
@@ -263,8 +269,6 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
   result.target = target;
   const int max_ttl = std::max(1, options.max_ttl);
   const int attempts = std::max(1, options.attempts);
-  const int window = std::clamp(
-      options.window, 1, static_cast<int>(sim::WalkBatch::kMaxProbes));
   TraceGate* const gate = options.gate;
 
   int first = 1;
@@ -272,12 +276,12 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
   result.first_ttl = first;
 
   // Scratch warm-up (one-time growth, then flat across traces).
-  if (static_cast<int>(trace_ctxs_.size()) < window) {
-    trace_specs_.resize(static_cast<std::size_t>(window));
-    trace_ctxs_.resize(static_cast<std::size_t>(window));
-    trace_results_.resize(static_cast<std::size_t>(window));
+  if (static_cast<int>(trace_ctxs_.size()) < kTraceWindow) {
+    trace_specs_.resize(static_cast<std::size_t>(kTraceWindow));
+    trace_ctxs_.resize(static_cast<std::size_t>(kTraceWindow));
+    trace_results_.resize(static_cast<std::size_t>(kTraceWindow));
   }
-  for (int k = 0; k < window; ++k) {
+  for (int k = 0; k < kTraceWindow; ++k) {
     trace_ctxs_[static_cast<std::size_t>(k)].counters = sim::NetCounters{};
   }
   if (static_cast<int>(trace_hops_.size()) < max_ttl + 1) {
@@ -295,7 +299,7 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
   // deferred dataplane; extra attempts re-probe only unresponsive TTLs.
   bool forward_done = false;
   for (int base = first; base <= max_ttl && !forward_done; ) {
-    const int w = std::min(window, max_ttl - base + 1);
+    const int w = std::min(kTraceWindow, max_ttl - base + 1);
     for (int round = 0; round < attempts; ++round) {
       int n = 0;
       for (int t = base; t < base + w; ++t) {
@@ -422,7 +426,7 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
   }
 
   sim::NetCounters tally;
-  for (int k = 0; k < window; ++k) {
+  for (int k = 0; k < kTraceWindow; ++k) {
     tally.merge(trace_ctxs_[static_cast<std::size_t>(k)].counters);
   }
   if (options.counters != nullptr) {

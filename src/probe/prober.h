@@ -23,18 +23,14 @@ struct ProberOptions {
 };
 
 /// Knobs for Prober::traceroute. The engine probes the forward sweep in
-/// TTL windows through the batched dataplane (probe_batch_into), and —
-/// when a TraceGate is installed — runs Doubletree's split: forward from
+/// windows of four TTLs through the batched dataplane (probe_batch_into),
+/// which changes only the order probes hit the wire, never an outcome.
+/// When a TraceGate is installed it runs Doubletree's split: forward from
 /// hop gate->begin(), then backward toward TTL 1, stopping either sweep
 /// as soon as the gate recognizes a known interface.
 struct TraceOptions {
   int max_ttl = 30;
   int attempts = 2;  // probes per unresponsive TTL
-  /// Forward-sweep batch width (TTLs in flight per Network::send_batch),
-  /// clamped to [1, sim::WalkBatch::kMaxProbes]. Purely an execution
-  /// detail: outcomes per probe are unchanged, only the order probes hit
-  /// the wire within a window (they are walked batch-major).
-  int window = 4;
   /// Redundancy-aware stopping rules; nullptr = classic full trace.
   TraceGate* gate = nullptr;
   /// Sink for the trace's network counters. Traces always run the
@@ -67,8 +63,8 @@ class Prober {
   }
 
   /// Allocation-free probe: builds the datagram in the prober's reusable
-  /// buffer, sends it with Network::send_reusing, parses the response
-  /// without materializing a Datagram, and reclaims the delivery's storage.
+  /// buffer, sends it with Network::send_reusing, inspects the response
+  /// in place (packet/wire.h), and reclaims the delivery's storage.
   /// `out` is reset first (its vectors keep their capacity), so a caller
   /// that reuses one result performs zero heap allocations per exchange
   /// once the buffers have warmed up.

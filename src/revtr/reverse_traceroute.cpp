@@ -5,8 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "packet/icmp.h"
-#include "packet/ipv4.h"
 #include "packet/wire.h"
 #include "probe/prober.h"
 #include "util/log.h"

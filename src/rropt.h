@@ -24,8 +24,8 @@
 #include "netbase/checksum.h"
 #include "netbase/lpm_trie.h"
 #include "netbase/prefix.h"
-#include "packet/datagram.h"
-#include "packet/mutate.h"
+#include "packet/view.h"
+#include "packet/wire.h"
 #include "probe/prober.h"
 #include "revtr/reverse_traceroute.h"
 #include "routing/oracle.h"

@@ -43,8 +43,8 @@
 #include <vector>
 
 #include "netbase/address.h"
-#include "packet/mutate.h"
 #include "packet/view.h"
+#include "packet/wire.h"
 #include "sim/fault.h"
 #include "sim/token_bucket.h"
 #include "topology/types.h"

@@ -5,9 +5,6 @@
 #include <cassert>
 #include <utility>
 
-#include "packet/icmp.h"
-#include "packet/ipv4.h"
-#include "packet/mutate.h"
 #include "packet/view.h"
 #include "packet/wire.h"
 
@@ -394,8 +391,11 @@ void Network::host_prepare_reply(HostId dst, HostId reply_to,
       // transformed in place.
       pkt::echo_reply_inplace(bytes, *info, ip_id);
       if (hb.stamps_self) {
-        pkt::rr_stamp(bytes, hb.stamp_address);
-        pkt::ts_stamp(bytes, hb.stamp_address,
+        // The view edits the reply while its header checksum is still
+        // stale; finalize_checksums recomputes it from scratch below.
+        pkt::Ipv4HeaderView view{bytes};
+        view.rr_stamp(hb.stamp_address);
+        view.ts_stamp(hb.stamp_address,
                       static_cast<std::uint32_t>(time * 1000.0));
       }
       pkt::finalize_checksums(bytes, info->header_bytes, info->total_length);
@@ -476,7 +476,7 @@ std::optional<Network::Delivery> Network::router_respond(
     // itself. `probed` is the request's destination address, so the
     // in-place transform already puts it in the source field.
     pkt::echo_reply_inplace(bytes, *info, ip_id);
-    pkt::rr_stamp(bytes, probed);
+    pkt::Ipv4HeaderView{bytes}.rr_stamp(probed);
     pkt::finalize_checksums(bytes, info->header_bytes, info->total_length);
   } else {
     ReplyScratch& scratch = scratch_for(ctx);

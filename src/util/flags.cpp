@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <stdexcept>
+
 #include "util/strings.h"
 
 namespace rr::util {
@@ -41,19 +43,34 @@ std::string Flags::get(std::string_view key, std::string_view fallback) const {
   return it == values_.end() ? std::string{fallback} : it->second;
 }
 
-std::int64_t Flags::get_int(std::string_view key,
-                            std::int64_t fallback) const {
+std::int64_t Flags::get_int(std::string_view key, std::int64_t fallback,
+                            std::int64_t min, std::int64_t max) const {
   queried_[std::string{key}] = true;
   const auto it = values_.find(std::string{key});
   if (it == values_.end()) return fallback;
-  return parse_int(it->second, "--" + std::string{key});
+  return parse_int(it->second, "--" + std::string{key}, min, max);
 }
 
-double Flags::get_double(std::string_view key, double fallback) const {
+double Flags::get_double(std::string_view key, double fallback, double min,
+                         double max) const {
   queried_[std::string{key}] = true;
   const auto it = values_.find(std::string{key});
   if (it == values_.end()) return fallback;
-  return parse_double(it->second, "--" + std::string{key});
+  return parse_double(it->second, "--" + std::string{key}, min, max);
+}
+
+std::string Flags::get_choice(
+    std::string_view key, std::string_view fallback,
+    std::initializer_list<std::string_view> choices) const {
+  std::string value = get(key, fallback);
+  std::string listed;
+  for (const std::string_view choice : choices) {
+    if (value == choice) return value;
+    if (!listed.empty()) listed += '|';
+    listed += choice;
+  }
+  throw std::invalid_argument("--" + std::string{key} + ": expected one of " +
+                              listed + ", got '" + value + "'");
 }
 
 std::vector<std::string> Flags::unused() const {

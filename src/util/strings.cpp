@@ -106,13 +106,24 @@ std::uint64_t parse_uint(std::string_view text, std::string_view name,
   return parse_integer(text, name, min, max);
 }
 
-double parse_double(std::string_view text, std::string_view name) {
+double parse_double(std::string_view text, std::string_view name,
+                    double min, double max) {
   double value = 0.0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc{} || end != text.data() + text.size() ||
       !std::isfinite(value)) {
     reject(name, text, "a finite number");
+  }
+  if (value < min || value > max) {
+    // The smallest positive double as `min` means "above zero".
+    char range[64];
+    if (min == std::numeric_limits<double>::min()) {
+      std::snprintf(range, sizeof range, "a number in (0, %g]", max);
+    } else {
+      std::snprintf(range, sizeof range, "a number in [%g, %g]", min, max);
+    }
+    reject(name, text, range);
   }
   return value;
 }

@@ -31,8 +31,8 @@ namespace rr::util {
 [[nodiscard]] std::string pad_right(std::string_view text, std::size_t width);
 
 /// Strict parsing for external input (CLI flags, environment knobs): the
-/// whole of `text` must be one base-10 integer in [min, max], or one finite
-/// number. Empty text, trailing garbage and out-of-range values throw
+/// whole of `text` must be one base-10 integer, or one finite number, in
+/// [min, max]. Empty text, trailing garbage and out-of-range values throw
 /// std::invalid_argument naming `name` (the flag or variable the text came
 /// from) and the text.
 [[nodiscard]] std::int64_t parse_int(
@@ -44,7 +44,11 @@ namespace rr::util {
 [[nodiscard]] std::uint64_t parse_uint(
     std::string_view text, std::string_view name, std::uint64_t min = 0,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
-[[nodiscard]] double parse_double(std::string_view text,
-                                  std::string_view name);
+/// For doubles, a `min` of std::numeric_limits<double>::min() (the
+/// smallest positive value) reads as "above zero" in the error message.
+[[nodiscard]] double parse_double(
+    std::string_view text, std::string_view name,
+    double min = std::numeric_limits<double>::lowest(),
+    double max = std::numeric_limits<double>::max());
 
 }  // namespace rr::util

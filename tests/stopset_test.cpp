@@ -255,31 +255,50 @@ measure::TestbedConfig deterministic_config() {
 }
 
 TEST(GatedTraceroute, WindowWidthDoesNotChangeTheTrace) {
-  // In a deterministic world the windowed forward sweep must produce the
-  // same trace at any batch width — windowing only groups sends.
+  // In a deterministic world the windowed forward sweep must find the
+  // trace a one-probe-at-a-time TTL sweep finds — windowing only groups
+  // sends. The reference is written out here with probe_into: TTL 1
+  // upward, each silent TTL retried, stopping at the destination's echo.
+  constexpr int kMaxTtl = 30;
+  constexpr int kAttempts = 2;
   measure::Testbed testbed{deterministic_config()};
   const auto& topology = testbed.topology();
+  const topo::HostId vp = testbed.vps().front()->host;
   const std::size_t n = std::min<std::size_t>(
       topology.destinations().size(), 20);
   for (std::size_t i = 0; i < n; ++i) {
     const auto target = topology.host_at(topology.destinations()[i]).address;
-    probe::TracerouteResult reference;
-    for (int window : {1, 2, 4, 8}) {
-      auto prober = testbed.make_prober(testbed.vps().front()->host, 1000.0);
-      probe::TraceOptions options;
-      options.window = window;
-      const auto trace = prober.traceroute(target, options);
-      if (window == 1) {
-        reference = trace;
-        continue;
+    auto windowed = testbed.make_prober(vp, 1000.0);
+    const auto trace = windowed.traceroute(target, kMaxTtl, kAttempts);
+
+    auto scalar = testbed.make_prober(vp, 1000.0);
+    sim::SendContext ctx;
+    probe::ProbeResult result;
+    std::vector<probe::TracerouteHop> hops;
+    bool reached = false;
+    for (int ttl = 1; ttl <= kMaxTtl && !reached; ++ttl) {
+      probe::TracerouteHop hop;
+      hop.ttl = ttl;
+      for (int attempt = 0; attempt < kAttempts && !hop.responded; ++attempt) {
+        probe::ProbeSpec spec = probe::ProbeSpec::ping(target);
+        spec.ttl = static_cast<std::uint8_t>(ttl);
+        scalar.probe_into(spec, &ctx, result);
+        if (!result.responded()) continue;
+        hop.responded = true;
+        hop.address = result.responder;
+        hop.kind = result.kind;
       }
-      ASSERT_EQ(trace.reached, reference.reached) << target.to_string();
-      ASSERT_EQ(trace.hops.size(), reference.hops.size());
-      for (std::size_t h = 0; h < trace.hops.size(); ++h) {
-        EXPECT_EQ(trace.hops[h].ttl, reference.hops[h].ttl);
-        EXPECT_EQ(trace.hops[h].address, reference.hops[h].address);
-        EXPECT_EQ(trace.hops[h].kind, reference.hops[h].kind);
-      }
+      reached = hop.responded && hop.kind == probe::ResponseKind::kEchoReply;
+      hops.push_back(hop);
+    }
+
+    ASSERT_EQ(trace.reached, reached) << target.to_string();
+    ASSERT_EQ(trace.hops.size(), hops.size()) << target.to_string();
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      EXPECT_EQ(trace.hops[h].ttl, hops[h].ttl);
+      EXPECT_EQ(trace.hops[h].responded, hops[h].responded);
+      EXPECT_EQ(trace.hops[h].address, hops[h].address);
+      EXPECT_EQ(trace.hops[h].kind, hops[h].kind);
     }
   }
 }

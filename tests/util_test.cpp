@@ -236,6 +236,37 @@ TEST(Flags, AcceptsWholeNumbersAtTheBoundaries) {
   EXPECT_THROW((void)parse_int("8", "N", 0, 7), std::invalid_argument);
 }
 
+/// Ranges are inclusive and checked after the strict parse; an absent
+/// flag's fallback is returned as is. Choices list the accepted values.
+TEST(Flags, RangesAndChoicesRejectValuesOutsideThem) {
+  const char* argv[] = {"tool", "--ttl=300", "--low=1", "--pps=0",
+                        "--rate=0.5", "--type=bogus", "--epoch=2011"};
+  const auto flags = Flags::parse(7, argv);
+  const auto message = [](auto&& read) -> std::string {
+    try {
+      (void)read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(message([&] { return flags.get_int("ttl", 64, 1, 255); }),
+            "--ttl: expected an integer in [1, 255], got '300'");
+  EXPECT_EQ(flags.get_int("low", 64, 1, 255), 1);
+  EXPECT_EQ(flags.get_int("absent", 64, 1, 8), 64);
+  const double positive = std::numeric_limits<double>::min();
+  EXPECT_EQ(message([&] { return flags.get_double("pps", 20.0, positive); }),
+            "--pps: expected a number in (0, 1.79769e+308], got '0'");
+  EXPECT_DOUBLE_EQ(flags.get_double("rate", 20.0, positive), 0.5);
+  EXPECT_THROW((void)flags.get_double("rate", 20.0, 1.0, 2.0),
+               std::invalid_argument);
+  EXPECT_EQ(
+      message([&] { return flags.get_choice("type", "rr", {"ping", "rr"}); }),
+      "--type: expected one of ping|rr, got 'bogus'");
+  EXPECT_EQ(flags.get_choice("epoch", "2016", {"2011", "2016"}), "2011");
+  EXPECT_EQ(flags.get_choice("absent", "2016", {"2011", "2016"}), "2016");
+}
+
 /// The unsigned twin keeps the full uint64 range (world seeds) and treats
 /// a sign, a suffix or an out-of-range value as malformed.
 TEST(Strings, ParseUintSpansUint64AndRejectsMalformedInput) {

@@ -1,10 +1,10 @@
-// Equivalence of the zero-copy hot path (packet/view.h, packet/wire.h)
-// with the legacy structured path (Datagram/Ipv4Header parse + serialize,
-// packet/mutate.h free functions). The simulator's bit-for-bit golden and
-// differential guarantees rest on these pairs producing identical bytes
-// and identical accept/reject decisions — including after fault-layer
-// byte surgery (blank_options / rr_truncate / rr_garble) that rewrites
-// option content under a live view.
+// Equivalence of the library's packet code (packet/view.h, packet/wire.h)
+// with the test oracle in tests/model/packet (Datagram/Ipv4Header parse +
+// serialize, the rescanning reference editors). The simulator's
+// bit-for-bit golden and differential guarantees rest on these pairs
+// producing identical bytes and identical accept/reject decisions —
+// including after the fault surgery of packet/wire.h (blank_options /
+// rr_truncate / rr_garble) that rewrites option content under a live view.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -328,6 +328,32 @@ TEST_P(InspectSeeds, InspectHeaderMatchesIpv4HeaderParseOnQuotes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InspectSeeds, ::testing::Values(31, 32, 33));
 
+// Regression (found by tests/fuzz_packet_main.cpp): End-of-List padding
+// past the options' own length. The payload starts at the wire IHL; the
+// oracle's Datagram::parse used to look for it at the options'
+// re-serialized length and rejected a datagram inspect_datagram accepts.
+TEST(InspectVsParse, ExtraOptionPaddingLocatesPayloadByIhl) {
+  std::vector<std::uint8_t> ping;
+  build_ping(ping, IPv4Address(1, 2, 3, 4), IPv4Address(4, 3, 2, 1), 5, 6, 64,
+             2);
+  ASSERT_EQ(ping[0] & 0x0f, 8);  // 11 RR bytes + 1 pad: a 32-byte header
+  std::vector<std::uint8_t> padded(ping.begin(), ping.begin() + 32);
+  padded.insert(padded.end(), 4, kOptEndOfList);
+  padded.insert(padded.end(), ping.begin() + 32, ping.end());
+  padded[0] = 0x49;  // IHL 9: a 36-byte header
+  padded[3] = static_cast<std::uint8_t>(padded.size());
+  ASSERT_TRUE(rewrite_header_checksum(padded));
+
+  const auto info = inspect_datagram(padded);
+  const auto parsed = Datagram::parse(padded);
+  ASSERT_TRUE(info.has_value());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(info->header_bytes, 36u);
+  ASSERT_NE(parsed->icmp(), nullptr);
+  EXPECT_EQ(parsed->icmp()->echo()->sequence, 6);
+  EXPECT_EQ(info->echo_sequence, 6);
+}
+
 // ------------------------------------------------ reply transforms
 
 /// The legacy host echo reply (sim::Network before the zero-copy path):
@@ -360,11 +386,16 @@ std::vector<std::uint8_t> legacy_echo_reply(
 
 class ReplySeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Trials 0 and 1 pin the endpoint's two no-room cases: an RR option that
+// the forward path already filled, and a TS option whose overflow counter
+// has saturated at 15. Both must leave the option bytes alone.
 TEST_P(ReplySeeds, EchoReplyInplaceMatchesLegacySerialize) {
   util::Rng rng{GetParam()};
   std::vector<std::uint8_t> request;
   for (int trial = 0; trial < 30; ++trial) {
-    const bool ts_probe = rng.chance(0.3);
+    const bool rr_full = trial == 0;
+    const bool ts_saturated = trial == 1;
+    const bool ts_probe = ts_saturated || (!rr_full && rng.chance(0.3));
     const int slots = static_cast<int>(rng.next_in(1, ts_probe ? 4 : 9));
     if (ts_probe) {
       build_ping_ts(request, rand_addr(rng), rand_addr(rng),
@@ -374,7 +405,9 @@ TEST_P(ReplySeeds, EchoReplyInplaceMatchesLegacySerialize) {
                  static_cast<std::uint16_t>(rng()), 4, 64, slots);
     }
     // Forward-path wear: TTL decrements and stamps, sometimes to overflow.
-    const int hops = static_cast<int>(rng.next_below(12));
+    int hops = static_cast<int>(rng.next_below(12));
+    if (rr_full) hops = slots;
+    if (ts_saturated) hops = slots + 15;
     for (int i = 0; i < hops; ++i) {
       ASSERT_TRUE(decrement_ttl(request).has_value());
       (void)rr_stamp(request, rand_addr(rng));
@@ -382,20 +415,36 @@ TEST_P(ReplySeeds, EchoReplyInplaceMatchesLegacySerialize) {
                      static_cast<std::uint32_t>(rng()));
     }
 
+    const auto worn = inspect_datagram(request);
+    ASSERT_TRUE(worn.has_value());
+    if (rr_full) {
+      ASSERT_EQ(rr_wire(request, worn->rr_offset).filled, slots);
+    }
+    if (ts_saturated) {
+      ASSERT_EQ(ts_wire(request, worn->ts_offset).overflow, 15);
+    }
+
     const std::uint16_t ip_id = static_cast<std::uint16_t>(rng());
-    const bool stamps_self = rng.chance(0.7);
+    const bool stamps_self = rr_full || ts_saturated || rng.chance(0.7);
     const IPv4Address self = rand_addr(rng);
     const std::uint32_t ts_ms = static_cast<std::uint32_t>(rng());
     const auto legacy = legacy_echo_reply(request, ip_id, /*keep=*/true,
                                           stamps_self, self, ts_ms);
 
+    // The endpoint sequence of sim::Network: transform in place, stamp
+    // through a view while the header checksum is still stale, then
+    // recompute both checksums.
     auto inplace = request;
     const auto info = inspect_datagram(inplace);
     ASSERT_TRUE(info.has_value());
     echo_reply_inplace(inplace, *info, ip_id);
     if (stamps_self) {
-      (void)rr_stamp(inplace, self);
-      (void)ts_stamp(inplace, self, ts_ms);
+      Ipv4HeaderView view{inplace};
+      const bool rr_stamped = view.rr_stamp(self);
+      (void)view.ts_stamp(self, ts_ms);
+      if (rr_full) {
+        EXPECT_FALSE(rr_stamped);
+      }
     }
     finalize_checksums(inplace, info->header_bytes, info->total_length);
     EXPECT_EQ(inplace, legacy) << "trial " << trial;

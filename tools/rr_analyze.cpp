@@ -111,6 +111,8 @@ int main(int argc, char** argv) try {
         "       rr-analyze BASELINE.rrds --diff FAULTED.rrds\n");
     return flags.has("help") ? 0 : 1;
   }
+  // RR distances run 1..9 (the option's nine slots).
+  const int limit = static_cast<int>(flags.get_int("within", 9, 1, 9));
   const auto dataset = data::CampaignDataset::load(flags.positional()[0]);
   if (!dataset) {
     std::fprintf(stderr, "error: cannot load %s (missing or corrupt)\n",
@@ -146,7 +148,6 @@ int main(int argc, char** argv) try {
   }
   text.print(std::cout);
 
-  const int limit = static_cast<int>(flags.get_int("within", 9));
   std::size_t responsive = 0, within = 0;
   for (std::size_t d = 0; d < dataset->num_destinations(); ++d) {
     if (!dataset->rr_responsive(d)) continue;
@@ -162,7 +163,7 @@ int main(int argc, char** argv) try {
                                        : 0.0).c_str());
   return 0;
 } catch (const std::invalid_argument& e) {
-  // A malformed numeric flag or RROPT_THREADS (util::parse_int).
+  // A malformed or out-of-range flag (util::Flags).
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

@@ -5,6 +5,7 @@
 // Runs a campaign to build the vantage-point atlas, then reverse-
 // traceroutes K destinations back to the best RR-capable vantage point.
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "measure/campaign.h"
@@ -22,13 +23,16 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
+  // Read and range-check every flag before the world is built.
   measure::TestbedConfig config;
-  config.topo_params.num_ases =
-      static_cast<int>(flags.get_int("ases", 400));
+  config.topo_params.num_ases = static_cast<int>(
+      flags.get_int("ases", 400, 100, std::numeric_limits<int>::max()));
   config.topo_params.seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 60613));
   config.topo_params.colo_fraction = std::min(
       0.30, 0.06 * 5200.0 / std::max(config.topo_params.num_ases, 1));
+  const auto count = static_cast<std::size_t>(flags.get_int("count", 5, 0));
+  const bool allow_fallback = !flags.has("no-fallback");
   measure::Testbed testbed{config};
 
   std::fprintf(stderr, "building vantage-point atlas...\n");
@@ -51,10 +55,9 @@ int main(int argc, char** argv) try {
               testbed.topology().host_at(source).address.to_string().c_str());
 
   revtr::RevTrConfig revtr_config;
-  revtr_config.allow_symmetric_fallback = !flags.has("no-fallback");
+  revtr_config.allow_symmetric_fallback = allow_fallback;
   revtr::ReverseTraceroute revtr{testbed, &campaign, revtr_config};
 
-  const auto count = static_cast<std::size_t>(flags.get_int("count", 5));
   std::size_t shown = 0;
   for (std::size_t d = 0; d < campaign.num_destinations() && shown < count;
        d += 3) {
@@ -77,7 +80,7 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const std::invalid_argument& e) {
-  // A malformed numeric flag or RROPT_THREADS (util::parse_int).
+  // A malformed or out-of-range flag (util::Flags) or RROPT_THREADS.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 
 #include "data/dataset.h"
@@ -31,8 +32,8 @@ int main(int argc, char** argv) try {
         "  --scale paper\n"
         "               census-scale world (~510k destination prefixes,\n"
         "               141 VPs); overrides --ases\n"
-        "  --threads T  campaign worker threads (0 = RROPT_THREADS or all\n"
-        "               cores; results are identical at any value)\n"
+        "  --threads T  campaign worker threads, T >= 0 (0 = RROPT_THREADS\n"
+        "               or all cores; results are identical at any value)\n"
         "  --stream-block B\n"
         "               streaming campaign: process destinations in blocks\n"
         "               of B with a per-block forwarding table (0 = one\n"
@@ -49,6 +50,9 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
+  // Read and range-check every flag before the world is built: a bad
+  // value exits 1 with "error: --<flag>: ..." (util::Flags).
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   measure::TestbedConfig config;
   const std::string scale = flags.get("scale", "");
   if (scale == "paper") {
@@ -58,7 +62,7 @@ int main(int argc, char** argv) try {
     return 1;
   } else {
     config.topo_params.num_ases =
-        static_cast<int>(flags.get_int("ases", 1200));
+        static_cast<int>(flags.get_int("ases", 1200, 100, kIntMax));
   }
   config.topo_params.seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 20160924));
@@ -66,32 +70,20 @@ int main(int argc, char** argv) try {
     config.topo_params.colo_fraction = std::min(
         0.30, 0.06 * 5200.0 / std::max(config.topo_params.num_ases, 1));
   }
-  config.epoch = flags.get("epoch", "2016") == "2011" ? topo::Epoch::k2011
-                                                      : topo::Epoch::k2016;
-
-  measure::Testbed testbed{config};
-  std::fprintf(stderr, "world: %s\n", testbed.topology().summary().c_str());
+  const std::string epoch = flags.get_choice("epoch", "2016", {"2011", "2016"});
+  config.epoch = epoch == "2011" ? topo::Epoch::k2011 : topo::Epoch::k2016;
 
   measure::CampaignConfig campaign_config;
   campaign_config.destination_stride =
-      static_cast<int>(flags.get_int("stride", 1));
-  campaign_config.vp_pps = flags.get_double("pps", 20.0);
-  campaign_config.threads = static_cast<int>(flags.get_int("threads", 0));
-  if (const long budget = flags.get_int("mem-budget-mib", 0); budget > 0) {
-    // Adaptive streaming: size the block from a per-block memory budget.
-    // The resolved size shapes dataset contents (block-major probe order),
-    // so budget runs only hash-compare at equal resolved sizes.
-    campaign_config.stream_block =
-        measure::CampaignConfig::stream_block_for_budget(
-            static_cast<std::size_t>(budget),
-            testbed.topology().vantage_points().size());
-    std::fprintf(stderr, "mem budget %ld MiB -> stream block %zu\n", budget,
-                 campaign_config.stream_block);
-  }
-  if (flags.has("stream-block")) {
-    campaign_config.stream_block =
-        static_cast<std::size_t>(flags.get_int("stream-block", 0));
-  }
+      static_cast<int>(flags.get_int("stride", 1, 1, kIntMax));
+  // The smallest positive double keeps the send interval 1/pps finite.
+  campaign_config.vp_pps =
+      flags.get_double("pps", 20.0, std::numeric_limits<double>::min());
+  campaign_config.threads =
+      static_cast<int>(flags.get_int("threads", 0, 0, kIntMax));
+  const std::int64_t budget = flags.get_int("mem-budget-mib", 0, 0);
+  const std::int64_t stream_block = flags.get_int("stream-block", 0, 0);
+  const bool explicit_block = flags.has("stream-block");
   const std::string fault_spec = flags.get("fault-plan", "none");
   const auto faults = sim::parse_fault_plan(fault_spec);
   if (!faults) {
@@ -99,6 +91,25 @@ int main(int argc, char** argv) try {
     return 1;
   }
   campaign_config.faults = *faults;
+  const std::string out_path = flags.get("out", "study.rrds");
+
+  measure::Testbed testbed{config};
+  std::fprintf(stderr, "world: %s\n", testbed.topology().summary().c_str());
+
+  if (budget > 0) {
+    // Adaptive streaming: size the block from a per-block memory budget.
+    // The resolved size shapes dataset contents (block-major probe order),
+    // so budget runs only hash-compare at equal resolved sizes.
+    campaign_config.stream_block =
+        measure::CampaignConfig::stream_block_for_budget(
+            static_cast<std::size_t>(budget),
+            testbed.topology().vantage_points().size());
+    std::fprintf(stderr, "mem budget %lld MiB -> stream block %zu\n",
+                 static_cast<long long>(budget), campaign_config.stream_block);
+  }
+  if (explicit_block) {
+    campaign_config.stream_block = static_cast<std::size_t>(stream_block);
+  }
   if (faults->any()) {
     std::fprintf(stderr, "%s\n", sim::to_string(*faults).c_str());
   }
@@ -121,11 +132,10 @@ int main(int argc, char** argv) try {
               util::percent(table.by_ip[0].rr_rate()).c_str(),
               util::percent(table.by_ip[0].rr_over_ping()).c_str());
 
-  const std::string out_path = flags.get("out", "study.rrds");
   // Move the observation matrix into the dataset — at census scale the
   // copy would transiently double the largest allocation in the run.
   const auto dataset = data::CampaignDataset::from_campaign(
-      std::move(campaign), "rr-study epoch=" + flags.get("epoch", "2016"));
+      std::move(campaign), "rr-study epoch=" + epoch);
   if (!dataset.save(out_path)) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
     return 1;
@@ -143,7 +153,7 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const std::invalid_argument& e) {
-  // A malformed numeric flag or RROPT_THREADS (util::parse_int).
+  // A malformed or out-of-range flag (util::Flags) or RROPT_THREADS.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

@@ -38,8 +38,8 @@ constexpr std::array<OpModel, 12> kOpModels{{
     // zero-effect terminator so indexing stays total.
     {"kEnd", -1, false, false, false, false, false, false, 0},
     // FaultInjectorElement: may blank/truncate/garble option content (each
-    // mutate.h helper rewrites the checksum itself, so it is self-balanced)
-    // and may exhaust the RR pointer; never touches TTL.
+    // packet/wire.h surgery function rewrites the checksum itself, so it is
+    // self-balanced) and may exhaust the RR pointer; never touches TTL.
     {"kFaultInject", kPhaseFault, false, false, false, false, true, false, 0},
     {"kBaseLoss", kPhaseBaseLoss, true, false, false, false, false, false, 0},
     {"kSlowPathLoss", kPhaseSlowLoss, true, false, false, false, false, true,
@@ -159,9 +159,9 @@ void transfer(ElementOp op, std::size_t step, OptionState entry_options,
 
   if (m.fault) {
     // Fault opcodes rewrite option content in place (never the geometry)
-    // and may exhaust the RR pointer; every mutate.h helper rewrites the
-    // checksum itself, so the abstract accumulator stays balanced. From
-    // here on only revalidating stamps are licensed.
+    // and may exhaust the RR pointer; every packet/wire.h surgery function
+    // rewrites the checksum itself, so the abstract accumulator stays
+    // balanced. From here on only revalidating stamps are licensed.
     state.option_content_tainted = true;
   }
 
