@@ -160,17 +160,24 @@ void BgpEngine::compute_tree_into(AsId destination,
   // route. An AS exports its selected route to its customers, so provider
   // routes chain downward with unit cost per hop.
   //
-  // This used to be a binary-heap Dijkstra popping (len, parent, as)
-  // tuples in ascending order. It is now a Dial bucket queue — bucket[L]
-  // collects the relaxations pending at length L, and each bucket is
-  // sorted by (parent, as) before it is drained. The settle order is
-  // provably identical to the heap's pop order: every relaxation in
-  // bucket[L] is created either by the seed scan (which runs before any
-  // drain) or while draining bucket[L-1] (unit edge weights — a drained
-  // item only pushes at L+1), so bucket[L] is complete before its drain
-  // begins; and because every item still in the queue at that point has
-  // length >= L, the heap would necessarily pop exactly these items next,
-  // in (parent, as) order — which is the bucket's sort order.
+  // A Dial bucket queue: bucket[L] collects the (parent, as) relaxations
+  // pending at length L, drained in ascending L and in any order within a
+  // bucket. The selection equals the historical heap Dijkstra, which
+  // popped (len, parent, as) tuples in ascending order, because:
+  //  * bucket[L] is complete before its drain begins — every relaxation in
+  //    it comes from the seed scan (before any drain) or from settling an
+  //    AS in bucket[L-1] (unit edge weights: a settle pushes only at L+1);
+  //  * an AS settles at the first length any relaxation reaches, which is
+  //    the heap's first pop of it, and the heap's next pops of that AS at
+  //    the same length carry larger parents, which lose the tie-break —
+  //    so its parent is the smallest one in that bucket, whatever the
+  //    order the bucket is drained in;
+  //  * what a settle pushes, (len+1, as, customer), depends on the AS and
+  //    not on its parent, so pushing only on the first settle queues the
+  //    same relaxations the heap did. bucket[L+1] thus holds the same
+  //    multiset whatever order bucket[L] drained in.
+  // RouteTreePins (tests/routing_test.cpp) pins the resulting trees to the
+  // heap-ordered engine's bytes.
   auto& buckets = scratch.buckets;
   for (auto& bucket : buckets) bucket.clear();
   std::size_t max_len = 0;  // highest non-empty bucket index
@@ -180,42 +187,40 @@ void BgpEngine::compute_tree_into(AsId destination,
     if (len > max_len) max_len = len;
     buckets[len].emplace_back(parent, as);
   };
+  const auto push_customers = [&](AsId as, std::uint16_t len) {
+    for (AsId customer : customers_.neighbors(as)) {
+      if (class_rank(entries[customer].route_class) <=
+          class_rank(RouteClass::kPeer)) {
+        continue;
+      }
+      push(len, as, customer);
+    }
+  };
   for (AsId as = 0; as < n; ++as) {
     if (entries[as].reachable()) {
-      for (AsId customer : customers_.neighbors(as)) {
-        if (class_rank(entries[customer].route_class) <=
-            class_rank(RouteClass::kPeer)) {
-          continue;
-        }
-        push(static_cast<std::uint16_t>(entries[as].length + 1), as,
-             customer);
-      }
+      push_customers(as, static_cast<std::uint16_t>(entries[as].length + 1));
     }
   }
   for (std::size_t len = 0; len <= max_len; ++len) {
     // Index-based access throughout: `push` may grow the outer vector,
     // which would invalidate a cached reference to buckets[len].
-    std::sort(buckets[len].begin(), buckets[len].end());
     for (std::size_t k = 0; k < buckets[len].size(); ++k) {
       const auto [parent, as] = buckets[len][k];
       RouteEntry& entry = entries[as];
       if (class_rank(entry.route_class) <= class_rank(RouteClass::kPeer)) {
         continue;  // prefers better
       }
-      if (entry.route_class == RouteClass::kProvider &&
-          (entry.length < len ||
-           (entry.length == len && entry.next_hop <= parent))) {
-        continue;  // already settled at least as well
+      if (entry.route_class == RouteClass::kProvider) {
+        // Settled in an earlier bucket, or earlier in this one: only a
+        // smaller same-length parent changes the route.
+        if (entry.length == len && parent < entry.next_hop) {
+          entry.next_hop = parent;
+        }
+        continue;
       }
       entry = RouteEntry{parent, static_cast<std::uint16_t>(len),
                          RouteClass::kProvider};
-      for (AsId customer : customers_.neighbors(as)) {
-        if (class_rank(entries[customer].route_class) <=
-            class_rank(RouteClass::kPeer)) {
-          continue;
-        }
-        push(static_cast<std::uint16_t>(len + 1), as, customer);
-      }
+      push_customers(as, static_cast<std::uint16_t>(len + 1));
     }
     buckets[len].clear();
   }

@@ -90,8 +90,9 @@ struct TreeScratch {
   std::vector<AsId> frontier;
   std::vector<AsId> next_frontier;
   /// Dial buckets for the provider-route phase: buckets[len] holds the
-  /// (parent, as) relaxations pending at path length `len`. Inner vectors
-  /// keep their capacity across trees.
+  /// (parent, as) relaxations pending at path length `len`, in push order
+  /// (the drain needs no order within a bucket). Inner vectors keep their
+  /// capacity across trees.
   std::vector<std::vector<std::pair<AsId, AsId>>> buckets;
 };
 
@@ -118,9 +119,10 @@ class BgpEngine {
   /// Same computation into a reusable scratch: the selected routes land in
   /// `scratch.entries` (indexed by AS) and every working vector keeps its
   /// storage for the next call. The route selection — including every
-  /// tie-break — is identical to compute_tree: the provider phase settles
-  /// relaxations in exactly the (length, parent, as) order the heap-based
-  /// Dijkstra popped them (see the equivalence note in bgp.cpp).
+  /// tie-break — is identical to compute_tree, and to the heap-based
+  /// Dijkstra the provider phase replaced: each AS takes the shortest
+  /// provider route and, among those, the smallest parent (see the
+  /// equivalence note in bgp.cpp).
   void compute_tree_into(AsId destination, TreeScratch& scratch) const;
 
   /// Epoch-filtered adjacency, exposed for diagnostics/tests. Each span is

@@ -23,7 +23,7 @@ std::vector<topo::AsId>& thread_path_storage() {
 
 /// Appends a hop whose addresses derive_addresses() fills in later.
 void push_router(std::vector<PathHop>& out, RouterId router) {
-  out.emplace_back().router = router;
+  out.emplace_back().router = router;  // RROPT_HOT_OK: recycled capacity
 }
 
 }  // namespace
@@ -54,6 +54,9 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
                             std::optional<HostId> dst_host,
                             std::optional<RouterId> dst_router,
                             std::vector<PathHop>& out) {
+  // RROPT_HOT_BEGIN(stitcher-assemble): every path a send does not reuse
+  // is stitched here, into the caller's recycled vector; rropt_lint bans
+  // unwaived allocation here and in the helpers this calls.
   out.clear();
   const topo::AsId dst_as =
       dst_host ? topology_->host_at(*dst_host).as_id
@@ -127,35 +130,41 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
   if (src_router && !out.empty() && out.front().router == *src_router) {
     out.erase(out.begin());
   }
+  // RROPT_HOT_END(stitcher-assemble)
   return true;
 }
 
 net::IPv4Address PathStitcher::pick_interface(const topo::Topology& topology,
                                               RouterId router,
                                               std::uint64_t salt) {
-  const topo::Router& info = topology.router_at(router);
-  if (info.interfaces.size() <= 1) return info.loopback;
+  // The run starts with the loopback, the only pick a router without
+  // other interfaces has.
+  const auto interfaces = topology.router_interfaces(router);
+  if (interfaces.size() <= 1) return interfaces.front();
   const std::size_t index =
       1 + static_cast<std::size_t>(pair_mix(router, salt) %
-                                   (info.interfaces.size() - 1));
-  return info.interfaces[index];
+                                   (interfaces.size() - 1));
+  return interfaces[index];
 }
 
 void PathStitcher::derive_addresses(std::uint64_t dst_salt,
                                     std::optional<HostId> src,
                                     std::vector<PathHop>& hops) const {
+  // RROPT_HOT_BEGIN(stitcher-derive): fills addresses in place with flat
+  // topology reads; nothing here may allocate.
   const std::uint64_t src_salt =
       src ? (kSrcHostSaltTag | *src) : 0x7000000000000000ULL;
+  const std::span<const topo::AsId> router_as = topology_->router_as_ids();
   for (std::size_t i = 0; i < hops.size(); ++i) {
     PathHop& hop = hops[i];
-    const topo::AsId as = topology_->router_at(hop.router).as_id;
+    const topo::AsId as = router_as[hop.router];
 
     // Ingress: how upstream addresses this router.
     if (i == 0) {
       hop.ingress = pick_interface(hop.router, src_salt);
     } else {
       const RouterId prev = hops[i - 1].router;
-      const topo::AsId prev_as = topology_->router_at(prev).as_id;
+      const topo::AsId prev_as = router_as[prev];
       if (prev_as != as) {
         const auto link_id = topology_->link_between(prev_as, as);
         const topo::AsLink& link = topology_->link_at(*link_id);
@@ -170,7 +179,7 @@ void PathStitcher::derive_addresses(std::uint64_t dst_salt,
       hop.egress = pick_interface(hop.router, kDstSaltTag | dst_salt);
     } else {
       const RouterId next = hops[i + 1].router;
-      const topo::AsId next_as = topology_->router_at(next).as_id;
+      const topo::AsId next_as = router_as[next];
       if (next_as != as) {
         const auto link_id = topology_->link_between(as, next_as);
         const topo::AsLink& link = topology_->link_at(*link_id);
@@ -180,6 +189,7 @@ void PathStitcher::derive_addresses(std::uint64_t dst_salt,
       }
     }
   }
+  // RROPT_HOT_END(stitcher-derive)
 }
 
 bool PathStitcher::host_path(HostId src, HostId dst,

@@ -12,6 +12,9 @@ namespace rr::sim {
 
 namespace {
 
+/// Source of Network ids; 0 is never handed out (ForwardPath's "no key").
+std::atomic<std::uint64_t> g_next_network_id{1};
+
 /// Runs a reply build against the scratch, counting capacity growths so
 /// steady-state allocation-freedom is observable.
 template <typename BuildFn>
@@ -28,6 +31,7 @@ Network::Network(std::shared_ptr<const topo::Topology> topology,
                  route::RoutingOracle& oracle, NetParams params)
     : topology_(std::move(topology)),
       behaviors_(std::move(behaviors)),
+      id_(g_next_network_id.fetch_add(1, std::memory_order_relaxed)),
       stitcher_(topology_, oracle),
       params_(params),
       router_ipid_count_(topology_->routers().size()),
@@ -138,7 +142,8 @@ std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
 }
 
 bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
-                         double time, SendContext* ctx, StagedSend& out) {
+                         double time, SendContext* ctx,
+                         const ForwardPath* neighbour, StagedSend& out) {
   NetCounters& c = counters_for(ctx);
   if (ctx != nullptr) ctx->trace.reset();
   ++c.sent;
@@ -178,24 +183,40 @@ bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
   out.dst_addr = *dst_addr;
   out.reply_to = *reply_to;
   out.src_as = topology_->host_at(src).as_id;
-  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/false);
+  // RROPT_HOT_BEGIN(network-stage-path): forward-path resolution runs once
+  // per probe. The reuse and the neighbour copy write into the scratch's
+  // recycled capacity, so a warm scratch resolves without allocating.
+  ForwardPath& fwd = forward_path_for(ctx);
   if (owner->kind == topo::AddressOwner::Kind::kHost) {
-    out.dst_as = topology_->host_at(owner->id).as_id;
-    if (!host_hops(src, owner->id, /*reply=*/false, hops)) {
-      ++c.dropped_unroutable;
-      return false;
+    const HostId dst = owner->id;
+    out.dst_as = topology_->host_at(dst).as_id;
+    if (!fwd.holds(id_, src, dst)) {
+      fwd.network = 0;
+      if (neighbour != nullptr && neighbour->holds(id_, src, dst)) {
+        fwd.hops.assign(  // RROPT_HOT_OK: recycled capacity
+            neighbour->hops.begin(), neighbour->hops.end());
+      } else if (!host_hops(src, dst, /*reply=*/false, fwd.hops)) {
+        ++c.dropped_unroutable;
+        return false;
+      }
+      fwd.network = id_;
+      fwd.src = src;
+      fwd.dst = dst;
     }
-    out.fwd_hops = hops;
+    out.fwd_hops = fwd.hops;
     return true;
   }
+  fwd.network = 0;  // the hops are about to hold a router-target path
   out.dst_as = topology_->router_at(owner->id).as_id;
-  if (!stitcher_.host_to_router_path(src, owner->id, hops)) {
+  if (!stitcher_.host_to_router_path(src, owner->id, fwd.hops)) {
     ++c.dropped_unroutable;
     return false;
   }
   // The probed router is the final element; it answers rather than
   // forwards, so exclude it from the forwarding walk.
-  out.fwd_hops = std::span<const route::PathHop>{hops}.first(hops.size() - 1);
+  out.fwd_hops =
+      std::span<const route::PathHop>{fwd.hops}.first(fwd.hops.size() - 1);
+  // RROPT_HOT_END(network-stage-path)
   return true;
 }
 
@@ -235,7 +256,9 @@ std::optional<Network::Delivery> Network::send_reusing(
     HostId src, std::vector<std::uint8_t>& bytes, double time,
     SendContext* ctx) {
   StagedSend staged;
-  if (!stage_send(src, bytes, time, ctx, staged)) return std::nullopt;
+  if (!stage_send(src, bytes, time, ctx, /*neighbour=*/nullptr, staged)) {
+    return std::nullopt;
+  }
   const WalkResult fwd =
       walk_pipeline(bytes, staged.fwd_hops, time, staged.src_as,
                     staged.dst_as, staged.flow, /*leg=*/0, ctx);
@@ -263,13 +286,19 @@ void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
 
   // Phase 1 — stage every slot exactly as send_reusing does and bind the
   // survivors' forward legs. Each slot works against its own
-  // SendContext, so per-slot work is order-independent.
+  // SendContext, so per-slot work is order-independent; a slot whose
+  // host pair matches the previous slot's copies that slot's forward
+  // path (a traceroute window probes one destination at several TTLs).
   for (std::size_t k = 0; k < n; ++k) {
     BatchProbe& probe = probes[k];
     probe.delivery.reset();
     assert(probe.ctx != nullptr);  // batch sends are deferred-mode only
     StagedSend& s = staged[k];
-    if (!stage_send(src, *probe.bytes, probe.time, probe.ctx, s)) continue;
+    const ForwardPath* neighbour =
+        k > 0 ? &probes[k - 1].ctx->fwd_path : nullptr;
+    if (!stage_send(src, *probe.bytes, probe.time, probe.ctx, neighbour, s)) {
+      continue;
+    }
     active[k] = true;
     HopContext& hc = batch.bind(k, *probe.bytes, s.fwd_hops, probe.time);
     bind_leg(hc, /*leg=*/0, s.flow, s.src_as, s.dst_as, probe.ctx,
@@ -347,7 +376,7 @@ std::optional<Network::Delivery> Network::emit_router_error(
 
   // Route the error from the originating router back to the prober. The
   // error itself carries no options, so edge filters leave it alone.
-  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/true);
+  std::vector<route::PathHop>& hops = reply_path_for(ctx);
   if (!stitcher_.router_path(router, reply_to, hops)) {
     ++counters_for(ctx).dropped_unroutable;
     return std::nullopt;
@@ -431,7 +460,7 @@ void Network::host_prepare_reply(HostId dst, HostId reply_to,
     std::swap(bytes, scratch.bytes);
   }
 
-  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/true);
+  std::vector<route::PathHop>& hops = reply_path_for(ctx);
   if (!host_hops(dst, reply_to, /*reply=*/true, hops)) {
     ++c.dropped_unroutable;
     return;
@@ -485,7 +514,7 @@ std::optional<Network::Delivery> Network::router_respond(
     });
     std::swap(bytes, scratch.bytes);
   }
-  std::vector<route::PathHop>& hops = path_scratch_for(ctx, /*reply=*/true);
+  std::vector<route::PathHop>& hops = reply_path_for(ctx);
   if (!stitcher_.router_path(router, reply_to, hops)) {
     ++counters_for(ctx).dropped_unroutable;
     return std::nullopt;

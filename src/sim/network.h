@@ -90,6 +90,25 @@ struct ReplyScratch {
   std::uint64_t growths = 0;
 };
 
+/// A send's forward hop list and the host pair it was resolved for. The
+/// key is (network, source host, destination host), with `network` a
+/// per-Network id (0 names no network), so a send through the same
+/// network to the same host reuses the hops instead of stitching them
+/// again: a traceroute's TTL probes share one forward path. Whatever
+/// writes `hops` sets the key to what they now hold or clears it, so a
+/// set key always names exactly the path in `hops`.
+struct ForwardPath {
+  std::vector<route::PathHop> hops;
+  std::uint64_t network = 0;
+  HostId src = topo::kNoHost;
+  HostId dst = topo::kNoHost;
+
+  [[nodiscard]] bool holds(std::uint64_t net, HostId from,
+                           HostId to) const noexcept {
+    return network == net && src == from && dst == to;
+  }
+};
+
 /// Per-worker state for concurrent sends: a private counter tally (merge
 /// into the network with merge_counters()) plus the trace of the most
 /// recent send. One context must never be used by two threads at once.
@@ -97,14 +116,15 @@ struct SendContext {
   NetCounters counters;
   ProbeTrace trace;
   ReplyScratch scratch;
-  /// Hop-list scratch for every path a send resolves: the compiled FIB
-  /// (routing/fib.h) copies a spine into it, and the stitcher writes any
-  /// other path straight into it, so a warmed-up context resolves paths
-  /// without allocating. Forward and reverse are separate because the
-  /// forward hops must stay valid while the reply leg resolves its own
-  /// path (the reverse scratch serves every reply: host replies, router
-  /// errors and router echo replies).
-  std::vector<route::PathHop> fwd_path_scratch;
+  /// Hop-list scratches for every path a send resolves: the compiled FIB
+  /// (routing/fib.h) copies a spine into them, and the stitcher writes
+  /// any other path straight into them, so a warmed-up context resolves
+  /// paths without allocating. Forward and reverse are separate because
+  /// the forward hops must stay valid while the reply leg resolves its
+  /// own path (the reverse scratch serves every reply: host replies,
+  /// router errors and router echo replies). Only the forward path is
+  /// kept between sends; every reply path is resolved per send.
+  ForwardPath fwd_path;
   std::vector<route::PathHop> rev_path_scratch;
 };
 
@@ -242,10 +262,11 @@ class Network {
   }
   [[nodiscard]] route::PathStitcher& stitcher() noexcept { return stitcher_; }
 
-  /// Always 0: the network caches no paths (each send reads the compiled
-  /// FIB or stitches into its own scratch), so nothing hits or misses.
-  /// Kept only because benchmark ledgers read these two counters; retire
-  /// it with their routing.path_cache_* metrics.
+  /// Always 0: the network has no path cache (each send reuses the one
+  /// forward path its scratch holds, reads the compiled FIB or stitches
+  /// into its own scratch), so nothing hits or misses. Kept only because
+  /// benchmark ledgers read these two counters; retire it with their
+  /// routing.path_cache_* metrics.
   struct PathCacheStats {
     [[nodiscard]] std::uint64_t hits() const noexcept { return 0; }
     [[nodiscard]] std::uint64_t misses() const noexcept { return 0; }
@@ -273,10 +294,13 @@ class Network {
   /// the same counters in the same order and derive the same flow key:
   /// trace reset, sent/unroutable accounting, flow key, owner and reply-to
   /// lookup, and forward-spine resolution (a probed router is trimmed off
-  /// the spine: it answers rather than forwards). Returns false when the
-  /// send ends here, with no delivery.
+  /// the spine: it answers rather than forwards). A host path already in
+  /// the send's forward scratch is reused, else copied from `neighbour`
+  /// (the previous batch slot's path, or null) when that holds it, else
+  /// resolved. Returns false when the send ends here, with no delivery.
   bool stage_send(HostId src, std::span<const std::uint8_t> bytes,
-                  double time, SendContext* ctx, StagedSend& out);
+                  double time, SendContext* ctx, const ForwardPath* neighbour,
+                  StagedSend& out);
 
   /// Settles a forward walk, shared by the scalar and batched sends: a
   /// drop ends the exchange silently, a TTL expiry raises the router's
@@ -390,15 +414,16 @@ class Network {
     return ctx != nullptr ? ctx->scratch : serial_scratch_;
   }
 
-  /// The hop-list scratch a send resolves its forward leg (`reply`
-  /// false) or any reply leg into: the context's, or in serial mode the
-  /// network's own pair.
-  [[nodiscard]] std::vector<route::PathHop>& path_scratch_for(
-      SendContext* ctx, bool reply) noexcept {
-    if (ctx != nullptr) {
-      return reply ? ctx->rev_path_scratch : ctx->fwd_path_scratch;
-    }
-    return reply ? serial_rev_path_scratch_ : serial_fwd_path_scratch_;
+  /// The scratch a send resolves its forward leg into: the context's, or
+  /// in serial mode the network's own.
+  [[nodiscard]] ForwardPath& forward_path_for(SendContext* ctx) noexcept {
+    return ctx != nullptr ? ctx->fwd_path : serial_fwd_path_;
+  }
+
+  /// The hop-list scratch any reply leg resolves into, likewise.
+  [[nodiscard]] std::vector<route::PathHop>& reply_path_for(
+      SendContext* ctx) noexcept {
+    return ctx != nullptr ? ctx->rev_path_scratch : serial_rev_path_scratch_;
   }
 
   /// Resolves the host path `from` -> `to` into `out`: from the compiled
@@ -419,6 +444,11 @@ class Network {
 
   std::shared_ptr<const topo::Topology> topology_;
   std::shared_ptr<const Behaviors> behaviors_;
+  /// Process-unique and never 0: the `network` of the ForwardPath keys
+  /// this network's sends set. Unlike the object's address, it is not
+  /// reused by a later network, so a context that outlives one network
+  /// cannot mistake its path for another's.
+  const std::uint64_t id_;
   route::PathStitcher stitcher_;
   std::shared_ptr<const route::CompiledFib> fib_;
   NetParams params_;
@@ -446,7 +476,7 @@ class Network {
   /// set_fault_plan.
   CompiledPipeline pipeline_;
   ReplyScratch serial_scratch_;  // ctx == nullptr sends only
-  std::vector<route::PathHop> serial_fwd_path_scratch_;
+  ForwardPath serial_fwd_path_;
   std::vector<route::PathHop> serial_rev_path_scratch_;
   std::vector<std::atomic<std::uint32_t>> router_ipid_count_;
   std::vector<std::atomic<std::uint32_t>> host_ipid_count_;

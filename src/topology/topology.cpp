@@ -1,7 +1,9 @@
 #include "topology/topology.h"
 
+#include <algorithm>
 #include <numeric>
 
+#include "util/rng.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -70,12 +72,51 @@ void Topology::compile(util::ThreadPool& pool) {
     }
   });
 
-  router_as_.resize(routers_.size());
-  for (std::size_t r = 0; r < routers_.size(); ++r) {
+  // Stitch-path lookups: RouterId-indexed runs laid out in index order,
+  // then the generation-time maps are released (swapped with empties, so
+  // their buckets go too).
+  const std::size_t n_routers = routers_.size();
+  router_as_.resize(n_routers);
+  chain_offset_.assign(n_routers + 1, 0);
+  iface_offset_.assign(n_routers + 1, 0);
+  for (std::size_t r = 0; r < n_routers; ++r) {
     router_as_[r] = routers_[r].as_id;
+    const auto chain = access_chain_.find(static_cast<RouterId>(r));
+    chain_offset_[r + 1] = chain_offset_[r] +
+        (chain == access_chain_.end()
+             ? 0
+             : static_cast<std::uint32_t>(chain->second.size()));
+    iface_offset_[r + 1] = iface_offset_[r] +
+        static_cast<std::uint32_t>(routers_[r].interfaces.size());
   }
+  chain_arena_.resize(chain_offset_[n_routers]);
+  iface_arena_.resize(iface_offset_[n_routers]);
+  for (const auto& [access, chain] : access_chain_) {
+    std::copy(chain.begin(), chain.end(),
+              chain_arena_.begin() + chain_offset_[access]);
+  }
+  for (std::size_t r = 0; r < n_routers; ++r) {
+    std::copy(routers_[r].interfaces.begin(), routers_[r].interfaces.end(),
+              iface_arena_.begin() + iface_offset_[r]);
+  }
+  std::unordered_map<RouterId, std::vector<RouterId>>{}.swap(access_chain_);
+  compile_link_table();
+  std::unordered_map<std::uint64_t, LinkId>{}.swap(link_by_pair_);
 
   frozen_ = true;
+}
+
+void Topology::compile_link_table() {
+  std::size_t slots = 16;
+  while (slots < 2 * links_.size()) slots *= 2;
+  link_slots_.assign(slots, LinkSlot{kEmptyPair, kNoLink});
+  const std::size_t mask = slots - 1;
+  for (LinkId id = 0; id < links_.size(); ++id) {
+    const std::uint64_t key = pair_key(links_[id].a, links_[id].b);
+    std::size_t at = util::mix64(key) & mask;
+    while (link_slots_[at].key != kEmptyPair) at = (at + 1) & mask;
+    link_slots_[at] = LinkSlot{key, id};
+  }
 }
 
 std::span<const net::IPv4Address> Topology::aliases_of(
@@ -83,7 +124,7 @@ std::span<const net::IPv4Address> Topology::aliases_of(
   const auto owner = owner_of(addr);
   if (!owner) return {};
   if (owner->kind == AddressOwner::Kind::kRouter) {
-    return routers_[owner->id].interfaces;
+    return router_interfaces(owner->id);
   }
   const Host& host = hosts_[owner->id];
   const std::uint32_t offset = host_alias_offset_[owner->id];
@@ -92,9 +133,13 @@ std::span<const net::IPv4Address> Topology::aliases_of(
 }
 
 std::optional<LinkId> Topology::link_between(AsId a, AsId b) const noexcept {
-  const auto it = link_by_pair_.find(pair_key(a, b));
-  if (it == link_by_pair_.end()) return std::nullopt;
-  return it->second;
+  const std::uint64_t key = pair_key(a, b);
+  const std::size_t mask = link_slots_.size() - 1;
+  for (std::size_t at = util::mix64(key) & mask;; at = (at + 1) & mask) {
+    const LinkSlot& slot = link_slots_[at];
+    if (slot.key == key) return slot.link;
+    if (slot.key == kEmptyPair) return std::nullopt;
+  }
 }
 
 std::optional<HostId> Topology::host_by_address(
@@ -102,13 +147,6 @@ std::optional<HostId> Topology::host_by_address(
   const auto owner = owner_of(addr);
   if (!owner || owner->kind != AddressOwner::Kind::kHost) return std::nullopt;
   return owner->id;
-}
-
-std::span<const RouterId> Topology::access_chain(
-    RouterId access_router) const noexcept {
-  const auto it = access_chain_.find(access_router);
-  if (it == access_chain_.end()) return {};
-  return it->second;
 }
 
 std::string Topology::summary() const {

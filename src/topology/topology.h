@@ -10,7 +10,10 @@
 // DIR-24-8 table (netbase/flat_lpm.h), precomputes the per-epoch vantage-
 // point lists, and lays host alias sets out in one arena — so the per-
 // packet queries (`as_of_address`, `owner_of`, `aliases_of`) are array
-// loads with no per-call allocation. See DESIGN.md §8.
+// loads with no per-call allocation. The lookups path stitching makes per
+// hop (`link_between`, `access_chain`, `router_interfaces`,
+// `router_as_ids`) are frozen the same way into flat tables. See
+// DESIGN.md §8.
 #pragma once
 
 #include <cassert>
@@ -79,10 +82,21 @@ class Topology {
   }
 
   /// RouterId-indexed AS membership, flattened at freeze for dataplane
-  /// compilation: sim/pipeline.h folds this with the behaviour assignment
-  /// into packed per-router HopRows without chasing Router structs.
+  /// compilation and path stitching: sim/pipeline.h folds this with the
+  /// behaviour assignment into packed per-router HopRows, and the stitcher
+  /// reads each hop's AS from it, without chasing Router structs.
   [[nodiscard]] std::span<const AsId> router_as_ids() const noexcept {
     return router_as_;
+  }
+
+  /// A router's interfaces (the same run as `router_at(id).interfaces`,
+  /// loopback first), served from one arena laid out at freeze so the
+  /// stitcher's per-hop interface picks and `aliases_of` read no Router
+  /// struct.
+  [[nodiscard]] std::span<const net::IPv4Address> router_interfaces(
+      RouterId id) const noexcept {
+    return {iface_arena_.data() + iface_offset_[id],
+            iface_arena_.data() + iface_offset_[id + 1]};
   }
 
   // ------------------------------------------------------ address services
@@ -110,7 +124,8 @@ class Topology {
       net::IPv4Address addr) const noexcept;
 
   /// The inter-AS link between two ASes, if adjacent (at most one link per
-  /// AS pair is generated).
+  /// AS pair is generated). An open-addressed probe of the pair table
+  /// compile() builds from the link list.
   [[nodiscard]] std::optional<LinkId> link_between(AsId a,
                                                    AsId b) const noexcept;
 
@@ -120,9 +135,13 @@ class Topology {
 
   /// Routers between an AS's core and an access router (inclusive on both
   /// ends: chain[0] is the core router the chain hangs off; chain.back() is
-  /// the access router itself). Used by router-level path stitching.
+  /// the access router itself); empty for a router no host hangs off. Used
+  /// by router-level path stitching.
   [[nodiscard]] std::span<const RouterId> access_chain(
-      RouterId access_router) const noexcept;
+      RouterId access_router) const noexcept {
+    return {chain_arena_.data() + chain_offset_[access_router],
+            chain_arena_.data() + chain_offset_[access_router + 1]};
+  }
 
   /// The mutable-build prefix trie the flat table was compiled from; kept
   /// as the reference structure for equivalence tests.
@@ -149,10 +168,16 @@ class Topology {
   /// flattens the prefix trie, caches the per-epoch VP lists, and builds
   /// the host-alias arena — each block-parallel across `pool` with
   /// per-shard results merged in index order, so the compiled bytes are
-  /// identical at any thread count. Called once at the end of generation;
-  /// queries before compile() see empty flat structures. Sets `frozen_`:
-  /// debug builds assert no generator mutation path runs afterwards.
+  /// identical at any thread count — then flattens the stitch-path
+  /// lookups (link pairs, access chains, router interfaces) in index
+  /// order and releases the generation-time maps. Called once at the end
+  /// of generation; the compiled queries are valid only afterwards (the
+  /// generator hands out no topology before it). Sets `frozen_`: debug
+  /// builds assert no generator mutation path runs afterwards.
   void compile(util::ThreadPool& pool);
+
+  /// Builds link_slots_ from links_ (see link_between).
+  void compile_link_table();
 
   /// Generator-side guard: every mutation phase asserts the topology has
   /// not been frozen by compile() yet.
@@ -173,6 +198,8 @@ class Topology {
 
   net::LpmTrie<AsId> address_to_as_;
   AddressIndex address_index_;
+  // Generation-time indexes: the generator deduplicates links and chains
+  // through them; compile() flattens them and releases both.
   std::unordered_map<std::uint64_t, LinkId> link_by_pair_;
   std::unordered_map<RouterId, std::vector<RouterId>> access_chain_;
 
@@ -186,6 +213,21 @@ class Topology {
   std::vector<std::uint32_t> host_alias_offset_;
   std::vector<net::IPv4Address> host_alias_arena_;  // [addr, aliases...] runs
   std::vector<AsId> router_as_;  // RouterId-indexed AS membership
+  /// Open-addressed (linear probing) pair_key -> link table, a power of
+  /// two at least twice the link count; kEmptyPair marks a free slot (no
+  /// pair_key equals it: a pair's low id is below kNoAs).
+  struct LinkSlot {
+    std::uint64_t key;
+    LinkId link;
+  };
+  static constexpr std::uint64_t kEmptyPair = ~std::uint64_t{0};
+  std::vector<LinkSlot> link_slots_;
+  /// RouterId-indexed runs (offset[id] .. offset[id + 1]) into one arena:
+  /// access chains (empty for routers no host hangs off) and interfaces.
+  std::vector<std::uint32_t> chain_offset_;
+  std::vector<RouterId> chain_arena_;
+  std::vector<std::uint32_t> iface_offset_;
+  std::vector<net::IPv4Address> iface_arena_;
   /// Set by compile(); generation is over and the object is immutable.
   bool frozen_ = false;
 };

@@ -51,6 +51,14 @@ std::int64_t Flags::get_int(std::string_view key, std::int64_t fallback,
   return parse_int(it->second, "--" + std::string{key}, min, max);
 }
 
+std::uint64_t Flags::get_uint(std::string_view key, std::uint64_t fallback,
+                              std::uint64_t min, std::uint64_t max) const {
+  queried_[std::string{key}] = true;
+  const auto it = values_.find(std::string{key});
+  if (it == values_.end()) return fallback;
+  return parse_uint(it->second, "--" + std::string{key}, min, max);
+}
+
 double Flags::get_double(std::string_view key, double fallback, double min,
                          double max) const {
   queried_[std::string{key}] = true;

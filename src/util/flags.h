@@ -31,6 +31,11 @@ class Flags {
       std::string_view key, std::int64_t fallback,
       std::int64_t min = std::numeric_limits<std::int64_t>::min(),
       std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
+  /// get_int for values that need the full unsigned 64-bit range (world
+  /// seeds), over util::parse_uint: a sign ("--seed -1") is malformed.
+  [[nodiscard]] std::uint64_t get_uint(
+      std::string_view key, std::uint64_t fallback, std::uint64_t min = 0,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] double get_double(
       std::string_view key, double fallback,
       double min = std::numeric_limits<double>::lowest(),

@@ -9,7 +9,9 @@
 //      all — every buffer (probe datagram, reply scratch, hop-list
 //      scratches, result vectors, trace events) is recycled, on every
 //      path the network stitches: host to host, a router's Time-Exceeded
-//      error back to the prober, and host to router interface and back;
+//      error back to the prober, and host to router interface and back —
+//      and so does a traceroute's TTL sweep, whose probes reuse and copy
+//      one forward path;
 //   2. flat growth counters: Prober::buffer_growths() and the context's
 //      ReplyScratch growths stop moving once the largest probe/reply
 //      geometry has been seen, and two identical campaigns report
@@ -244,6 +246,81 @@ void steady_state_batch_test(rr::measure::Testbed& testbed) {
   CHECK(matched > n / 2);
 }
 
+void steady_state_trace_test(rr::measure::Testbed& testbed) {
+  // A traceroute's probe pattern, as Prober::traceroute sends it: forward
+  // windows of four TTLs to one destination through probe_batch_into,
+  // whose slots copy or reuse one stitched forward path, then scalar
+  // probes back down toward TTL 1 on the first window context (the
+  // Doubletree backward sweep). The sweep drives the probe calls itself
+  // because traceroute() returns a fresh hop list per trace.
+  auto prober = testbed.make_prober(testbed.vps()[1]->host, 20.0);
+  constexpr std::size_t kWindow = 4;
+  std::array<rr::sim::SendContext, kWindow> ctxs;
+  std::array<rr::probe::ProbeResult, kWindow> results;
+  std::array<rr::probe::ProbeSpec, kWindow> specs;
+
+  const auto& topology = testbed.topology();
+  const std::size_t n =
+      std::min<std::size_t>(topology.destinations().size(), 32);
+
+  struct TraceCounts {
+    std::uint64_t reached = 0;       // traces that drew an echo reply
+    std::uint64_t ttl_exceeded = 0;  // hops that answered
+  };
+  const auto sweep = [&] {
+    TraceCounts counts;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto target =
+          topology.host_at(topology.destinations()[i]).address;
+      bool reached = false;
+      for (int base = 1; base <= 16 && !reached; base += kWindow) {
+        for (std::size_t k = 0; k < kWindow; ++k) {
+          specs[k] = rr::probe::ProbeSpec::ping(target);
+          specs[k].ttl = static_cast<std::uint8_t>(base + k);
+        }
+        prober.probe_batch_into(specs, ctxs, results);
+        for (const auto& result : results) {
+          reached |= result.kind == rr::probe::ResponseKind::kEchoReply;
+          if (result.kind == rr::probe::ResponseKind::kTtlExceeded) {
+            ++counts.ttl_exceeded;
+          }
+        }
+      }
+      if (reached) ++counts.reached;
+      for (int ttl = 3; ttl >= 1; --ttl) {
+        rr::probe::ProbeSpec spec = rr::probe::ProbeSpec::ping(target);
+        spec.ttl = static_cast<std::uint8_t>(ttl);
+        prober.probe_into(spec, &ctxs[0], results[0]);
+        if (results[0].kind == rr::probe::ResponseKind::kTtlExceeded) {
+          ++counts.ttl_exceeded;
+        }
+      }
+    }
+    return counts;
+  };
+
+  sweep();
+  sweep();
+
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t buffer_growths_before = prober.buffer_growths();
+
+  const TraceCounts counts = sweep();
+
+  const std::uint64_t allocated =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  std::printf("steady-state trace sweep: %zu traces, %llu reached, "
+              "%llu ttl-exceeded, %llu heap allocations\n",
+              n, static_cast<unsigned long long>(counts.reached),
+              static_cast<unsigned long long>(counts.ttl_exceeded),
+              static_cast<unsigned long long>(allocated));
+  CHECK_EQ_U64(allocated, 0);
+  CHECK_EQ_U64(prober.buffer_growths(), buffer_growths_before);
+  CHECK(counts.reached > n / 2);
+  CHECK(counts.ttl_exceeded > n);
+}
+
 void campaign_alloc_stats_test(rr::measure::Testbed& testbed) {
   rr::measure::CampaignConfig config;
   config.threads = 1;
@@ -284,6 +361,7 @@ int main() {
 
   steady_state_prober_test(*testbed);
   steady_state_batch_test(*testbed);
+  steady_state_trace_test(*testbed);
   campaign_alloc_stats_test(*testbed);
 
   if (g_failures != 0) {

@@ -114,7 +114,9 @@ void expect_same_trace(const sim::ProbeTrace& batched,
 
 /// Probe mix reaching every send_batch branch: host targets of every
 /// probe type, TTL-limited probes that expire in transit, probed router
-/// interfaces (plain and RR), and one unassigned address.
+/// interfaces (plain and RR), runs of one target — a traceroute's
+/// four-TTL window and a repeated ping, whose slots reuse or copy their
+/// neighbour's forward path — and one unassigned address.
 std::vector<probe::ProbeSpec> probe_mix(const topo::Topology& topology) {
   const auto dests = topology.destinations();
   const auto routers = topology.routers();
@@ -141,6 +143,15 @@ std::vector<probe::ProbeSpec> probe_mix(const topo::Topology& topology) {
       case 7: mix.push_back(probe::ProbeSpec::ping(iface)); break;
     }
   }
+  const net::IPv4Address traced =
+      topology.host_at(dests[dests.size() / 2]).address;
+  for (std::uint8_t ttl = 1; ttl <= 4; ++ttl) {
+    probe::ProbeSpec spec = probe::ProbeSpec::ping(traced);
+    spec.ttl = ttl;
+    mix.push_back(spec);
+  }
+  mix.push_back(probe::ProbeSpec::ping(traced));
+  mix.push_back(probe::ProbeSpec::ping(traced));
   mix.push_back(probe::ProbeSpec::ping_rr(net::IPv4Address(203, 0, 113, 7)));
   return mix;
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <unordered_set>
 
@@ -33,6 +34,17 @@ class RoutingTest : public ::testing::Test {
 
 std::shared_ptr<const topo::Topology> RoutingTest::topo_;
 BgpEngine* RoutingTest::engine_ = nullptr;
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a over the eight little-endian bytes of `value`.
+std::uint64_t fnv(std::uint64_t hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (i * 8)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 bool is_valley_free(const BgpEngine& engine, const std::vector<AsId>& path) {
   // Classify each step, then check the up* [flat]? down* shape.
@@ -171,6 +183,44 @@ TEST_F(RoutingTest, OracleMatchesEngine) {
   EXPECT_EQ(oracle.as_path(3, 3), std::vector<AsId>{3});
 }
 
+/// Golden pins for the route trees: one FNV-1a digest per (world seed,
+/// epoch) over every destination's full RouteEntry array, captured from
+/// the engine that sorted each provider-phase bucket by (parent, as)
+/// before draining it. Every tie-break the selection makes lands in these
+/// bytes, so a drain order that settles an AS at another length or with
+/// another same-length parent changes a digest.
+TEST(RouteTreePins, EveryTreeMatchesTheParent) {
+  struct Pin {
+    std::uint64_t seed;
+    topo::Epoch epoch;
+    std::uint64_t digest;
+  };
+  constexpr Pin kPins[] = {
+      {21, topo::Epoch::k2011, 0xa705ca834fa1c356ULL},
+      {21, topo::Epoch::k2016, 0xabecf79bd66c084dULL},
+      {7, topo::Epoch::k2011, 0x6d91fdacc361751cULL},
+      {7, topo::Epoch::k2016, 0x79c4a8033ee9d7fcULL},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << pin.seed << " epoch "
+                 << (pin.epoch == topo::Epoch::k2011 ? 2011 : 2016));
+    const auto topology = topo::generate_test_topology(pin.seed);
+    const BgpEngine engine{topology, pin.epoch};
+    TreeScratch scratch;
+    std::uint64_t digest = kFnvBasis;
+    for (AsId dst = 0; dst < topology->ases().size(); ++dst) {
+      engine.compute_tree_into(dst, scratch);
+      for (const RouteEntry& entry : scratch.entries) {
+        digest = fnv(digest, entry.next_hop);
+        digest = fnv(digest, entry.length);
+        digest = fnv(digest, static_cast<std::uint64_t>(entry.route_class));
+      }
+    }
+    EXPECT_EQ(digest, pin.digest);
+  }
+}
+
 class StitcherTest : public RoutingTest {
  protected:
   void SetUp() override {
@@ -290,6 +340,46 @@ TEST_F(StitcherTest, DeterministicStitching) {
     EXPECT_EQ(a[i].egress, b[i].egress);
     EXPECT_EQ(a[i].ingress, b[i].ingress);
   }
+}
+
+std::uint64_t hash_path(std::uint64_t digest, bool routable,
+                        const std::vector<PathHop>& hops) {
+  digest = fnv(digest, routable);
+  if (!routable) return digest;
+  digest = fnv(digest, hops.size());
+  for (const PathHop& hop : hops) {
+    digest = fnv(digest, hop.router);
+    digest = fnv(digest, hop.ingress.value());
+    digest = fnv(digest, hop.egress.value());
+  }
+  return digest;
+}
+
+/// Golden pin for the stitcher: every VP -> destination host path, and
+/// every router path from one of that path's routers back to the VP (the
+/// Time-Exceeded reply route), hop for hop with both addresses. Captured
+/// when the link, access-chain and interface lookups still went through
+/// the generator's hash maps and the routers' own interface lists.
+TEST_F(StitcherTest, EveryVpPathMatchesTheParent) {
+  constexpr std::uint64_t kDigest = 0x76facab2ce0d7a70ULL;
+  std::uint64_t digest = kFnvBasis;
+  std::vector<PathHop> fwd, back;
+  std::size_t router_paths = 0;
+  for (const auto& vp : topo_->vantage_points()) {
+    for (const topo::HostId dst : topo_->destinations()) {
+      const bool routable = stitcher_->host_path(vp.host, dst, fwd);
+      digest = hash_path(digest, routable, fwd);
+      if (!routable) continue;
+      for (const PathHop& hop : fwd) {
+        digest = hash_path(digest,
+                           stitcher_->router_path(hop.router, vp.host, back),
+                           back);
+        ++router_paths;
+      }
+    }
+  }
+  EXPECT_GT(router_paths, 10000u);
+  EXPECT_EQ(digest, kDigest);
 }
 
 /// The compiled forwarding table answers exactly what the stitcher

@@ -6,6 +6,7 @@
 
 #include "packet/datagram.h"
 #include "packet/mutate.h"
+#include "packet/wire.h"
 #include "routing/oracle.h"
 #include "sim/behavior.h"
 #include "sim/network.h"
@@ -335,6 +336,78 @@ TEST_F(SimTest, CountersTrackTraffic) {
   const auto dst = topo_->destinations()[1];
   (void)ping_from_vp(dst, 0);
   EXPECT_EQ(network_->counters().sent, 1u);
+}
+
+/// One SendContext alternating between two networks over one topology
+/// (2011 and 2016 routing) and between a host and a router interface: its
+/// forward scratch must hold each send's own path every time — the
+/// network's PathStitcher::host_path for a host — never a path kept from
+/// the other network or from a router-target send.
+TEST_F(SimTest, ReusedContextGetsEachNetworksOwnPath) {
+  std::vector<topo::AsId> sources;
+  for (const auto& vp : topo_->vantage_points()) {
+    sources.push_back(topo_->host_at(vp.host).as_id);
+  }
+  route::RoutingOracle oracle_2011{topo_, topo::Epoch::k2011, sources};
+  Network net_2011{topo_, behaviors_, oracle_2011, NetParams{}};
+  Network& net_2016 = *network_;
+
+  // A destination whose router path differs between the epochs, so a
+  // path kept from the other network would show.
+  const topo::HostId src = topo_->vantage_points().front().host;
+  std::vector<route::PathHop> path_2011, path_2016;
+  const auto same_routers = [](const std::vector<route::PathHop>& a,
+                               const std::vector<route::PathHop>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const route::PathHop& x, const route::PathHop& y) {
+                        return x.router == y.router;
+                      });
+  };
+  const topo::HostId dst = find_dest([&](topo::HostId id) {
+    return net_2011.stitcher().host_path(src, id, path_2011) &&
+           net_2016.stitcher().host_path(src, id, path_2016) &&
+           !same_routers(path_2011, path_2016);
+  });
+  ASSERT_NE(dst, topo::kNoHost);
+  const topo::RouterId router = path_2016[path_2016.size() / 2].router;
+
+  struct Send {
+    Network* net;
+    bool to_host;
+  };
+  const Send sends[] = {
+      {&net_2011, true},  {&net_2016, true},  {&net_2016, true},
+      {&net_2016, false}, {&net_2016, true},  {&net_2011, true},
+      {&net_2011, false}, {&net_2011, true},  {&net_2011, true},
+      {&net_2016, false}, {&net_2011, true},  {&net_2016, true},
+  };
+  SendContext ctx;
+  std::vector<std::uint8_t> bytes;
+  std::vector<route::PathHop> expected;
+  double time = 0.0;
+  for (const Send& send : sends) {
+    const bool is_2011 = send.net == &net_2011;
+    SCOPED_TRACE(testing::Message() << (is_2011 ? "2011 " : "2016 ")
+                                    << (send.to_host ? "host" : "router"));
+    const net::IPv4Address target =
+        send.to_host ? topo_->host_at(dst).address
+                     : topo_->router_at(router).interfaces.back();
+    pkt::build_ping(bytes, topo_->host_at(src).address, target, 100, 1, 64,
+                    0);
+    (void)send.net->send_reusing(src, bytes, time, &ctx);
+    time += 1.0;
+    ASSERT_TRUE(send.to_host
+                    ? send.net->stitcher().host_path(src, dst, expected)
+                    : send.net->stitcher().host_to_router_path(src, router,
+                                                               expected));
+    const std::vector<route::PathHop>& got = ctx.fwd_path.hops;
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t h = 0; h < got.size(); ++h) {
+      EXPECT_EQ(got[h].router, expected[h].router) << "hop " << h;
+      EXPECT_EQ(got[h].ingress, expected[h].ingress) << "hop " << h;
+      EXPECT_EQ(got[h].egress, expected[h].egress) << "hop " << h;
+    }
+  }
 }
 
 TEST_F(SimTest, RepliesUseDeviceIpIds) {

@@ -272,5 +272,56 @@ TEST(GeneratorThreads, WorldBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// The stitch-path lookups compile() flattens answer exactly what the
+/// generator recorded, on GeneratorThreads' world at every thread count:
+/// every link is found from both ends, sampled non-adjacent pairs find
+/// nothing, each router's interface run is its interface list, and the
+/// access chains hash to the digest the generator's chain map produced
+/// (pinned when that map still answered access_chain).
+TEST(Topology, FlatLookupsMatchTheLinkTable) {
+  constexpr std::uint64_t kChainDigest = 0xc6bd0d0c97de2f20ULL;
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    TopologyParams params = TopologyParams::test_scale();
+    params.seed = 20160924;
+    params.threads = threads;
+    const auto topo = Generator{params}.generate();
+
+    for (LinkId id = 0; id < topo->links().size(); ++id) {
+      const AsLink& link = topo->link_at(id);
+      EXPECT_EQ(topo->link_between(link.a, link.b), id);
+      EXPECT_EQ(topo->link_between(link.b, link.a), id);
+    }
+    const std::size_t n = topo->ases().size();
+    int non_adjacent = 0;
+    for (AsId a = 0; a < n; a += 3) {
+      for (AsId b = 0; b < n; b += 7) {
+        const auto& links = topo->as_at(a).links;
+        const bool adjacent =
+            std::any_of(links.begin(), links.end(), [&](LinkId id) {
+              return topo->link_at(id).other(a) == b;
+            });
+        if (adjacent) continue;
+        ++non_adjacent;
+        EXPECT_EQ(topo->link_between(a, b), std::nullopt) << a << "-" << b;
+      }
+    }
+    EXPECT_GT(non_adjacent, 100);
+
+    std::uint64_t chains = 0xcbf29ce484222325ULL;
+    for (RouterId r = 0; r < topo->routers().size(); ++r) {
+      const auto chain = topo->access_chain(r);
+      chains = fnv(chains, chain.size());
+      for (const RouterId hop : chain) chains = fnv(chains, hop);
+      const auto& interfaces = topo->router_at(r).interfaces;
+      const auto run = topo->router_interfaces(r);
+      EXPECT_TRUE(std::equal(run.begin(), run.end(), interfaces.begin(),
+                             interfaces.end()))
+          << "router " << r;
+    }
+    EXPECT_EQ(chains, kChainDigest);
+  }
+}
+
 }  // namespace
 }  // namespace rr::topo

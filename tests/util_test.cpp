@@ -236,6 +236,28 @@ TEST(Flags, AcceptsWholeNumbersAtTheBoundaries) {
   EXPECT_THROW((void)parse_int("8", "N", 0, 7), std::invalid_argument);
 }
 
+/// World seeds span uint64: the top value parses, while a sign — which a
+/// signed read cast to uint64 would wrap onto the same seed — and values
+/// past the top are malformed.
+TEST(Flags, UnsignedValuesSpanTheFullRange) {
+  const char* argv[] = {"tool", "--seed", "18446744073709551615",
+                        "--neg", "-1", "--over=18446744073709551616",
+                        "--zero=0"};
+  const auto flags = Flags::parse(7, argv);
+  EXPECT_EQ(flags.get_uint("seed", 7),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(flags.get_uint("zero", 7), 0u);
+  EXPECT_EQ(flags.get_uint("absent", 7), 7u);
+  EXPECT_THROW((void)flags.get_uint("over", 7), std::invalid_argument);
+  try {
+    (void)flags.get_uint("neg", 7);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()}.rfind("--neg: ", 0), 0u) << e.what();
+  }
+  EXPECT_TRUE(flags.unused().empty());
+}
+
 /// Ranges are inclusive and checked after the strict parse; an absent
 /// flag's fallback is returned as is. Choices list the accepted values.
 TEST(Flags, RangesAndChoicesRejectValuesOutsideThem) {

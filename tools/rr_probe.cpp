@@ -34,8 +34,7 @@ int main(int argc, char** argv) try {
   measure::TestbedConfig config;
   config.topo_params.num_ases = static_cast<int>(
       flags.get_int("ases", 600, 100, std::numeric_limits<int>::max()));
-  config.topo_params.seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 20160924));
+  config.topo_params.seed = flags.get_uint("seed", 20160924);
   config.topo_params.colo_fraction = std::min(
       0.30, 0.06 * 5200.0 / std::max(config.topo_params.num_ases, 1));
   const std::string vp_site = flags.get("vp");

@@ -27,8 +27,7 @@ int main(int argc, char** argv) try {
   measure::TestbedConfig config;
   config.topo_params.num_ases = static_cast<int>(
       flags.get_int("ases", 400, 100, std::numeric_limits<int>::max()));
-  config.topo_params.seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 60613));
+  config.topo_params.seed = flags.get_uint("seed", 60613);
   config.topo_params.colo_fraction = std::min(
       0.30, 0.06 * 5200.0 / std::max(config.topo_params.num_ases, 1));
   const auto count = static_cast<std::size_t>(flags.get_int("count", 5, 0));
