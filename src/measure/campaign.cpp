@@ -14,6 +14,14 @@ namespace rr::measure {
 
 namespace {
 
+/// One VP's pass A send state, reused by every probe of its stream.
+/// Cache-line aligned: neighbouring VPs' streams run on different workers
+/// and write their context and result on every probe.
+struct alignas(64) VpStream {
+  sim::SendContext ctx;
+  probe::ProbeResult result;
+};
+
 /// One optimistic ping-RR exchange awaiting token-bucket resolution.
 /// Buffers (recorded, trace.events) are recycled across chunks via swap.
 struct PendingProbe {
@@ -148,14 +156,10 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
         testbed.make_prober(campaign.vps_[v]->host, config.vp_pps));
   }
   constexpr std::size_t kChunkSteps = 64;
-  // Probes driven through the network per batched send.
-  constexpr std::size_t batch = sim::WalkBatch::kMaxProbes;
   std::vector<std::vector<std::uint32_t>> orders(n_vps);
-  // Slot i of VP v lives at v * batch + i; each batch slot needs its own
-  // context so counters and traces stay per-probe. All reused per chunk.
-  std::vector<sim::SendContext> contexts(n_vps * batch);
-  std::vector<probe::ProbeResult> results(n_vps * batch);
-  std::vector<probe::ProbeSpec> specs(n_vps * batch);
+  // One stream per VP; each probe's counters and trace move from the
+  // stream's context into the probe's pending slot.
+  std::vector<VpStream> streams(n_vps);
   // Probe (j, v)'s pending slot is v * kChunkSteps + j: each VP owns one
   // contiguous row, so pass A's writers touch disjoint cache lines instead
   // of interleaving every VP's slots within a step. Two buffers: pass A
@@ -276,7 +280,6 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
             chunk_scratch_growths[chunk];
       }
       campaign.alloc_stats_.probe_streams += n_chunks;
-      campaign.alloc_stats_.probe_buffers += n_chunks;
     }
 
     // ---------------------------------------------------- ping-RR study
@@ -321,9 +324,8 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
       const std::size_t steps = std::min(kChunkSteps, block_len - k0);
       std::vector<PendingProbe>& front = pending[1 - back];
 
-      // Pass A: per-VP probe streams, one worker at a time per VP, each
-      // stream advancing `batch` probes per walk through the network;
-      // index 0 replays the previous chunk meanwhile.
+      // Pass A: per-VP probe streams, one worker at a time per VP; index
+      // 0 replays the previous chunk meanwhile.
       const auto pass_a_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
       pool.parallel_for(n_vps + 1, [&](std::size_t task) {
         if (task == 0) {
@@ -332,27 +334,20 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
         }
         const std::size_t v = task - 1;
         PendingProbe* vp_pending = front.data() + v * kChunkSteps;
-        for (std::size_t j0 = 0; j0 < steps; j0 += batch) {
-          const std::size_t m = std::min(batch, steps - j0);
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t d = orders[v][k0 + j0 + i];
-            vp_pending[j0 + i].dest = static_cast<std::uint32_t>(d);
-            specs[v * batch + i] = probe::ProbeSpec::ping_rr(
-                campaign.topology_->host_at(campaign.dests_[d]).address);
-            contexts[v * batch + i].counters = sim::NetCounters{};
-          }
-          probers[v].probe_batch_into(
-              std::span<const probe::ProbeSpec>{specs.data() + v * batch, m},
-              std::span<sim::SendContext>{contexts.data() + v * batch, m},
-              std::span<probe::ProbeResult>{results.data() + v * batch, m});
-          for (std::size_t i = 0; i < m; ++i) {
-            PendingProbe& p = vp_pending[j0 + i];
-            sim::SendContext& ctx = contexts[v * batch + i];
-            p.counters = ctx.counters;
-            std::swap(p.trace, ctx.trace);
-            p.obs = observe(results[v * batch + i],
-                            specs[v * batch + i].target, p.recorded);
-          }
+        sim::SendContext& ctx = streams[v].ctx;
+        probe::ProbeResult& result = streams[v].result;
+        for (std::size_t j = 0; j < steps; ++j) {
+          PendingProbe& p = vp_pending[j];
+          const std::size_t d = orders[v][k0 + j];
+          const net::IPv4Address target =
+              campaign.topology_->host_at(campaign.dests_[d]).address;
+          p.dest = static_cast<std::uint32_t>(d);
+          ctx.counters = sim::NetCounters{};
+          probers[v].probe_into(probe::ProbeSpec::ping_rr(target), &ctx,
+                                result);
+          p.counters = ctx.counters;
+          std::swap(p.trace, ctx.trace);
+          p.obs = observe(result, target, p.recorded);
         }
       });
       campaign.phase_stats_.pass_a_seconds +=
@@ -385,11 +380,10 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
   for (std::size_t v = 0; v < n_vps; ++v) {
     campaign.alloc_stats_.probe_buffer_growths += probers[v].buffer_growths();
   }
-  for (const sim::SendContext& ctx : contexts) {
-    campaign.alloc_stats_.reply_scratch_growths += ctx.scratch.growths;
+  for (const VpStream& stream : streams) {
+    campaign.alloc_stats_.reply_scratch_growths += stream.ctx.scratch.growths;
   }
   campaign.alloc_stats_.probe_streams += n_vps;
-  campaign.alloc_stats_.probe_buffers += n_vps * batch;
 
   campaign.phase_stats_.probes_sent = net.counters().sent - net_sent_before;
   campaign.finalize_derived();

@@ -12,8 +12,8 @@
 //
 // Execution model: the campaign fans the per-VP probe streams across a
 // worker pool (see util::ThreadPool and CampaignConfig::threads) in fixed
-// chunks; each stream drives its ping-RR probes through the network in
-// batches of sim::WalkBatch::kMaxProbes (Prober::probe_batch_into). All
+// chunks; each stream sends its ping-RR probes one at a time
+// (Prober::probe_into) on its own sim::SendContext. All
 // probe randomness is counter-based (sim::Network), so a probe's fate is
 // a pure function of the probe; the one piece of shared mutable state —
 // router token buckets — is resolved in a serial replay per chunk, in
@@ -105,19 +105,15 @@ struct CampaignConfig {
 };
 
 /// Aggregate allocation telemetry for one campaign run: how many times the
-/// reusable probe buffers and reply scratches had to grow. Each stream's
-/// counters go flat once it has seen its largest probe/reply geometry, so
-/// identical back-to-back runs report identical (and small) totals —
-/// asserted by the steady-state allocation test.
+/// reusable probe buffers and reply scratches had to grow. Each stream
+/// owns one probe buffer and one reply scratch, whose counters go flat
+/// once it has seen its largest probe/reply geometry, so identical
+/// back-to-back runs report identical (and small) totals — asserted by
+/// the steady-state allocation test.
 struct CampaignAllocStats {
   std::uint64_t probe_buffer_growths = 0;  // Prober::buffer_growths() sum
   std::uint64_t reply_scratch_growths = 0;  // SendContext scratch growths
   std::uint64_t probe_streams = 0;  // probers contributing to the totals
-  /// Distinct recycled probe buffers behind the totals: one per scalar
-  /// stream plus one per batch slot. Growth is bounded per *buffer* (each
-  /// climbs to its steady geometry once), so this — not probe_streams — is
-  /// the denominator the steady-state allocation test checks against.
-  std::uint64_t probe_buffers = 0;
 };
 
 /// Wall-time split of the ping-RR study and the per-block table compile.

@@ -20,13 +20,15 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 }
 
 /// One VP's census state — prober (persistent clock), gate over its own
-/// local set, deferred global discoveries, and private result tallies.
-/// Workers touch only their own PerVp plus lock-free global-set reads.
+/// local set, deferred global discoveries, the trace result every trace
+/// reuses, and private result tallies. Workers touch only their own PerVp
+/// plus lock-free global-set reads.
 struct PerVp {
   std::unique_ptr<probe::Prober> prober;
   std::unique_ptr<StopSet> local;
   std::unique_ptr<DoubletreeGate> gate;
   std::vector<std::uint32_t> order;  // destination indices, seeded shuffle
+  probe::TracerouteResult trace;
   sim::NetCounters tally;
 
   std::uint64_t traces = 0;
@@ -160,7 +162,8 @@ TraceCensusResult run_trace_census(Testbed& testbed,
       for (std::size_t i = begin; i < end; ++i) {
         const auto target =
             topology.host_at(dests[p.order[i]]).address;
-        harvest(p, p.prober->traceroute(target, options));
+        p.prober->traceroute_into(target, options, p.trace);
+        harvest(p, p.trace);
       }
     });
     // Commit this round's global discoveries serially in canonical VP

@@ -26,10 +26,6 @@ namespace rr::pkt {
 
 class Ipv4HeaderView {
  public:
-  /// An inert view (`valid()` is false, every mutation fails), so batch
-  /// walkers (sim/pipeline.h WalkBatch) can hold arrays of views.
-  Ipv4HeaderView() noexcept = default;
-
   /// Binds to a datagram buffer. If the buffer does not plausibly start
   /// with an IPv4 header the view is inert: `valid()` is false, mutations
   /// fail, and `has_options()` is false.

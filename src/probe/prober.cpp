@@ -1,7 +1,6 @@
 #include "probe/prober.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <utility>
 
@@ -11,10 +10,11 @@ namespace rr::probe {
 
 namespace {
 
-/// TTLs in flight per forward-sweep batch of Prober::traceroute. Outcomes
-/// per probe do not depend on it; it only groups sends.
+/// TTLs per forward-sweep window of Prober::traceroute. A window's TTLs
+/// are all sent before it is scanned, so the width fixes which TTLs past
+/// the destination a trace still probes: it is part of the probe
+/// schedule (and of the trace census's schedule hash).
 constexpr int kTraceWindow = 4;
-static_assert(kTraceWindow <= static_cast<int>(sim::WalkBatch::kMaxProbes));
 
 }  // namespace
 
@@ -103,9 +103,7 @@ void Prober::probe_into(const ProbeSpec& spec, sim::SendContext* ctx,
 
 void Prober::build_probe_into(const ProbeSpec& spec, std::uint16_t seq,
                               std::vector<std::uint8_t>& buf) {
-  // RROPT_HOT_BEGIN(prober-build): serialization into recycled storage —
-  // shared by the scalar and batched paths, so their bytes are identical
-  // by construction.
+  // RROPT_HOT_BEGIN(prober-build): serialization into recycled storage.
   if (spec.type == ProbeType::kPingRrUdp) {
     const std::uint16_t dst_port = static_cast<std::uint16_t>(
         pkt::kUdpProbePortBase + (next_udp_port_++ % 256));
@@ -126,54 +124,10 @@ void Prober::build_probe_into(const ProbeSpec& spec, std::uint16_t seq,
 void Prober::probe_batch_into(std::span<const ProbeSpec> specs,
                               std::span<sim::SendContext> ctxs,
                               std::span<ProbeResult> results) {
-  // RROPT_HOT_BEGIN(prober-batch): the campaign's ping-RR inner loop.
-  // Pacing, sequencing, and per-slot bookkeeping are exactly what a
-  // scalar probe_into sequence would do; only the network traversal is
-  // batched.
-  const std::size_t n = specs.size();
-  assert(n == ctxs.size() && n == results.size());
-  assert(n <= sim::WalkBatch::kMaxProbes);
-  if (batch_bufs_.size() < n) {
-    batch_bufs_.resize(n);  // RROPT_HOT_OK(alloc): one-time warm-up growth
+  assert(specs.size() == ctxs.size() && specs.size() == results.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    probe_into(specs[k], &ctxs[k], results[k]);
   }
-
-  std::array<sim::Network::BatchProbe, sim::WalkBatch::kMaxProbes> probes;
-  std::array<std::uint16_t, sim::WalkBatch::kMaxProbes> seqs;
-  std::array<std::size_t, sim::WalkBatch::kMaxProbes> capacities;
-  for (std::size_t k = 0; k < n; ++k) {
-    ProbeResult& out = results[k];
-    out.reset();
-    ctxs[k].trace.reset();
-    const double send_time = clock_;
-    clock_ += interval_;
-    ++sent_;
-    seqs[k] = next_seq_++;
-
-    std::vector<std::uint8_t>& buf = batch_bufs_[k];
-    capacities[k] = buf.capacity();
-    build_probe_into(specs[k], seqs[k], buf);
-
-    out.target = specs[k].target;
-    out.type = specs[k].type;
-    out.send_time = send_time;
-
-    probes[k].bytes = &buf;
-    probes[k].time = send_time;
-    probes[k].ctx = &ctxs[k];
-  }
-
-  network_->send_batch(source_, std::span{probes.data(), n});
-
-  for (std::size_t k = 0; k < n; ++k) {
-    auto& delivery = probes[k].delivery;
-    if (delivery) {
-      parse_response_into(specs[k], seqs[k], results[k].send_time, *delivery,
-                          results[k]);
-      batch_bufs_[k] = std::move(delivery->bytes);
-    }
-    if (batch_bufs_[k].capacity() != capacities[k]) ++buffer_growths_;
-  }
-  // RROPT_HOT_END(prober-batch)
 }
 
 void Prober::parse_response_into(const ProbeSpec& spec, std::uint16_t seq,
@@ -266,6 +220,14 @@ TracerouteResult Prober::traceroute(net::IPv4Address target, int max_ttl,
 TracerouteResult Prober::traceroute(net::IPv4Address target,
                                     const TraceOptions& options) {
   TracerouteResult result;
+  traceroute_into(target, options, result);
+  return result;
+}
+
+void Prober::traceroute_into(net::IPv4Address target,
+                             const TraceOptions& options,
+                             TracerouteResult& result) {
+  result.reset();
   result.target = target;
   const int max_ttl = std::max(1, options.max_ttl);
   const int attempts = std::max(1, options.attempts);
@@ -275,15 +237,9 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
   if (gate != nullptr) first = std::clamp(gate->begin(target), 1, max_ttl);
   result.first_ttl = first;
 
-  // Scratch warm-up (one-time growth, then flat across traces).
-  if (static_cast<int>(trace_ctxs_.size()) < kTraceWindow) {
-    trace_specs_.resize(static_cast<std::size_t>(kTraceWindow));
-    trace_ctxs_.resize(static_cast<std::size_t>(kTraceWindow));
-    trace_results_.resize(static_cast<std::size_t>(kTraceWindow));
-  }
-  for (int k = 0; k < kTraceWindow; ++k) {
-    trace_ctxs_[static_cast<std::size_t>(k)].counters = sim::NetCounters{};
-  }
+  // Per-trace scratch reset; the hop buffer grows once, then stays flat
+  // across traces.
+  trace_ctx_.counters = sim::NetCounters{};
   if (static_cast<int>(trace_hops_.size()) < max_ttl + 1) {
     trace_hops_.resize(static_cast<std::size_t>(max_ttl) + 1);
   }
@@ -293,43 +249,35 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
 
   std::uint64_t sent = 0;
   int reach_ttl = 0;  // lowest TTL that drew an echo reply; 0 = none yet
+  // One TTL-limited ping on the trace context; true when it drew a reply,
+  // which then sits in trace_result_.
+  const auto probe_ttl = [&](int ttl) {
+    ProbeSpec spec = ProbeSpec::ping(target);
+    spec.ttl = static_cast<std::uint8_t>(ttl);
+    probe_into(spec, &trace_ctx_, trace_result_);
+    ++sent;
+    return trace_result_.responded();
+  };
 
   // ------------------------------------------------- forward sweep
-  // TTL windows from `first` upward, each window batched through the
-  // deferred dataplane; extra attempts re-probe only unresponsive TTLs.
+  // TTL windows from `first` upward; extra attempts re-probe only the
+  // window's unresponsive TTLs.
   bool forward_done = false;
   for (int base = first; base <= max_ttl && !forward_done; ) {
     const int w = std::min(kTraceWindow, max_ttl - base + 1);
     for (int round = 0; round < attempts; ++round) {
-      int n = 0;
+      bool probed = false;
       for (int t = base; t < base + w; ++t) {
-        if (round > 0 && trace_hops_[static_cast<std::size_t>(t)].responded) {
-          continue;
-        }
-        ProbeSpec spec = ProbeSpec::ping(target);
-        spec.ttl = static_cast<std::uint8_t>(t);
-        trace_specs_[static_cast<std::size_t>(n)] = spec;
-        ++n;
-      }
-      if (n == 0) break;
-      probe_batch_into(
-          std::span<const ProbeSpec>{trace_specs_.data(),
-                                     static_cast<std::size_t>(n)},
-          std::span<sim::SendContext>{trace_ctxs_.data(),
-                                      static_cast<std::size_t>(n)},
-          std::span<ProbeResult>{trace_results_.data(),
-                                 static_cast<std::size_t>(n)});
-      sent += static_cast<std::uint64_t>(n);
-      for (int k = 0; k < n; ++k) {
-        const int t = trace_specs_[static_cast<std::size_t>(k)].ttl;
-        const ProbeResult& pr = trace_results_[static_cast<std::size_t>(k)];
-        if (!pr.responded()) continue;
         TracerouteHop& hop = trace_hops_[static_cast<std::size_t>(t)];
+        if (round > 0 && hop.responded) continue;
+        probed = true;
+        if (!probe_ttl(t)) continue;
         hop.ttl = t;
         hop.responded = true;
-        hop.address = pr.responder;
-        hop.kind = pr.kind;
+        hop.address = trace_result_.responder;
+        hop.kind = trace_result_.kind;
       }
+      if (!probed) break;
     }
     // Scan the window in TTL order for the event that ends the sweep.
     for (int t = base; t < base + w; ++t) {
@@ -358,22 +306,17 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
   }
 
   // ------------------------------------------------ backward sweep
-  // Doubletree's second half: from first-1 down toward TTL 1, scalar
-  // (window 1) so each hop can consult the gate before the next probe.
+  // Doubletree's second half: from first-1 down toward TTL 1, one TTL at
+  // a time so each hop can consult the gate before the next probe.
   if (gate != nullptr && first > 1) {
     for (int t = first - 1; t >= 1; --t) {
       TracerouteHop& hop = trace_hops_[static_cast<std::size_t>(t)];
       hop.ttl = t;
       for (int attempt = 0; attempt < attempts; ++attempt) {
-        ProbeSpec spec = ProbeSpec::ping(target);
-        spec.ttl = static_cast<std::uint8_t>(t);
-        probe_into(spec, &trace_ctxs_[0], trace_results_[0]);
-        ++sent;
-        const ProbeResult& pr = trace_results_[0];
-        if (!pr.responded()) continue;
+        if (!probe_ttl(t)) continue;
         hop.responded = true;
-        hop.address = pr.responder;
-        hop.kind = pr.kind;
+        hop.address = trace_result_.responder;
+        hop.kind = trace_result_.kind;
         break;
       }
       if (!hop.responded) continue;
@@ -418,23 +361,17 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
   } else if (result.forward_stop_ttl > 0) {
     end_ttl = result.forward_stop_ttl;
   }
-  result.hops.clear();
   result.hops.reserve(static_cast<std::size_t>(end_ttl));
   for (int t = 1; t <= end_ttl; ++t) {
     const TracerouteHop& hop = trace_hops_[static_cast<std::size_t>(t)];
     if (hop.ttl == t) result.hops.push_back(hop);
   }
 
-  sim::NetCounters tally;
-  for (int k = 0; k < kTraceWindow; ++k) {
-    tally.merge(trace_ctxs_[static_cast<std::size_t>(k)].counters);
-  }
   if (options.counters != nullptr) {
-    options.counters->merge(tally);
+    options.counters->merge(trace_ctx_.counters);
   } else {
-    network_->merge_counters(tally);
+    network_->merge_counters(trace_ctx_.counters);
   }
-  return result;
 }
 
 }  // namespace rr::probe

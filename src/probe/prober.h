@@ -23,11 +23,12 @@ struct ProberOptions {
 };
 
 /// Knobs for Prober::traceroute. The engine probes the forward sweep in
-/// windows of four TTLs through the batched dataplane (probe_batch_into),
-/// which changes only the order probes hit the wire, never an outcome.
-/// When a TraceGate is installed it runs Doubletree's split: forward from
-/// hop gate->begin(), then backward toward TTL 1, stopping either sweep
-/// as soon as the gate recognizes a known interface.
+/// windows of four TTLs: every TTL of a window is sent (so a window can
+/// probe past the destination) before the window is scanned for the
+/// event that ends the sweep. When a TraceGate is installed it runs
+/// Doubletree's split: forward from hop gate->begin(), then backward
+/// toward TTL 1, stopping either sweep as soon as the gate recognizes a
+/// known interface.
 struct TraceOptions {
   int max_ttl = 30;
   int attempts = 2;  // probes per unresponsive TTL
@@ -71,27 +72,29 @@ class Prober {
   void probe_into(const ProbeSpec& spec, sim::SendContext* ctx,
                   ProbeResult& out);
 
-  /// Batched variant: builds up to sim::WalkBatch::kMaxProbes datagrams
-  /// into recycled per-slot buffers and hands them to Network::send_batch,
-  /// which walks all forward legs, then all reply legs, through the same
-  /// hop walk probe_into uses. Each slot gets its own SendContext so
-  /// counters and traces stay per-probe; pacing, sequence numbers, and
-  /// parsing are identical to calling probe_into once per spec, in order,
-  /// so slot k's result, trace and counters equal that probe_into's
-  /// (reply IP-IDs aside: device counters count global sends).
-  /// `specs`, `ctxs`, and `results` must have equal sizes.
+  /// probe_into once per spec, in order, spec k on ctxs[k] into
+  /// results[k]. `specs`, `ctxs`, and `results` must have equal sizes.
+  /// Kept only because censusbench times it for its probe.rr_batch_ns_*
+  /// metrics; retire the two together.
   void probe_batch_into(std::span<const ProbeSpec> specs,
                         std::span<sim::SendContext> ctxs,
                         std::span<ProbeResult> results);
 
   /// Traceroute: TTL-limited pings until the target answers, a stop-set
-  /// rule fires (options.gate), or the TTL budget is exhausted. Probes run
-  /// in batched windows over the deferred dataplane, so a trace's probe
-  /// outcomes are a pure function of its probe stream — identical whether
-  /// traces run serially or on concurrent threads (with per-thread
-  /// probers/counter sinks). Plain pings carry no IP options, so the
-  /// deferred mode's optimistic bucket events never occur and no replay
-  /// pass is needed.
+  /// rule fires (options.gate), or the TTL budget is exhausted. Every
+  /// probe of a trace is a probe_into on the prober's one trace context,
+  /// whose forward path scratch then stitches the trace's path once.
+  /// The deferred dataplane keeps a trace's probe outcomes a pure
+  /// function of its probe stream — identical whether traces run serially
+  /// or on concurrent threads (with per-thread probers/counter sinks).
+  /// Plain pings carry no IP options, so the deferred mode's optimistic
+  /// bucket events never occur and no replay pass is needed. `out` is
+  /// reset first and its hop list keeps its capacity, so a caller that
+  /// reuses one result allocates nothing per trace once warm.
+  void traceroute_into(net::IPv4Address target, const TraceOptions& options,
+                       TracerouteResult& out);
+
+  /// traceroute_into into a fresh result.
   [[nodiscard]] TracerouteResult traceroute(net::IPv4Address target,
                                             const TraceOptions& options);
 
@@ -145,16 +148,12 @@ class Prober {
   std::uint64_t matched_ = 0;
   std::uint64_t mismatched_ = 0;
   std::vector<std::uint8_t> buf_;  // probe/reply storage, recycled
-  // Per-slot storage for probe_batch_into, recycled the same way; grows to
-  // the batch width once and then stays flat.
-  std::vector<std::vector<std::uint8_t>> batch_bufs_;
   std::uint64_t buffer_growths_ = 0;
-  // Traceroute scratch (specs/contexts/results for one window, plus the
-  // TTL-indexed hop buffer), reused across traces so a census performs no
-  // steady-state allocation per trace.
-  std::vector<ProbeSpec> trace_specs_;
-  std::vector<sim::SendContext> trace_ctxs_;
-  std::vector<ProbeResult> trace_results_;
+  // Traceroute scratch (the context and result every probe of a trace
+  // uses, plus the TTL-indexed hop buffer), reused across traces so a
+  // census performs no steady-state allocation per trace.
+  sim::SendContext trace_ctx_;
+  ProbeResult trace_result_;
   std::vector<TracerouteHop> trace_hops_;
 };
 

@@ -167,6 +167,19 @@ struct TracerouteResult {
   [[nodiscard]] int hop_count() const noexcept {
     return reached && !hops.empty() ? hops.back().ttl : -1;
   }
+
+  /// Returns the result to its default state while keeping the hop
+  /// list's storage, so a reused result allocates nothing once warmed up.
+  void reset() noexcept {
+    target = net::IPv4Address{};
+    hops.clear();
+    reached = false;
+    first_ttl = 1;
+    forward_stop_ttl = 0;
+    backward_stop_ttl = 0;
+    probes_sent = 0;
+    probes_saved = 0;
+  }
 };
 
 }  // namespace rr::probe

@@ -1,8 +1,6 @@
 #include "sim/network.h"
 
-#include <array>
 #include <bit>
-#include <cassert>
 #include <utility>
 
 #include "packet/view.h"
@@ -90,10 +88,21 @@ std::uint16_t Network::next_ip_id(bool is_router, std::uint32_t id,
       (base + n + static_cast<std::uint32_t>(velocity * now)) & 0xffff);
 }
 
-void Network::bind_leg(HopContext& hc, int leg, std::uint64_t flow,
-                       topo::AsId src_as, topo::AsId dst_as, SendContext* ctx,
-                       bool doomed) {
-  hc.doomed = doomed;
+WalkResult Network::walk_pipeline(std::vector<std::uint8_t>& bytes,
+                                  std::span<const route::PathHop> hops,
+                                  double start, topo::AsId src_as,
+                                  topo::AsId dst_as, std::uint64_t flow,
+                                  int leg, SendContext* ctx, bool doomed_in) {
+  // One view per leg: option offsets are located once, and every per-hop
+  // TTL decrement and RR/TS stamp is an O(1) in-place mutation with an
+  // RFC 1624 incremental checksum update (see packet/view.h).
+  pkt::Ipv4HeaderView view{bytes};
+  HopContext hc;
+  hc.view = &view;
+  hc.bytes = bytes;
+  hc.has_options = view.has_options();
+  hc.now = start;
+  hc.doomed = doomed_in;
   hc.leg = leg;
   hc.flow = flow;
   hc.src_as = src_as;
@@ -111,23 +120,6 @@ void Network::bind_leg(HopContext& hc, int leg, std::uint64_t flow,
     serial_gate_.assert_held();
     hc.buckets = buckets_.data();
   }
-}
-
-WalkResult Network::walk_pipeline(std::vector<std::uint8_t>& bytes,
-                                  std::span<const route::PathHop> hops,
-                                  double start, topo::AsId src_as,
-                                  topo::AsId dst_as, std::uint64_t flow,
-                                  int leg, SendContext* ctx, bool doomed_in) {
-  // One view per leg: option offsets are located once, and every per-hop
-  // TTL decrement and RR/TS stamp is an O(1) in-place mutation with an
-  // RFC 1624 incremental checksum update (see packet/view.h).
-  pkt::Ipv4HeaderView view{bytes};
-  HopContext hc;
-  hc.view = &view;
-  hc.bytes = bytes;
-  hc.has_options = view.has_options();
-  hc.now = start;
-  bind_leg(hc, leg, flow, src_as, dst_as, ctx, doomed_in);
   return walk_hops(hc, hops, pipeline_.list_bank(hc.has_options),
                    pipeline_.rows().data(), pipeline_.elements(),
                    params_.hop_delay_s);
@@ -142,8 +134,7 @@ std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
 }
 
 bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
-                         double time, SendContext* ctx,
-                         const ForwardPath* neighbour, StagedSend& out) {
+                         double time, SendContext* ctx, StagedSend& out) {
   NetCounters& c = counters_for(ctx);
   if (ctx != nullptr) ctx->trace.reset();
   ++c.sent;
@@ -184,18 +175,16 @@ bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
   out.reply_to = *reply_to;
   out.src_as = topology_->host_at(src).as_id;
   // RROPT_HOT_BEGIN(network-stage-path): forward-path resolution runs once
-  // per probe. The reuse and the neighbour copy write into the scratch's
-  // recycled capacity, so a warm scratch resolves without allocating.
+  // per probe. A reuse reads the scratch as it is, and a resolve writes
+  // into its recycled capacity, so a warm scratch resolves without
+  // allocating.
   ForwardPath& fwd = forward_path_for(ctx);
   if (owner->kind == topo::AddressOwner::Kind::kHost) {
     const HostId dst = owner->id;
     out.dst_as = topology_->host_at(dst).as_id;
     if (!fwd.holds(id_, src, dst)) {
       fwd.network = 0;
-      if (neighbour != nullptr && neighbour->holds(id_, src, dst)) {
-        fwd.hops.assign(  // RROPT_HOT_OK: recycled capacity
-            neighbour->hops.begin(), neighbour->hops.end());
-      } else if (!host_hops(src, dst, /*reply=*/false, fwd.hops)) {
+      if (!host_hops(src, dst, /*reply=*/false, fwd.hops)) {
         ++c.dropped_unroutable;
         return false;
       }
@@ -256,9 +245,7 @@ std::optional<Network::Delivery> Network::send_reusing(
     HostId src, std::vector<std::uint8_t>& bytes, double time,
     SendContext* ctx) {
   StagedSend staged;
-  if (!stage_send(src, bytes, time, ctx, /*neighbour=*/nullptr, staged)) {
-    return std::nullopt;
-  }
+  if (!stage_send(src, bytes, time, ctx, staged)) return std::nullopt;
   const WalkResult fwd =
       walk_pipeline(bytes, staged.fwd_hops, time, staged.src_as,
                     staged.dst_as, staged.flow, /*leg=*/0, ctx);
@@ -270,87 +257,6 @@ std::optional<Network::Delivery> Network::send_reusing(
   }
   return router_respond(staged.owner.id, staged.dst_addr, staged.reply_to,
                         bytes, fwd.time, staged.flow, ctx, fwd.doomed);
-}
-
-void Network::send_batch(HostId src, std::span<BatchProbe> probes) {
-  const std::size_t n = probes.size();
-  assert(n <= WalkBatch::kMaxProbes);
-
-  // Per-slot staging state outlives the forward walks: the forward spine
-  // (in the slot context's forward scratch) is still consulted for
-  // TTL-expiry errors.
-  std::array<StagedSend, WalkBatch::kMaxProbes> staged;
-  std::array<bool, WalkBatch::kMaxProbes> active{};
-  WalkBatch batch;
-  const HopRow* rows = pipeline_.rows().data();
-
-  // Phase 1 — stage every slot exactly as send_reusing does and bind the
-  // survivors' forward legs. Each slot works against its own
-  // SendContext, so per-slot work is order-independent; a slot whose
-  // host pair matches the previous slot's copies that slot's forward
-  // path (a traceroute window probes one destination at several TTLs).
-  for (std::size_t k = 0; k < n; ++k) {
-    BatchProbe& probe = probes[k];
-    probe.delivery.reset();
-    assert(probe.ctx != nullptr);  // batch sends are deferred-mode only
-    StagedSend& s = staged[k];
-    const ForwardPath* neighbour =
-        k > 0 ? &probes[k - 1].ctx->fwd_path : nullptr;
-    if (!stage_send(src, *probe.bytes, probe.time, probe.ctx, neighbour, s)) {
-      continue;
-    }
-    active[k] = true;
-    HopContext& hc = batch.bind(k, *probe.bytes, s.fwd_hops, probe.time);
-    bind_leg(hc, /*leg=*/0, s.flow, s.src_as, s.dst_as, probe.ctx,
-             /*doomed=*/false);
-    batch.banks[k] = pipeline_.list_bank(hc.has_options);
-  }
-
-  // Phase 2 — all forward legs, one kernel call.
-  walk_batch_pipeline(batch, rows, pipeline_.elements(), params_.hop_delay_s);
-
-  // Phase 3 — settle each forward leg. Probed routers answer on the spot;
-  // delivered host slots build their reply (host_prepare_reply — the
-  // exact front half of host_respond) and rebind for the reverse leg.
-  // Rebinding slot k resets only slot k, after its result was read.
-  std::array<PendingReply, WalkBatch::kMaxProbes> pending;
-  batch.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (!active[k]) continue;
-    active[k] = false;
-    BatchProbe& probe = probes[k];
-    const StagedSend& s = staged[k];
-    const WalkResult fwd = batch.results[k];
-    std::vector<std::uint8_t>& bytes = *probe.bytes;
-    if (!settle_forward(fwd, s, bytes, probe.ctx, probe.delivery)) continue;
-    if (s.owner.kind == topo::AddressOwner::Kind::kRouter) {
-      probe.delivery = router_respond(s.owner.id, s.dst_addr, s.reply_to,
-                                      bytes, fwd.time, s.flow, probe.ctx,
-                                      fwd.doomed);
-      continue;
-    }
-    host_prepare_reply(s.owner.id, s.reply_to, bytes, fwd.time, s.flow,
-                       probe.ctx, fwd.doomed, pending[k]);
-    if (!pending[k].has_reply) continue;
-    active[k] = true;
-    HopContext& hc = batch.bind(k, bytes, pending[k].rev_hops, fwd.time);
-    bind_leg(hc, /*leg=*/1, s.flow, pending[k].src_as, pending[k].dst_as,
-             probe.ctx, fwd.doomed);
-    batch.banks[k] = pipeline_.list_bank(hc.has_options);
-  }
-
-  // Phase 4 — all host reply legs together.
-  walk_batch_pipeline(batch, rows, pipeline_.elements(), params_.hop_delay_s);
-
-  // Phase 5 — arrivals: the deliver_back tail per surviving slot.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (!active[k]) continue;
-    const WalkResult& rev = batch.results[k];
-    probes[k].delivery = finish_delivery(
-        *probes[k].bytes,
-        rev.outcome == WalkResult::Outcome::kDelivered && !rev.doomed,
-        rev.time, pending[k].receiver, staged[k].flow, probes[k].ctx);
-  }
 }
 
 std::optional<Network::Delivery> Network::emit_router_error(
@@ -387,19 +293,17 @@ std::optional<Network::Delivery> Network::emit_router_error(
                       flow, ctx, /*doomed=*/false);
 }
 
-void Network::host_prepare_reply(HostId dst, HostId reply_to,
-                                 std::vector<std::uint8_t>& bytes, double time,
-                                 std::uint64_t flow, SendContext* ctx,
-                                 bool doomed, PendingReply& out) {
-  out.has_reply = false;
+std::optional<Network::Delivery> Network::host_respond(
+    HostId dst, HostId reply_to, std::vector<std::uint8_t>& bytes, double time,
+    std::uint64_t flow, SendContext* ctx, bool doomed) {
   NetCounters& c = counters_for(ctx);
   const HostBehavior& hb = behaviors_->host(dst);
   const auto info = pkt::inspect_datagram(bytes);
-  if (!info) return;
+  if (!info) return std::nullopt;
 
   // A host that ignores options packets ignores them for every transport.
   const bool has_options = info->options_present;
-  if (has_options && hb.rr_handling == RrHandling::kDrop) return;
+  if (has_options && hb.rr_handling == RrHandling::kDrop) return std::nullopt;
 
   // The host's IP-ID counter ticks for any accepted datagram, matching the
   // legacy reply construction which drew the ID before deciding whether a
@@ -409,9 +313,9 @@ void Network::host_prepare_reply(HostId dst, HostId reply_to,
   if (info->protocol == static_cast<std::uint8_t>(pkt::IpProto::kIcmp)) {
     if (info->icmp_type !=
         static_cast<std::uint8_t>(pkt::IcmpType::kEchoRequest)) {
-      return;
+      return std::nullopt;
     }
-    if (!hb.ping_responsive) return;
+    if (!hb.ping_responsive) return std::nullopt;
     if (has_options && hb.rr_handling == RrHandling::kCopy) {
       // RFC 1122 behaviour: the reply carries the request's Record Route
       // option; the destination records itself if a slot remains (and some
@@ -438,7 +342,7 @@ void Network::host_prepare_reply(HostId dst, HostId reply_to,
   } else {
     // inspect_datagram only accepts ICMP or UDP, so this is the UDP
     // branch: every probed UDP port is closed in this world.
-    if (!hb.ping_responsive || !hb.responds_udp) return;
+    if (!hb.ping_responsive || !hb.responds_udp) return std::nullopt;
     if (!doomed) {
       ++c.port_unreachables;
       if (ctx != nullptr) ctx->trace.counted_port_unreachable = true;
@@ -463,26 +367,11 @@ void Network::host_prepare_reply(HostId dst, HostId reply_to,
   std::vector<route::PathHop>& hops = reply_path_for(ctx);
   if (!host_hops(dst, reply_to, /*reply=*/true, hops)) {
     ++c.dropped_unroutable;
-    return;
+    return std::nullopt;
   }
-  out.rev_hops = hops;
-  out.src_as = topology_->host_at(dst).as_id;
-  out.dst_as = topology_->host_at(reply_to).as_id;
-  out.receiver = reply_to;
-  out.has_reply = true;
-}
-
-std::optional<Network::Delivery> Network::host_respond(
-    HostId dst, HostId reply_to, std::vector<std::uint8_t>& bytes, double time,
-    std::uint64_t flow, SendContext* ctx, bool doomed) {
-  // Prepare + reverse walk: the batched path runs the same two pieces
-  // with a batch kernel between them, so both paths share every
-  // observable byte by construction.
-  PendingReply pending;
-  host_prepare_reply(dst, reply_to, bytes, time, flow, ctx, doomed, pending);
-  if (!pending.has_reply) return std::nullopt;
-  return deliver_back(bytes, pending.rev_hops, time, pending.src_as,
-                      pending.dst_as, pending.receiver, flow, ctx, doomed);
+  return deliver_back(bytes, hops, time, topology_->host_at(dst).as_id,
+                      topology_->host_at(reply_to).as_id, reply_to, flow, ctx,
+                      doomed);
 }
 
 std::optional<Network::Delivery> Network::router_respond(
@@ -530,16 +419,7 @@ std::optional<Network::Delivery> Network::deliver_back(
     std::uint64_t flow, SendContext* ctx, bool doomed) {
   const WalkResult result = walk_pipeline(bytes, hops, start, src_as, dst_as,
                                           flow, /*leg=*/1, ctx, doomed);
-  return finish_delivery(
-      bytes,
-      result.outcome == WalkResult::Outcome::kDelivered && !result.doomed,
-      result.time, receiver, flow, ctx);
-}
-
-std::optional<Network::Delivery> Network::finish_delivery(
-    std::vector<std::uint8_t>& bytes, bool delivered_undoomed, double time,
-    HostId receiver, std::uint64_t flow, SendContext* ctx) {
-  if (!delivered_undoomed) {
+  if (result.outcome != WalkResult::Outcome::kDelivered || result.doomed) {
     // A reply that expires or is dropped on the way back simply never
     // arrives (errors about errors are not generated, RFC 1122) — and the
     // ghost leg of a fault-doomed exchange consumed the reverse path's
@@ -549,7 +429,7 @@ std::optional<Network::Delivery> Network::finish_delivery(
   NetCounters& c = counters_for(ctx);
   ++c.responses;
   if (ctx != nullptr) ctx->trace.counted_response = true;
-  Delivery delivery{std::move(bytes), time, receiver};
+  Delivery delivery{std::move(bytes), result.time, receiver};
   if (fault_plan_.enabled()) {
     // Capture-point faults: an extra identical copy, or a late arrival.
     // Neither changes the bytes, so campaign contents are untouched; the

@@ -17,6 +17,10 @@
 // treatment, which is how a ping-RR reply keeps recording hops on the way
 // back (the reverse-traceroute mechanism the paper builds on).
 //
+// It is the one send path: every probe — a campaign ping-RR, each TTL of
+// a traceroute, a ping-sweep attempt — is one call, and a caller that
+// sends many probes reuses one SendContext (below) across them.
+//
 // Measurement code never sees simulator internals — only response bytes.
 //
 // Determinism and concurrency
@@ -168,29 +172,6 @@ class Network {
                                        std::vector<std::uint8_t>& bytes,
                                        double time, SendContext* ctx = nullptr);
 
-  /// One slot of a batched send (send_batch). `bytes` and `ctx` follow the
-  /// send_reusing contract per slot; batch sends are deferred-mode only,
-  /// so `ctx` must be non-null and distinct per slot. On return `delivery`
-  /// holds exactly what send_reusing would have returned for the probe.
-  struct BatchProbe {
-    std::vector<std::uint8_t>* bytes = nullptr;
-    double time = 0.0;
-    SendContext* ctx = nullptr;
-    std::optional<Delivery> delivery;
-  };
-
-  /// Batched variant of send_reusing: up to WalkBatch::kMaxProbes probes
-  /// from one source (DESIGN.md §12). Each slot is staged exactly as
-  /// send_reusing stages it; then all forward legs walk in one
-  /// walk_batch_pipeline call and all host reply legs in another.
-  /// Replies from probed router interfaces walk home per slot. Every leg
-  /// runs the one walk_hops loop on its slot's own context, every random
-  /// decision is a counter-based draw keyed on the packet, and bucket
-  /// consumes are deferred per slot into each ctx's trace, so each slot's
-  /// delivery, counters and trace equal send_reusing's for the same probe
-  /// (device IP-IDs aside: they count global sends by design).
-  void send_batch(HostId src, std::span<BatchProbe> probes);
-
   /// Serial-phase resolution of one deferred options-token consume.
   /// Callers must feed events in their chosen canonical order (the
   /// campaign uses virtual-time order); concurrent calls are not allowed —
@@ -290,40 +271,30 @@ class Network {
     std::span<const route::PathHop> fwd_hops;  // views the forward scratch
   };
 
-  /// The staging step send_reusing and send_batch share, so both charge
-  /// the same counters in the same order and derive the same flow key:
-  /// trace reset, sent/unroutable accounting, flow key, owner and reply-to
-  /// lookup, and forward-spine resolution (a probed router is trimmed off
-  /// the spine: it answers rather than forwards). A host path already in
-  /// the send's forward scratch is reused, else copied from `neighbour`
-  /// (the previous batch slot's path, or null) when that holds it, else
-  /// resolved. Returns false when the send ends here, with no delivery.
+  /// The staging step of send_reusing: trace reset, sent/unroutable
+  /// accounting, flow key, owner and reply-to lookup, and forward-spine
+  /// resolution (a probed router is trimmed off the spine: it answers
+  /// rather than forwards). A host path already in the send's forward
+  /// scratch is reused, else resolved. Returns false when the send ends
+  /// here, with no delivery.
   bool stage_send(HostId src, std::span<const std::uint8_t> bytes,
-                  double time, SendContext* ctx, const ForwardPath* neighbour,
-                  StagedSend& out);
+                  double time, SendContext* ctx, StagedSend& out);
 
-  /// Settles a forward walk, shared by the scalar and batched sends: a
-  /// drop ends the exchange silently, a TTL expiry raises the router's
-  /// Time-Exceeded error (unless the router is anonymous), and a delivery
-  /// is counted unless doomed. Returns true only for a delivery, which the
-  /// caller hands to the endpoint; otherwise `out` holds the exchange's
-  /// final result.
+  /// Settles a forward walk: a drop ends the exchange silently, a TTL
+  /// expiry raises the router's Time-Exceeded error (unless the router is
+  /// anonymous), and a delivery is counted unless doomed. Returns true
+  /// only for a delivery, which the caller hands to the endpoint;
+  /// otherwise `out` holds the exchange's final result.
   bool settle_forward(const WalkResult& fwd, const StagedSend& staged,
                       std::vector<std::uint8_t>& bytes, SendContext* ctx,
                       std::optional<Delivery>& out);
 
-  /// Fills the per-leg fields of a walk context. `flow` keys the packet's
-  /// counter-based draws; `leg` is 0 on the forward walk and 1 on any
-  /// reply walk. `doomed` marks a ghost continuation of an exchange a
-  /// fault already discarded: the walk consumes shared state exactly as
-  /// the baseline would but charges no further counters and the result
-  /// stays doomed.
-  void bind_leg(HopContext& hc, int leg, std::uint64_t flow,
-                topo::AsId src_as, topo::AsId dst_as, SendContext* ctx,
-                bool doomed);
-
   /// Runs one leg through walk_hops over `hops`, mutating `bytes` in
-  /// place (see bind_leg for the other parameters).
+  /// place. `flow` keys the packet's counter-based draws; `leg` is 0 on
+  /// the forward walk and 1 on any reply walk. `doomed_in` marks a ghost
+  /// continuation of an exchange a fault already discarded: the walk
+  /// consumes shared state exactly as the baseline would but charges no
+  /// further counters and the result stays doomed.
   WalkResult walk_pipeline(std::vector<std::uint8_t>& bytes,
                            std::span<const route::PathHop> hops, double start,
                            topo::AsId src_as, topo::AsId dst_as,
@@ -346,43 +317,13 @@ class Network {
                                             SendContext* ctx);
 
   /// Response from the destination host for an echo request / UDP probe.
-  /// `doomed` continues a ghost exchange (see bind_leg()). The reply
+  /// `doomed` continues a ghost exchange (see walk_pipeline()). The reply
   /// is built by mutating `bytes` in place (echo replies that keep the
   /// request's options) or by swapping in the reply scratch.
   std::optional<Delivery> host_respond(HostId dst, HostId reply_to,
                                        std::vector<std::uint8_t>& bytes,
                                        double time, std::uint64_t flow,
                                        SendContext* ctx, bool doomed);
-
-  /// Host-side reply staging for a batched delivery: everything
-  /// host_respond does before the reverse walk — drop-policy checks,
-  /// IP-ID draw, reply construction (in place or via the scratch swap),
-  /// and reverse-path resolution. `out.has_reply` is false when no reply
-  /// would be generated; otherwise `bytes` holds the built reply and
-  /// `out` views the reverse path to walk. The scalar host_respond
-  /// is this followed by deliver_back, so the two paths share every
-  /// observable byte.
-  struct PendingReply {
-    bool has_reply = false;
-    std::span<const route::PathHop> rev_hops;  // views the reverse scratch
-    topo::AsId src_as = 0;
-    topo::AsId dst_as = 0;
-    HostId receiver = topo::kNoHost;
-  };
-
-  void host_prepare_reply(HostId dst, HostId reply_to,
-                          std::vector<std::uint8_t>& bytes, double time,
-                          std::uint64_t flow, SendContext* ctx, bool doomed,
-                          PendingReply& out);
-
-  /// The arrival tail of deliver_back, shared by the scalar and batched
-  /// reply legs: response accounting plus the capture-point faults.
-  /// `delivered_undoomed` is "the reverse walk delivered and the exchange
-  /// is not a fault ghost"; anything else never arrives.
-  std::optional<Delivery> finish_delivery(std::vector<std::uint8_t>& bytes,
-                                          bool delivered_undoomed, double time,
-                                          HostId receiver, std::uint64_t flow,
-                                          SendContext* ctx);
 
   /// Response from a directly probed router interface.
   std::optional<Delivery> router_respond(RouterId router,
@@ -393,7 +334,9 @@ class Network {
                                          SendContext* ctx, bool doomed);
 
   /// Walks a response along the reverse path to `receiver`, moving `bytes`
-  /// into the returned Delivery on arrival.
+  /// into the returned Delivery on arrival (after the capture-point
+  /// faults). A reply that is dropped, expires, or belongs to a fault
+  /// ghost never arrives.
   std::optional<Delivery> deliver_back(std::vector<std::uint8_t>& bytes,
                                        std::span<const route::PathHop> hops,
                                        double start, topo::AsId src_as,

@@ -52,23 +52,6 @@ WalkResult walk_hops(HopContext& hc, std::span<const route::PathHop> path,
   return result;
 }
 
-void walk_batch_pipeline(WalkBatch& b, const HopRow* rows,
-                         const ElementSet& es, double hop_delay_s) {
-  const std::uint32_t live = b.live;
-  for (std::uint32_t m = live; m != 0; m &= m - 1) {
-    const auto p = static_cast<std::size_t>(std::countr_zero(m));
-    if (!b.hops[p].empty()) {
-      RROPT_PREFETCH(&rows[b.hops[p][0].router]);
-    }
-  }
-  for (std::uint32_t m = live; m != 0; m &= m - 1) {
-    const auto p = static_cast<std::size_t>(std::countr_zero(m));
-    b.results[p] = walk_hops(b.hc[p], b.hops[p], b.banks[p], rows, es,
-                             hop_delay_s);
-  }
-  b.live = 0;
-}
-
 RunTable compile_run_table(const PipelineConfig& config) {
   RunTable table{};
   for (std::size_t flags = 0; flags < HopRow::kNumPersonalities; ++flags) {

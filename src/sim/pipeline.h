@@ -36,7 +36,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -45,15 +44,6 @@
 #include "sim/behavior.h"
 #include "sim/element.h"
 #include "topology/topology.h"
-
-/// Software prefetch of the cache line holding `p`. Advisory only: the
-/// batched walk prefetches every live slot's first HopRow before any slot
-/// walks, hiding the dependent row loads behind earlier slots' walks.
-#if defined(__GNUC__) || defined(__clang__)
-#define RROPT_PREFETCH(p) __builtin_prefetch(p)
-#else
-#define RROPT_PREFETCH(p) ((void)0)
-#endif
 
 namespace rr::sim {
 
@@ -207,67 +197,13 @@ struct WalkResult {
 /// over `hc`, advancing virtual time by `hop_delay_s` per hop from
 /// `hc.now`. `hc` arrives with its per-leg fields filled (view, bytes,
 /// flow, leg, ASes, counters, trace or buckets, doomed); the walk sets the
-/// per-hop ones. Every leg — scalar send or batch slot, forward or reply —
-/// runs this one loop. A doomed packet that walks the full path is still
+/// per-hop ones. Every leg of every send, forward or reply, runs this one
+/// loop. A doomed packet that walks the full path is still
 /// "delivered" so the endpoint raises its ghost reply; callers treat a
 /// doomed delivery as unobservable.
 WalkResult walk_hops(HopContext& hc, std::span<const route::PathHop> path,
                      const PackedRunList* bank, const HopRow* rows,
                      const ElementSet& es, double hop_delay_s);
-
-/// A structure-of-arrays batch of in-flight walks for
-/// walk_batch_pipeline: each slot holds a bound header view, its per-leg
-/// HopContext, its run-list bank, its path spine, and its result.
-/// The caller binds up to kMaxProbes slots (bind()), fills the per-leg
-/// context fields, and hands the batch to the kernel. Non-copyable: each
-/// slot's HopContext points at the view stored in the same batch.
-struct WalkBatch {
-  static constexpr std::size_t kMaxProbes = 16;
-
-  WalkBatch() = default;
-  WalkBatch(const WalkBatch&) = delete;
-  WalkBatch& operator=(const WalkBatch&) = delete;
-
-  std::uint32_t live = 0;  // bitmask of slots still walking
-  pkt::Ipv4HeaderView views[kMaxProbes];
-  HopContext hc[kMaxProbes];
-  const PackedRunList* banks[kMaxProbes] = {};
-  std::span<const route::PathHop> hops[kMaxProbes];
-  WalkResult results[kMaxProbes];
-
-  /// Empties the batch for reuse (slot state is rebuilt by bind()).
-  void clear() noexcept { live = 0; }
-
-  /// Binds slot `i` to a datagram buffer and a path spine starting at
-  /// virtual time `start`, resetting the slot's context and result.
-  /// Returns the slot's HopContext so the caller can fill the remaining
-  /// per-leg fields (flow, leg, ASes, counters, trace, doomed) and pick
-  /// the slot's run-list bank from `hc.has_options`.
-  HopContext& bind(std::size_t i, std::span<std::uint8_t> bytes,
-                   std::span<const route::PathHop> path,
-                   double start) noexcept {
-    views[i] = pkt::Ipv4HeaderView{bytes};
-    HopContext& ctx = hc[i];
-    ctx = HopContext{};
-    ctx.view = &views[i];
-    ctx.bytes = bytes;
-    ctx.has_options = views[i].has_options();
-    ctx.now = start;
-    hops[i] = path;
-    results[i] = WalkResult{};
-    live |= 1u << i;
-    return ctx;
-  }
-};
-
-/// Drives every live slot of `b` through walk_hops, after prefetching
-/// every live slot's first HopRow so slot k's first row load has k slots'
-/// worth of walking to arrive behind. Results land in b.results. Each
-/// slot walks on its own HopContext, and every cross-slot interaction is
-/// a counter-based draw (order-free) or a deferred bucket event (recorded
-/// per slot), so the slot interleaving is unobservable.
-void walk_batch_pipeline(WalkBatch& b, const HopRow* rows,
-                         const ElementSet& es, double hop_delay_s);
 
 /// The frozen dataplane: per-router HopRows plus the run-list table and
 /// the configured element set. Built once when the Network binds a frozen

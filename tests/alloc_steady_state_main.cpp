@@ -10,8 +10,9 @@
 //      scratches, result vectors, trace events) is recycled, on every
 //      path the network stitches: host to host, a router's Time-Exceeded
 //      error back to the prober, and host to router interface and back —
-//      and so does a traceroute's TTL sweep, whose probes reuse and copy
-//      one forward path;
+//      and so does a whole traceroute (Prober::traceroute_into into a
+//      reused result), whose probes share one context and its forward
+//      path;
 //   2. flat growth counters: Prober::buffer_growths() and the context's
 //      ReplyScratch growths stop moving once the largest probe/reply
 //      geometry has been seen, and two identical campaigns report
@@ -80,7 +81,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <span>
 
@@ -191,73 +191,34 @@ void steady_state_prober_test(rr::measure::Testbed& testbed) {
   CHECK(counts.router_echoes > 0);
 }
 
-void steady_state_batch_test(rr::measure::Testbed& testbed) {
-  // Same promise as the scalar sweep, for the batched walk: once the
-  // per-slot buffers, contexts, and result vectors have seen the largest
-  // probe/reply geometry, a full probe_batch_into round trip (build ->
-  // batched walks -> parse) allocates nothing.
-  auto prober = testbed.make_prober(testbed.vps().back()->host, 20.0);
-  constexpr std::size_t kBatch = rr::sim::WalkBatch::kMaxProbes;
-  std::array<rr::sim::SendContext, kBatch> ctxs;
-  std::array<rr::probe::ProbeResult, kBatch> results;
-  std::array<rr::probe::ProbeSpec, kBatch> specs;
-
-  const auto& topology = testbed.topology();
-  const std::size_t n =
-      std::min<std::size_t>(topology.destinations().size(), 64);
-
-  const auto sweep_once = [&] {
-    std::uint64_t matched = 0;
-    for (std::size_t i = 0; i < n; i += kBatch) {
-      const std::size_t m = std::min(kBatch, n - i);
-      for (std::size_t k = 0; k < m; ++k) {
-        const auto target =
-            topology.host_at(topology.destinations()[i + k]).address;
-        specs[k] = rr::probe::ProbeSpec::ping_rr(target);
-      }
-      prober.probe_batch_into(
-          std::span<const rr::probe::ProbeSpec>{specs.data(), m},
-          std::span<rr::sim::SendContext>{ctxs.data(), m},
-          std::span<rr::probe::ProbeResult>{results.data(), m});
-      for (std::size_t k = 0; k < m; ++k) {
-        if (results[k].kind != rr::probe::ResponseKind::kNone) ++matched;
-      }
-    }
-    return matched;
-  };
-
-  sweep_once();
-  sweep_once();
-
-  const std::uint64_t allocations_before =
-      g_allocations.load(std::memory_order_relaxed);
-  const std::uint64_t buffer_growths_before = prober.buffer_growths();
-
-  const std::uint64_t matched = sweep_once();
-
-  const std::uint64_t allocated =
-      g_allocations.load(std::memory_order_relaxed) - allocations_before;
-  std::printf("steady-state batch sweep: %zu exchanges, %llu responses, "
-              "%llu heap allocations\n",
-              n, static_cast<unsigned long long>(matched),
-              static_cast<unsigned long long>(allocated));
-  CHECK_EQ_U64(allocated, 0);
-  CHECK_EQ_U64(prober.buffer_growths(), buffer_growths_before);
-  CHECK(matched > n / 2);
-}
+/// A gate that starts every trace at TTL 4 and never stops it, so each
+/// trace runs both Doubletree sweeps (forward windows from TTL 4, then
+/// TTLs 3..1) without a stop set's own bookkeeping.
+class SplitGate final : public rr::probe::TraceGate {
+ public:
+  int begin(rr::net::IPv4Address) override { return 4; }
+  bool stop_forward(rr::net::IPv4Address, int) override { return false; }
+  bool stop_backward(rr::net::IPv4Address, int) override { return false; }
+  void record(rr::net::IPv4Address, int) override {}
+  std::span<const rr::net::IPv4Address> backfill(rr::net::IPv4Address,
+                                                 int) override {
+    return {};
+  }
+};
 
 void steady_state_trace_test(rr::measure::Testbed& testbed) {
-  // A traceroute's probe pattern, as Prober::traceroute sends it: forward
-  // windows of four TTLs to one destination through probe_batch_into,
-  // whose slots copy or reuse one stitched forward path, then scalar
-  // probes back down toward TTL 1 on the first window context (the
-  // Doubletree backward sweep). The sweep drives the probe calls itself
-  // because traceroute() returns a fresh hop list per trace.
+  // Whole traceroutes through traceroute_into, reusing one result: the
+  // forward sweep's four-TTL windows and the backward sweep's single TTLs
+  // all run on the prober's trace context, whose forward path is stitched
+  // once per trace, and the hop list keeps its capacity across traces.
   auto prober = testbed.make_prober(testbed.vps()[1]->host, 20.0);
-  constexpr std::size_t kWindow = 4;
-  std::array<rr::sim::SendContext, kWindow> ctxs;
-  std::array<rr::probe::ProbeResult, kWindow> results;
-  std::array<rr::probe::ProbeSpec, kWindow> specs;
+  SplitGate gate;
+  rr::sim::NetCounters sink;
+  rr::probe::TraceOptions options;
+  options.max_ttl = 16;
+  options.gate = &gate;
+  options.counters = &sink;
+  rr::probe::TracerouteResult trace;
 
   const auto& topology = testbed.topology();
   const std::size_t n =
@@ -272,26 +233,10 @@ void steady_state_trace_test(rr::measure::Testbed& testbed) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto target =
           topology.host_at(topology.destinations()[i]).address;
-      bool reached = false;
-      for (int base = 1; base <= 16 && !reached; base += kWindow) {
-        for (std::size_t k = 0; k < kWindow; ++k) {
-          specs[k] = rr::probe::ProbeSpec::ping(target);
-          specs[k].ttl = static_cast<std::uint8_t>(base + k);
-        }
-        prober.probe_batch_into(specs, ctxs, results);
-        for (const auto& result : results) {
-          reached |= result.kind == rr::probe::ResponseKind::kEchoReply;
-          if (result.kind == rr::probe::ResponseKind::kTtlExceeded) {
-            ++counts.ttl_exceeded;
-          }
-        }
-      }
-      if (reached) ++counts.reached;
-      for (int ttl = 3; ttl >= 1; --ttl) {
-        rr::probe::ProbeSpec spec = rr::probe::ProbeSpec::ping(target);
-        spec.ttl = static_cast<std::uint8_t>(ttl);
-        prober.probe_into(spec, &ctxs[0], results[0]);
-        if (results[0].kind == rr::probe::ResponseKind::kTtlExceeded) {
+      prober.traceroute_into(target, options, trace);
+      if (trace.reached) ++counts.reached;
+      for (const auto& hop : trace.hops) {
+        if (hop.kind == rr::probe::ResponseKind::kTtlExceeded) {
           ++counts.ttl_exceeded;
         }
       }
@@ -345,9 +290,8 @@ void campaign_alloc_stats_test(rr::measure::Testbed& testbed) {
   CHECK_EQ_U64(a.probe_buffer_growths, b.probe_buffer_growths);
   CHECK_EQ_U64(a.reply_scratch_growths, b.reply_scratch_growths);
   CHECK(a.probe_streams > 0);
-  CHECK(a.probe_buffers >= a.probe_streams);
-  CHECK(a.probe_buffer_growths <= a.probe_buffers * 8);
-  CHECK(a.reply_scratch_growths <= a.probe_buffers * 8);
+  CHECK(a.probe_buffer_growths <= a.probe_streams * 8);
+  CHECK(a.reply_scratch_growths <= a.probe_streams * 8);
 }
 
 }  // namespace
@@ -360,7 +304,6 @@ int main() {
   auto testbed = std::make_unique<rr::measure::Testbed>(config);
 
   steady_state_prober_test(*testbed);
-  steady_state_batch_test(*testbed);
   steady_state_trace_test(*testbed);
   campaign_alloc_stats_test(*testbed);
 

@@ -174,7 +174,9 @@ TEST(AddressIndex, MatchesHashMapOnRandomCorpora) {
       const auto got = index.find(net::IPv4Address{key});
       const auto it = reference.find(key);
       ASSERT_EQ(got.has_value(), it != reference.end()) << key;
-      if (got) EXPECT_EQ(*got, it->second) << key;
+      if (got) {
+        EXPECT_EQ(*got, it->second) << key;
+      }
     }
   }
 }
@@ -198,7 +200,9 @@ TEST(CompiledTopology, FlatServicesMatchReferenceStructures) {
     const auto flat = topo->as_of_address(addr);
     const std::uint32_t* reference = topo->address_trie().lookup(addr);
     ASSERT_EQ(flat.has_value(), reference != nullptr) << addr.to_string();
-    if (flat) EXPECT_EQ(*flat, *reference);
+    if (flat) {
+      EXPECT_EQ(*flat, *reference);
+    }
   }
 
   // owner_of / aliases_of: alias views must contain the queried address

@@ -1,7 +1,6 @@
-// bad: no-hot-alloc — the hop walk and its batch driver (walk_hops /
-// walk_batch_pipeline, sim/pipeline.cpp) are hot regions by contract,
-// with no RROPT_HOT markers needed: every simulated leg runs walk_hops
-// once per router hop.
+// bad: no-hot-alloc — the hop walk (walk_hops, sim/pipeline.cpp) is a hot
+// region by contract, with no RROPT_HOT markers needed: every simulated
+// leg runs walk_hops once per router hop.
 #include <cstddef>
 #include <vector>
 
@@ -13,13 +12,9 @@ struct Batch {
 
 int walk_hops(Batch& b, std::size_t p) {
   b.results.push_back(static_cast<int>(p));  // finding: no-hot-alloc
-  return 0;
-}
-
-void walk_batch_pipeline(Batch& b) {
   int* scratch = new int[b.results.size() + 1];  // finding: no-hot-alloc
   delete[] scratch;
-  for (std::size_t p = 0; p < b.results.size(); ++p) walk_hops(b, p);
+  return 0;
 }
 
 }  // namespace rr::sim

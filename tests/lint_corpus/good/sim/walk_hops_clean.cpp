@@ -1,7 +1,7 @@
-// good: the hop walk and its batch driver are implicitly hot, but
-// allocation-free bodies pass, a deliberate recycled-capacity push carries
-// the standard RROPT_HOT_OK waiver, and *calls* to them (or allocations
-// outside their bodies) are not implicit hot regions.
+// good: the hop walk is implicitly hot, but an allocation-free body
+// passes, a deliberate recycled-capacity push carries the standard
+// RROPT_HOT_OK waiver, and *calls* to it (or allocations outside its
+// body) are not implicit hot regions.
 #include <cstddef>
 #include <vector>
 
@@ -9,7 +9,6 @@ namespace rr::sim {
 
 struct Batch {
   std::vector<int> results;
-  std::size_t live = 0;
 };
 
 int walk_hops(Batch& b, std::size_t p) {
@@ -18,14 +17,9 @@ int walk_hops(Batch& b, std::size_t p) {
   return 0;
 }
 
-void walk_batch_pipeline(Batch& b) {
-  for (std::size_t p = 0; p < b.live; ++p) walk_hops(b, p);
-  b.live = 0;
-}
-
 int drive(Batch& b) {
   b.results.push_back(1);  // a caller's allocation is not hot
-  walk_batch_pipeline(b);  // a call site is not hot
+  walk_hops(b, 0);  // a call site is not hot
   return b.results.back();
 }
 

@@ -133,12 +133,10 @@ TEST(LintRules, ElementProcessBodyIsImplicitlyHot) {
   EXPECT_TRUE(lint_file("src/analysis/x.h", "#pragma once\n" + body).empty());
 }
 
-TEST(LintRules, BatchWalkKernelsAreImplicitlyHot) {
+TEST(LintRules, HopWalkIsImplicitlyHot) {
   const std::string body =
       "WalkResult walk_hops(Ctx& c, int p) {\n"
       "  c.v.push_back(p);\n"
-      "}\n"
-      "void walk_batch_pipeline(B& b) {\n"
       "  int* s = new int[4];\n"
       "  delete[] s;\n"
       "}\n";
@@ -147,12 +145,12 @@ TEST(LintRules, BatchWalkKernelsAreImplicitlyHot) {
   EXPECT_EQ(findings[0].rule, "no-hot-alloc");
   EXPECT_EQ(findings[0].line, 2);
   EXPECT_EQ(findings[1].rule, "no-hot-alloc");
-  EXPECT_EQ(findings[1].line, 5);
+  EXPECT_EQ(findings[1].line, 3);
   // Call sites do not open hot regions.
   EXPECT_TRUE(lint_file("src/measure/x.cpp",
-                        "void f(B& b) {\n"
-                        "  walk_batch_pipeline(b);\n"
-                        "  b.v.push_back(1);\n"
+                        "void f(Ctx& c) {\n"
+                        "  walk_hops(c, 1);\n"
+                        "  c.v.push_back(1);\n"
                         "}\n")
                   .empty());
 }

@@ -166,6 +166,41 @@ TEST_F(ProbeTest, TracerouteHopsAreMonotoneTtl) {
   }
 }
 
+TEST_F(ProbeTest, TracerouteIntoReusedResultMatchesFreshTraces) {
+  // Two probers on one source and clock send identical probe streams: one
+  // fills a fresh result per trace, the other reuses one result. Every
+  // trace must match, and each trace's tally must count its own probes.
+  auto fresh_prober = testbed_->make_prober(vp_host(), 200.0);
+  auto reusing_prober = testbed_->make_prober(vp_host(), 200.0);
+  TracerouteResult reused;
+  int reached = 0;
+  for (std::size_t i = 0; i < 20; ++i) {
+    SCOPED_TRACE(testing::Message() << "trace " << i);
+    sim::NetCounters fresh_tally;
+    sim::NetCounters reused_tally;
+    TraceOptions options;
+    options.counters = &fresh_tally;
+    const TracerouteResult fresh =
+        fresh_prober.traceroute(dest_address(i), options);
+    options.counters = &reused_tally;
+    reusing_prober.traceroute_into(dest_address(i), options, reused);
+    reached += fresh.reached;
+    EXPECT_EQ(reused.target, fresh.target);
+    EXPECT_EQ(reused.reached, fresh.reached);
+    EXPECT_EQ(reused.probes_sent, fresh.probes_sent);
+    ASSERT_EQ(reused.hops.size(), fresh.hops.size());
+    for (std::size_t h = 0; h < fresh.hops.size(); ++h) {
+      EXPECT_EQ(reused.hops[h].ttl, fresh.hops[h].ttl);
+      EXPECT_EQ(reused.hops[h].responded, fresh.hops[h].responded);
+      EXPECT_EQ(reused.hops[h].address, fresh.hops[h].address);
+      EXPECT_EQ(reused.hops[h].kind, fresh.hops[h].kind);
+    }
+    EXPECT_EQ(reused_tally, fresh_tally);
+    EXPECT_EQ(reused_tally.sent, reused.probes_sent);
+  }
+  EXPECT_GT(reached, 0);
+}
+
 TEST_F(ProbeTest, ResultsAreDeterministicAcrossRuns) {
   // Two fresh networks with identical seeds produce identical outcomes.
   measure::TestbedConfig config;

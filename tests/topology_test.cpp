@@ -14,15 +14,10 @@ namespace {
 
 class TopologyTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    topo_ = generate_test_topology(7).get();
-    owner_ = generate_test_topology(7);
-  }
-  static const Topology* topo_;
+  static void SetUpTestSuite() { owner_ = generate_test_topology(7); }
   static std::shared_ptr<const Topology> owner_;
 };
 
-const Topology* TopologyTest::topo_ = nullptr;
 std::shared_ptr<const Topology> TopologyTest::owner_;
 
 TEST_F(TopologyTest, GenerationIsDeterministic) {

@@ -462,14 +462,13 @@ class Checker {
     const std::vector<FnDef> defs = collect_fn_defs();
 
     // Dataplane element process() bodies are implicitly hot (the contract
-    // of sim/element.h), and so are the hop walk every leg runs and the
-    // batch driver around it (sim/pipeline.cpp's walk_hops /
-    // walk_batch_pipeline): every such body obeys the same no-allocation
-    // rule as a marker-delimited RROPT_HOT region, without each function
-    // needing its own markers. RROPT_HOT_OK waives individual lines as
-    // usual.
+    // of sim/element.h), and so is the hop walk every leg runs
+    // (sim/pipeline.cpp's walk_hops): every such body obeys the same
+    // no-allocation rule as a marker-delimited RROPT_HOT region, without
+    // each function needing its own markers. RROPT_HOT_OK waives
+    // individual lines as usual.
     static const std::unordered_set<std::string> kImplicitHotFns{
-        "process", "walk_hops", "walk_batch_pipeline"};
+        "process", "walk_hops"};
     std::vector<std::pair<int, int>> process_bodies;
     if (scope_.determinism) {
       for (const FnDef& def : defs) {
@@ -584,8 +583,8 @@ class Checker {
         if (in_marker_hot(tok.line) || in_process_body(tok.line)) {
           report(tok.line, "no-hot-alloc",
                  "'" + tok.text + "' allocates inside a hot region "
-                 "(RROPT_HOT markers, an element process() body, or a "
-                 "batched walk kernel — those are hot by contract); "
+                 "(RROPT_HOT markers, an element process() body, or the "
+                 "hop walk — those are hot by contract); "
                  "preallocate, or waive the line with "
                  "'// RROPT_HOT_OK: <why this is steady-state-free>'");
         } else if (const std::string* caller = in_closure_body(tok.line)) {
@@ -935,8 +934,8 @@ std::vector<std::string> rule_descriptions() {
       "probe/, netbase/, routing/, measure/",
       "no-hot-alloc — allocation keywords banned between RROPT_HOT_BEGIN "
       "and RROPT_HOT_END, inside dataplane element process() bodies, and "
-      "inside the hop walk (walk_hops / walk_batch_pipeline) in sim/, "
-      "measure/, routing/, unless waived with RROPT_HOT_OK",
+      "inside the hop walk (walk_hops) in sim/, measure/, routing/, "
+      "unless waived with RROPT_HOT_OK",
       "raw-mutex — std::mutex members only under util/ (use util::Mutex "
       "so Clang TSA sees the locks)",
       "umbrella-include — \"rropt.h\" must not be included from inside "
