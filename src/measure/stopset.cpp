@@ -1,10 +1,13 @@
 #include "measure/stopset.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
+#include <numeric>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rr::measure {
 namespace {
@@ -65,11 +68,9 @@ StopSet::StopSet(std::size_t expected_keys) {
   stripe_capacity_ = std::bit_ceil(per_stripe);
   stripe_mask_ = stripe_capacity_ - 1;
   stripe_limit_ = stripe_capacity_ - stripe_capacity_ / 4;
+  // Value-initialized: every slot starts at 0, the empty sentinel.
   slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(kStripes *
                                                           stripe_capacity_);
-  for (std::size_t i = 0; i < kStripes * stripe_capacity_; ++i) {
-    slots_[i].store(0, std::memory_order_relaxed);
-  }
   stripes_ = std::make_unique<Stripe[]>(kStripes);
 }
 
@@ -91,8 +92,12 @@ bool StopSet::contains(std::uint64_t key) const noexcept {
 bool StopSet::insert(std::uint64_t key) {
   const std::size_t s = stripe_of(key);
   Stripe& stripe = stripes_[s];
-  std::atomic<std::uint64_t>* slots = stripe_slots(s);
   util::MutexLock lock(stripe.mu);
+  return insert_locked(stripe, stripe_slots(s), key);
+}
+
+bool StopSet::insert_locked(Stripe& stripe, std::atomic<std::uint64_t>* slots,
+                            std::uint64_t key) {
   std::size_t i = key & stripe_mask_;
   for (;;) {
     // Writers are serialized per stripe, so a relaxed read of our own
@@ -112,12 +117,51 @@ bool StopSet::insert(std::uint64_t key) {
   return true;
 }
 
-std::size_t StopSet::insert_all(std::span<const std::uint64_t> keys) {
-  std::size_t inserted = 0;
-  for (const std::uint64_t key : keys) {
-    if (insert(key)) ++inserted;
+std::size_t StopSet::commit(
+    std::span<const std::span<const std::uint64_t>> batches,
+    util::ThreadPool& pool) {
+  // Bucket each batch by stripe, keeping its order: batch b's keys land in
+  // keys[base[b] .. base[b + 1]), its stripe-s run starting at
+  // runs[b * (kStripes + 1) + s].
+  const std::size_t n = batches.size();
+  std::vector<std::size_t> base(n + 1, 0);
+  for (std::size_t b = 0; b < n; ++b) {
+    base[b + 1] = base[b] + batches[b].size();
   }
-  return inserted;
+  std::vector<std::uint64_t> keys(base[n]);
+  std::vector<std::size_t> runs(n * (kStripes + 1));
+  pool.parallel_for(n, [&](std::size_t b) {
+    std::size_t* run = runs.data() + b * (kStripes + 1);
+    std::array<std::size_t, kStripes> fill{};
+    for (const std::uint64_t key : batches[b]) ++fill[stripe_of(key)];
+    std::size_t at = base[b];
+    for (std::size_t s = 0; s < kStripes; ++s) {
+      run[s] = at;
+      at += fill[s];
+      fill[s] = run[s];
+    }
+    run[kStripes] = at;
+    for (const std::uint64_t key : batches[b]) {
+      keys[fill[stripe_of(key)]++] = key;
+    }
+  });
+
+  // Then each stripe takes its runs in batch order, under one lock.
+  std::array<std::size_t, kStripes> fresh{};
+  pool.parallel_for(kStripes, [&](std::size_t s) {
+    Stripe& stripe = stripes_[s];
+    std::atomic<std::uint64_t>* slots = stripe_slots(s);
+    util::MutexLock lock(stripe.mu);
+    std::size_t inserted = 0;
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t* run = runs.data() + b * (kStripes + 1);
+      for (std::size_t i = run[s]; i < run[s + 1]; ++i) {
+        if (insert_locked(stripe, slots, keys[i])) ++inserted;
+      }
+    }
+    fresh[s] = inserted;
+  });
+  return std::accumulate(fresh.begin(), fresh.end(), std::size_t{0});
 }
 
 std::size_t StopSet::size() const {

@@ -23,6 +23,9 @@
 // and commit them in canonical VP order at round boundaries (the deferred
 // pattern the token-bucket replay established), so the set every worker
 // reads is a pure function of the probe stream, never of thread timing.
+// StopSet::commit runs such a commit with one pool task per stripe:
+// stripes never interact, so each stripe's keys in VP order are all the
+// canonical order fixes.
 #pragma once
 
 #include <atomic>
@@ -36,6 +39,10 @@
 #include "probe/types.h"
 #include "util/annotations.h"
 #include "util/mutex.h"
+
+namespace rr::util {
+class ThreadPool;
+}  // namespace rr::util
 
 namespace rr::measure {
 
@@ -93,8 +100,16 @@ class StopSet {
   /// already present or its stripe is full.
   bool insert(std::uint64_t key);
 
-  /// Inserts a batch (the deferred-commit path); returns how many were new.
-  std::size_t insert_all(std::span<const std::uint64_t> keys);
+  /// The deferred-commit path: inserts every key of batches[0], then of
+  /// batches[1], and so on, with one task per stripe on `pool`. Each
+  /// stripe has its own slots, size and load limit, so inserts into
+  /// different stripes never interact, and keeping each stripe's keys in
+  /// batch order gives the same contents, slot layout, size() and
+  /// overflows() as calling insert() on every key in that order, at any
+  /// pool size. Returns how many keys were new. contains() may run
+  /// alongside; a concurrent insert() lands in no defined order.
+  std::size_t commit(std::span<const std::span<const std::uint64_t>> batches,
+                     util::ThreadPool& pool);
 
   /// Number of keys stored (takes every stripe lock; not for hot paths).
   [[nodiscard]] std::size_t size() const;
@@ -111,6 +126,10 @@ class StopSet {
     util::Mutex mu;
     std::size_t size RROPT_GUARDED_BY(mu) = 0;
   };
+
+  /// insert() with the key's stripe, and its lock, already in hand.
+  bool insert_locked(Stripe& stripe, std::atomic<std::uint64_t>* slots,
+                     std::uint64_t key) RROPT_REQUIRES(stripe.mu);
 
   [[nodiscard]] std::size_t stripe_of(std::uint64_t key) const noexcept {
     return static_cast<std::size_t>(key >> 58) & (kStripes - 1);
@@ -203,7 +222,7 @@ class DoubletreeGate final : public probe::TraceGate {
                                              int ttl) override;
 
   /// Deferred global-set discoveries; the campaign drains and commits
-  /// these (StopSet::insert_all) in canonical VP order.
+  /// these (StopSet::commit) in canonical VP order.
   [[nodiscard]] std::vector<std::uint64_t>& pending_global() noexcept {
     return pending_global_;
   }

@@ -1,8 +1,10 @@
 #include "measure/trace_census.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <unordered_set>
 
 #include "util/rng.h"
@@ -87,6 +89,29 @@ void harvest(PerVp& p, const probe::TracerouteResult& trace) {
   p.schedule_hash = h;
 }
 
+/// Union of sorted, duplicate-free runs, merged pairwise on the pool: each
+/// level halves the run count, and std::set_union keeps one copy of a key
+/// that two runs share.
+template <typename T>
+std::vector<T> sorted_union(std::vector<std::vector<T>> runs,
+                            util::ThreadPool& pool) {
+  if (runs.empty()) return {};
+  for (std::size_t width = 1; width < runs.size(); width *= 2) {
+    const std::size_t pairs = (runs.size() + width - 1) / (2 * width);
+    pool.parallel_for(pairs, [&](std::size_t i) {
+      std::vector<T>& a = runs[2 * width * i];
+      std::vector<T>& b = runs[2 * width * i + width];
+      std::vector<T> merged;
+      merged.reserve(a.size() + b.size());
+      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                     std::back_inserter(merged));
+      a = std::move(merged);
+      b = std::vector<T>{};
+    });
+  }
+  return std::move(runs.front());
+}
+
 }  // namespace
 
 TraceCensusResult run_trace_census(Testbed& testbed,
@@ -135,7 +160,10 @@ TraceCensusResult run_trace_census(Testbed& testbed,
           return options;
         }());
     if (config.use_stop_sets) {
-      p->local = std::make_unique<StopSet>(4096 + n_dests * 4);
+      // Local facts are (interface, TTL) pairs near this VP, shared by
+      // most of its traces: a default-scale census stores ~0.4 per
+      // destination, so n_dests / 2 plus a floor leaves ample headroom.
+      p->local = std::make_unique<StopSet>(4096 + n_dests / 2);
       DoubletreeGate::Config gc;
       gc.first_hop = config.first_hop;
       gc.max_ttl = config.max_ttl;
@@ -148,6 +176,7 @@ TraceCensusResult run_trace_census(Testbed& testbed,
   }
 
   util::ThreadPool pool(threads);
+  std::vector<std::span<const std::uint64_t>> pending(n_vps);
   probe::TraceOptions topts;
   topts.max_ttl = config.max_ttl;
   topts.attempts = config.attempts;
@@ -166,21 +195,33 @@ TraceCensusResult run_trace_census(Testbed& testbed,
         harvest(p, p.trace);
       }
     });
-    // Commit this round's global discoveries serially in canonical VP
-    // order: every worker of the next round sees the identical set no
-    // matter how many threads ran this one.
+    // Commit this round's global discoveries in canonical VP order (one
+    // pool task per stripe, StopSet::commit): every worker of the next
+    // round sees the identical set no matter how many threads ran this one.
     if (config.use_stop_sets) {
       for (std::size_t v = 0; v < n_vps; ++v) {
-        auto& pending = per_vp[v]->gate->pending_global();
-        global.insert_all(pending);
-        pending.clear();
+        pending[v] = per_vp[v]->gate->pending_global();
       }
+      global.commit(pending, pool);
+      for (auto& p : per_vp) p->gate->pending_global().clear();
     }
   }
 
+  // Each VP's discoveries, sorted on the pool; the per-VP hash sets are
+  // released there too.
+  std::vector<std::vector<std::uint32_t>> iface_runs(n_vps);
+  std::vector<std::vector<std::uint64_t>> link_runs(n_vps);
+  pool.parallel_for(n_vps, [&](std::size_t v) {
+    PerVp& p = *per_vp[v];
+    iface_runs[v].assign(p.ifaces.begin(), p.ifaces.end());
+    std::sort(iface_runs[v].begin(), iface_runs[v].end());
+    link_runs[v].assign(p.links.begin(), p.links.end());
+    std::sort(link_runs[v].begin(), link_runs[v].end());
+    p.ifaces = {};
+    p.links = {};
+  });
+
   TraceCensusResult result;
-  std::unordered_set<std::uint32_t> ifaces;
-  std::unordered_set<std::uint64_t> links;
   result.schedule_hash = kFnvOffset;
   for (std::size_t v = 0; v < n_vps; ++v) {
     PerVp& p = *per_vp[v];
@@ -190,8 +231,6 @@ TraceCensusResult run_trace_census(Testbed& testbed,
     result.probes_sent += p.probes_sent;
     result.probes_saved += p.probes_saved;
     result.schedule_hash = fnv_fold(result.schedule_hash, p.schedule_hash);
-    ifaces.insert(p.ifaces.begin(), p.ifaces.end());
-    links.insert(p.links.begin(), p.links.end());
     if (p.gate != nullptr) {
       p.gate->finish_trace();
       result.stats.merge(p.gate->stats());
@@ -206,10 +245,8 @@ TraceCensusResult run_trace_census(Testbed& testbed,
     result.stopset_overflows += global.overflows();
   }
 
-  std::vector<std::uint32_t> iface_sorted(ifaces.begin(), ifaces.end());
-  std::sort(iface_sorted.begin(), iface_sorted.end());
-  std::vector<std::uint64_t> link_sorted(links.begin(), links.end());
-  std::sort(link_sorted.begin(), link_sorted.end());
+  const auto iface_sorted = sorted_union(std::move(iface_runs), pool);
+  const auto link_sorted = sorted_union(std::move(link_runs), pool);
   result.interfaces = iface_sorted.size();
   result.links = link_sorted.size();
   std::uint64_t ih = kFnvOffset;

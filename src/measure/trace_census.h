@@ -7,11 +7,14 @@
 // any thread count: within a round each VP traces a fixed slice of its
 // (seeded, per-VP shuffled) destination order on pool workers, reading a
 // *frozen* global set and buffering its own discoveries; between rounds
-// the buffered insertions are committed serially in canonical VP order —
-// the deferred pattern the token-bucket replay established. A VP's probe
-// stream is therefore a pure function of (seed, round size, stop-set
-// contents at round boundaries), never of thread timing, and the census
-// asserts that by folding every VP's schedule into schedule_hash.
+// the buffered insertions are committed in canonical VP order — the
+// deferred pattern the token-bucket replay established — by one pool task
+// per stripe of the global set (StopSet::commit). A VP's probe stream is
+// therefore a pure function of (seed, round size, stop-set contents at
+// round boundaries), never of thread timing, and the census asserts that
+// by folding every VP's schedule into schedule_hash. At the end, each
+// VP's interface and link sets are sorted on the pool and merged pairwise
+// into the census-wide sets.
 #pragma once
 
 #include <cstdint>

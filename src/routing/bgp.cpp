@@ -11,8 +11,7 @@ constexpr int class_rank(RouteClass c) noexcept { return static_cast<int>(c); }
 void RouteTree::as_path_into(AsId src, std::vector<AsId>& out) const {
   out.clear();
   AsId current = src;
-  // Valley-free paths cannot exceed the AS count; use a small sane bound.
-  for (int guard = 0; guard < 64; ++guard) {
+  for (std::size_t guard = 0; guard < kMaxPathAses; ++guard) {
     out.push_back(current);
     if (current == destination_) return;
     const RouteEntry& entry = entries_[current];

@@ -46,6 +46,11 @@ struct RouteEntry {
 /// All ASes' selected routes toward one destination AS.
 class RouteTree {
  public:
+  /// Longest AS path as_path_into() follows, in ASes: valley-free paths
+  /// cannot exceed the AS count, and a walk past this bound is treated as
+  /// unreachable.
+  static constexpr std::size_t kMaxPathAses = 64;
+
   RouteTree(AsId destination, std::vector<RouteEntry> entries)
       : destination_(destination), entries_(std::move(entries)) {}
 
@@ -68,6 +73,11 @@ class RouteTree {
   /// Same, but fills a caller-owned vector (cleared first) so repeated
   /// queries reuse its storage. `out` is empty when unreachable.
   void as_path_into(AsId src, std::vector<AsId>& out) const;
+
+  /// Bytes the tree holds: the object and its entries.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return sizeof(*this) + entries_.capacity() * sizeof(RouteEntry);
+  }
 
   /// Takes the entries storage back out (leaving the tree empty). Sweep
   /// loops use this to recycle the vector through their TreeScratch.

@@ -6,7 +6,7 @@
 //
 //  * precomputes, for every destination AS, the forward path from each
 //    source AS (one route-tree sweep over all destinations, with the paths
-//    stored compactly in an arena);
+//    stored compactly in per-block arenas);
 //  * pins the route trees *toward* each source AS, so reverse paths from
 //    any AS back to a source are a cheap pointer walk;
 //  * falls back to a FIFO cache of freshly computed trees for anything else.
@@ -16,11 +16,16 @@
 //
 // Construction parallelism: the destination sweep dominates world build
 // time, and each destination's tree is independent, so the sweep fans
-// destination blocks across a util::ThreadPool. Every worker fills a
-// per-block arena through a per-thread TreeScratch; the blocks are then
-// concatenated serially in destination order, which makes the final arena
-// (and therefore every path answer) byte-identical to a serial build at
-// any thread count.
+// blocks of 256 destinations across a util::ThreadPool. Each block keeps
+// its paths in its own exact-size arena, and its worker writes only that
+// block's columns of the offset table, with offsets relative to the
+// block's arena. Nothing is merged afterwards, and every path answer is
+// the same at any thread count.
+//
+// Simple stubs (no customers, no peers, one provider) get no tree at all:
+// a simple stub's route tree is its provider's tree one hop longer (the
+// lemma in oracle.cpp), so a source's path to it is the path to the
+// provider followed by the stub, assembled at query time.
 //
 // Concurrency: after construction the precomputed arrays and pinned trees
 // are immutable, so source-origin and source-destined queries are safe from
@@ -59,17 +64,30 @@ class RoutingOracle {
   [[nodiscard]] std::vector<AsId> as_path(AsId src, AsId dst);
 
   /// Copy-free variant: the returned span aliases the immutable path arena
-  /// for source-origin queries (the hot case — `storage` is not touched),
-  /// and otherwise points into `storage`, which is filled reusing its
-  /// capacity. The arena-backed span stays valid for the oracle's
-  /// lifetime; a storage-backed span is valid until `storage` changes.
+  /// for source-origin queries (the hot case — `storage` is not touched)
+  /// unless `dst` is a simple stub, and otherwise points into `storage`,
+  /// which is filled reusing its capacity. The arena-backed span stays
+  /// valid for the oracle's lifetime; a storage-backed span is valid until
+  /// `storage` changes.
   [[nodiscard]] std::span<const AsId> path_view(AsId src, AsId dst,
                                                 std::vector<AsId>& storage);
 
   /// True if `src` can reach `dst` at all under policy routing.
   [[nodiscard]] bool reachable(AsId src, AsId dst);
 
+  /// Bytes held by the precomputed state: path arenas, offset and slot
+  /// tables, pinned trees and the stub table. The fallback cache (at most
+  /// kFallbackCacheSize trees, filled on demand) is not counted.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+  /// The path arenas' share of memory_bytes().
+  [[nodiscard]] std::size_t arena_bytes() const noexcept;
+
  private:
+  /// Source-origin path to a destination that has a tree: a view into its
+  /// block's arena, empty when unreachable.
+  [[nodiscard]] std::span<const AsId> arena_path(std::uint32_t slot,
+                                                 AsId dst) const noexcept;
+
   /// Fills `out` with the fallback path (the tree reference cannot outlive
   /// the cache lock, so the lookup happens under it).
   void fallback_path_into(AsId src, AsId dst, std::vector<AsId>& out)
@@ -85,11 +103,17 @@ class RoutingOracle {
   /// scale (~10M queries per census).
   std::vector<std::uint32_t> source_slot_;
 
-  // Forward paths: arena[offsets[source_idx * num_as + dst]] .. length-
-  // prefixed sequences. Offset of 0 means "unreachable" (arena slot 0 is a
-  // sentinel).
+  // Forward paths, one arena per sweep block of kSweepBlock destinations:
+  // arenas_[dst / kSweepBlock] holds length-prefixed paths, and
+  // forward_offsets_[source_idx * num_as + dst] is 1 + the index of the
+  // path's length word in that arena, or 0 when `dst` is unreachable or a
+  // simple stub.
+  static constexpr std::size_t kSweepBlock = 256;
   std::vector<std::uint32_t> forward_offsets_;
-  std::vector<AsId> arena_;
+  std::vector<std::vector<AsId>> arenas_;  // exact-size
+
+  // AsId -> its one provider when the AS is a simple stub, kNoAs otherwise.
+  std::vector<AsId> stub_provider_;
 
   // Pinned trees toward each source AS (for reverse paths), indexed by the
   // destination AS (null for non-sources — same flat-beats-hash reasoning

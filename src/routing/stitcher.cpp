@@ -13,7 +13,8 @@ std::uint64_t pair_mix(std::uint64_t a, std::uint64_t b) noexcept {
 }
 
 /// Storage for AS paths the oracle cannot alias: every path that is not
-/// source-origin, which includes every reply path. One per thread, reused
+/// source-origin, which includes every reply path, and every path to a
+/// simple stub (RoutingOracle::path_view). One per thread, reused
 /// across stitches, so concurrent callers never share it and the stitcher
 /// keeps no per-instance state.
 std::vector<topo::AsId>& thread_path_storage() {
@@ -80,8 +81,9 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
     entry = *src_router;  // excluded from the sequence itself
   }
 
-  // Span view: source-origin queries (every campaign forward path) alias
-  // the oracle's arena directly — no per-assembly path copy.
+  // Span view: source-origin queries (every campaign forward path not
+  // bound for a simple stub) alias the oracle's arena directly — no
+  // per-assembly path copy.
   const std::span<const topo::AsId> as_path =
       oracle_->path_view(src_as, dst_as, thread_path_storage());
   if (as_path.empty()) return false;

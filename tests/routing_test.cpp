@@ -183,6 +183,119 @@ TEST_F(RoutingTest, OracleMatchesEngine) {
   EXPECT_EQ(oracle.as_path(3, 3), std::vector<AsId>{3});
 }
 
+/// The oracle's definition of a simple stub: no customers, no peers and
+/// exactly one provider in the epoch's graph.
+bool is_simple_stub(const BgpEngine& engine, AsId as) {
+  return engine.customers_of(as).empty() && engine.peers_of(as).empty() &&
+         engine.providers_of(as).size() == 1;
+}
+
+/// Source set for the oracle checks: a simple stub, its provider, and a
+/// transit AS that is neither.
+std::vector<AsId> stub_provider_transit(const BgpEngine& engine) {
+  const std::size_t n = engine.topology().ases().size();
+  AsId stub = topo::kNoAs;
+  for (AsId as = 0; as < n && stub == topo::kNoAs; ++as) {
+    if (is_simple_stub(engine, as)) stub = as;
+  }
+  if (stub == topo::kNoAs) return {};
+  const AsId provider = engine.providers_of(stub).front();
+  for (AsId as = 0; as < n; ++as) {
+    if (as != provider && engine.customers_of(as).size() > 1) {
+      return {stub, provider, as};
+    }
+  }
+  return {};
+}
+
+/// A simple stub d with provider P needs no tree of its own: d's tree is
+/// P's tree with every reachable length +1, except P -> (d, 1, customer)
+/// and d -> self. RoutingOracle derives every path to d from it.
+TEST(StubLemma, EveryStubTreeIsItsProvidersTreeOneHopLonger) {
+  for (const std::uint64_t seed : {7u, 21u}) {
+    for (const topo::Epoch epoch : {topo::Epoch::k2011, topo::Epoch::k2016}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " epoch "
+                   << (epoch == topo::Epoch::k2011 ? 2011 : 2016));
+      const auto topology = topo::generate_test_topology(seed);
+      const BgpEngine engine{topology, epoch};
+      const std::size_t n = topology->ases().size();
+      std::size_t stubs = 0;
+      for (AsId d = 0; d < n; ++d) {
+        if (!is_simple_stub(engine, d)) continue;
+        ++stubs;
+        const AsId provider = engine.providers_of(d).front();
+        const RouteTree tree = engine.compute_tree(d);
+        const RouteTree via = engine.compute_tree(provider);
+        for (AsId as = 0; as < n; ++as) {
+          RouteEntry want = via.entry(as);
+          if (as == d) {
+            want = RouteEntry{d, 0, RouteClass::kSelf};
+          } else if (as == provider) {
+            want = RouteEntry{d, 1, RouteClass::kCustomer};
+          } else if (want.reachable()) {
+            ++want.length;
+          }
+          const RouteEntry& got = tree.entry(as);
+          SCOPED_TRACE(testing::Message() << "stub " << d << " AS " << as);
+          ASSERT_EQ(got.next_hop, want.next_hop);
+          ASSERT_EQ(got.length, want.length);
+          ASSERT_EQ(got.route_class, want.route_class);
+        }
+      }
+      EXPECT_GT(stubs, 0u) << "no simple stub: the lemma went unchecked";
+    }
+  }
+}
+
+TEST_F(RoutingTest, OracleMatchesEngineOnEveryDestination) {
+  const std::vector<AsId> sources = stub_provider_transit(*engine_);
+  ASSERT_EQ(sources.size(), 3u) << "no simple stub with a transit AS";
+  const std::size_t n = topo_->ases().size();
+  std::vector<std::vector<std::vector<AsId>>> want(n);
+  for (AsId dst = 0; dst < n; ++dst) {
+    const RouteTree tree = engine_->compute_tree(dst);
+    for (const AsId src : sources) want[dst].push_back(tree.as_path_from(src));
+  }
+  for (const int threads : {1, 4}) {
+    RoutingOracle oracle{topo_, topo::Epoch::k2016, sources, threads};
+    for (AsId dst = 0; dst < n; ++dst) {
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        ASSERT_EQ(oracle.as_path(sources[i], dst), want[dst][i])
+            << "src " << sources[i] << " dst " << dst << ", " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+TEST_F(RoutingTest, OracleArenasHoldNoSlack) {
+  // Every arena word is a path word or a length prefix: one prefix plus
+  // the path for each (source, destination) pair that has a tree (simple
+  // stubs have none) and a route.
+  std::vector<AsId> sources = stub_provider_transit(*engine_);
+  for (const auto& vp : topo_->vantage_points()) {
+    sources.push_back(topo_->host_at(vp.host).as_id);
+  }
+  const RoutingOracle oracle{topo_, topo::Epoch::k2016, sources, 4};
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  std::size_t words = 0;
+  for (AsId dst = 0; dst < topo_->ases().size(); ++dst) {
+    if (is_simple_stub(*engine_, dst)) continue;
+    const RouteTree tree = engine_->compute_tree(dst);
+    for (const AsId src : sources) {
+      const std::size_t length = tree.as_path_from(src).size();
+      if (length > 0) words += length + 1;
+    }
+  }
+  EXPECT_EQ(oracle.arena_bytes(), words * sizeof(AsId));
+  // The pinned trees alone hold one RouteEntry per AS per source.
+  EXPECT_GT(oracle.memory_bytes(),
+            oracle.arena_bytes() +
+                sources.size() * topo_->ases().size() * sizeof(RouteEntry));
+}
+
 /// Golden pins for the route trees: one FNV-1a digest per (world seed,
 /// epoch) over every destination's full RouteEntry array, captured from
 /// the engine that sorted each provider-phase bucket by (parent, as)

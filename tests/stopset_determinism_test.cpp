@@ -6,6 +6,7 @@
 // builds fresh worlds per thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -48,11 +49,31 @@ TEST(StopSetDeterminism, CensusScheduleIsIdenticalAtAnyThreadCount) {
     EXPECT_EQ(tn.link_hash, t1.link_hash) << threads << " threads";
     EXPECT_EQ(tn.global_keys, t1.global_keys) << threads << " threads";
     EXPECT_EQ(tn.local_keys, t1.local_keys) << threads << " threads";
+    EXPECT_EQ(tn.stopset_overflows, 0u) << threads << " threads";
   }
   // The stop sets actually did something on this world, or the property
   // above is vacuous.
   EXPECT_GT(t1.stats.hits, 0u);
   EXPECT_GT(t1.probes_saved, 0u);
+  // Every set is sized for its census: a rejected fact would cost savings.
+  EXPECT_EQ(t1.stopset_overflows, 0u);
+}
+
+TEST(StopSetDeterminism, QuickScaleCensusDoesNotOverflow) {
+  // The repository's quick bench scale (RROPT_QUICK): 800 ASes, with the
+  // colo share raised so the M-Lab VP pool stays satisfiable, and 128
+  // destinations per VP, as bench_trace runs it.
+  measure::TestbedConfig world;
+  world.topo_params.num_ases = 800;
+  world.topo_params.planetlab_sites_2011 = 60;
+  world.topo_params.colo_fraction = std::min(0.30, 0.06 * 5200.0 / 800.0);
+  measure::Testbed testbed{world};
+  TraceCensusConfig config;
+  config.per_vp_dests = 128;
+  const auto census = run_trace_census(testbed, config);
+  EXPECT_GT(census.local_keys, 0u);
+  EXPECT_GT(census.global_keys, 0u);
+  EXPECT_EQ(census.stopset_overflows, 0u);
 }
 
 TEST(StopSetDeterminism, BaselineCensusIsAlsoThreadInvariant) {

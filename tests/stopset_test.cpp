@@ -13,6 +13,7 @@
 #include "measure/testbed.h"
 #include "probe/prober.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rr::measure {
 namespace {
@@ -70,15 +71,71 @@ TEST(StopSet, InsertThenContains) {
   EXPECT_EQ(set.size(), 1u);
 }
 
-TEST(StopSet, InsertAllCountsOnlyNewKeys) {
+TEST(StopSet, CommitCountsOnlyNewKeys) {
   StopSet set(1024);
+  util::ThreadPool pool(2);
   std::vector<std::uint64_t> keys;
   for (int t = 1; t <= 10; ++t) {
     keys.push_back(local_stop_key(addr(0x0A0000FF), t));
   }
   keys.push_back(keys.front());  // one duplicate
-  EXPECT_EQ(set.insert_all(keys), 10u);
+  const std::span<const std::uint64_t> batch = keys;
+  EXPECT_EQ(set.commit({&batch, 1}, pool), 10u);
   EXPECT_EQ(set.size(), 10u);
+}
+
+TEST(StopSet, BatchCommitMatchesInOrderInserts) {
+  // A set small enough to overflow, so which keys a full stripe rejects
+  // depends on insert order: the stripe-parallel commit must reject the
+  // same ones as inserting every batch's keys in order on one thread.
+  // Keys repeat within and across batches, and two commits stand in for
+  // two census rounds.
+  util::Rng rng(0x5eed);
+  std::vector<std::vector<std::uint64_t>> batches(24);
+  std::vector<std::uint64_t> all;
+  for (auto& batch : batches) {
+    const std::size_t size = rng.next_below(400);
+    for (std::size_t i = 0; i < size; ++i) {
+      const bool repeat = !all.empty() && rng.next_below(8) == 0;
+      const std::uint64_t key =
+          repeat ? all[rng.next_below(all.size())]
+                 : util::mix64(all.size() + 1) | 1;
+      batch.push_back(key);
+      all.push_back(key);
+    }
+  }
+  const std::size_t split = batches.size() / 2;
+
+  StopSet serial(1);
+  std::size_t serial_new = 0;
+  for (const auto& batch : batches) {
+    for (const std::uint64_t key : batch) serial_new += serial.insert(key);
+  }
+  ASSERT_GT(serial.overflows(), 0u) << "the set must overflow to matter";
+
+  const std::vector<std::span<const std::uint64_t>> spans(batches.begin(),
+                                                          batches.end());
+  const std::span<const std::span<const std::uint64_t>> rounds[] = {
+      std::span(spans).first(split), std::span(spans).subspan(split)};
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    util::ThreadPool pool(threads);
+    StopSet batched(1);
+    std::size_t batched_new = 0;
+    for (const auto round : rounds) batched_new += batched.commit(round, pool);
+    EXPECT_EQ(batched_new, serial_new);
+    EXPECT_EQ(batched.size(), serial.size());
+    EXPECT_EQ(batched.overflows(), serial.overflows());
+    std::size_t mismatches = 0;
+    for (const std::uint64_t key : all) {
+      mismatches += batched.contains(key) != serial.contains(key);
+    }
+    for (std::uint64_t i = 1; i <= 1000; ++i) {
+      const std::uint64_t absent = util::mix64(0xAB5E000000000000ULL + i);
+      mismatches += batched.contains(absent) != serial.contains(absent);
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 TEST(StopSet, SaturationRejectsWithoutFalsePositives) {
@@ -189,7 +246,7 @@ TEST(DoubletreeGate, DeferredModeBuffersGlobalFacts) {
   gate.finish_trace();
   EXPECT_EQ(global.size(), 0u) << "nothing visible before the commit";
   ASSERT_EQ(gate.pending_global().size(), 1u);
-  global.insert_all(gate.pending_global());
+  for (const std::uint64_t key : gate.pending_global()) global.insert(key);
   gate.pending_global().clear();
   EXPECT_EQ(global.size(), 1u);
   gate.begin(addr(0xC0A80142));
