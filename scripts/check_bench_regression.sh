@@ -7,9 +7,10 @@
 #     inside a campaign-phase win;
 #   * peak_rss_mib gets a (tighter) band of its own: the memory budget is
 #     a product promise, not a side effect;
-#   * deterministic values (headline rates, dataset_hash, destination
-#     count) must match the reference exactly at any size — the campaign
-#     is bit-reproducible, so ANY drift is an error, not a regression.
+#   * deterministic values (headline rates, destination count, and the
+#     dataset, Figure 5 and trace-census hashes) must match the reference
+#     exactly at any size — the outputs are bit-reproducible, so ANY
+#     drift is an error, not a regression.
 #
 #   scripts/check_bench_regression.sh [fresh.json] [reference.json]
 #
@@ -65,32 +66,27 @@ for key in ping_rate_by_ip rr_rate_by_ip rr_over_ping_by_ip \
     failures=1
   fi
 done
-fresh_hash=$(extract_string "$fresh" dataset_hash)
-ref_hash=$(extract_string "$reference" dataset_hash)
-if [[ -n "$fresh_hash" && -n "$ref_hash" ]]; then
-  if [[ "$fresh_hash" != "$ref_hash" ]]; then
-    echo "check_bench_regression: dataset_hash drifted:" \
-         "$ref_hash -> $fresh_hash (campaign contents changed)" >&2
-    failures=1
-  else
-    echo "dataset_hash: $fresh_hash (matches reference)"
-  fi
-fi
 
-# Figure 5 row contents are bit-reproducible (with stop sets on or off, at
-# any thread count), so any drift in the rows hash means the TTL study's
-# numbers changed — an error, exactly like dataset_hash.
-fresh_fig5=$(extract_string "$fresh" fig5_rows_hash)
-ref_fig5=$(extract_string "$reference" fig5_rows_hash)
-if [[ -n "$fresh_fig5" && -n "$ref_fig5" ]]; then
-  if [[ "$fresh_fig5" != "$ref_fig5" ]]; then
-    echo "check_bench_regression: fig5_rows_hash drifted:" \
-         "$ref_fig5 -> $fresh_fig5 (Figure 5 contents changed)" >&2
+# Hashes of bit-reproducible outputs (at any thread count, and for
+# Figure 5 with stop sets on or off): any drift means the numbers
+# changed — an error, not a regression. dataset_hash covers the campaign,
+# fig5_rows_hash the TTL study's rows, and the two trace hashes the trace
+# census's probe schedule and discovered interfaces.
+for key in dataset_hash fig5_rows_hash trace_schedule_hash \
+           trace_interface_hash; do
+  fresh_value=$(extract_string "$fresh" "$key")
+  ref_value=$(extract_string "$reference" "$key")
+  if [[ -z "$fresh_value" || -z "$ref_value" ]]; then
+    continue
+  fi
+  if [[ "$fresh_value" != "$ref_value" ]]; then
+    echo "check_bench_regression: $key drifted:" \
+         "$ref_value -> $fresh_value" >&2
     failures=1
   else
-    echo "fig5_rows_hash: $fresh_fig5 (matches reference)"
+    echo "$key: $fresh_value (matches reference)"
   fi
-fi
+done
 
 # ------------------------------------------------------- tolerance-banded
 # check_band <label> <fresh> <ref> <tolerance>; empty values skip (not

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <cassert>
 #include <numeric>
 
 #include "util/rng.h"
@@ -59,32 +57,26 @@ std::uint64_t reach_point_key(net::IPv4Address dest, int ttl) noexcept {
 
 // ------------------------------------------------------------- StopSet
 
-StopSet::StopSet(std::size_t expected_keys) {
-  // 2x headroom over the expectation, split across stripes, each a power
-  // of two and at least 64 slots; inserts cap at 3/4 load per stripe so
-  // the lock-free probe loop always terminates on an empty slot.
-  const std::size_t per_stripe =
-      std::max<std::size_t>(64, (expected_keys * 2) / kStripes + 1);
-  stripe_capacity_ = std::bit_ceil(per_stripe);
-  stripe_mask_ = stripe_capacity_ - 1;
-  stripe_limit_ = stripe_capacity_ - stripe_capacity_ / 4;
-  // Value-initialized: every slot starts at 0, the empty sentinel.
-  slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(kStripes *
-                                                          stripe_capacity_);
-  stripes_ = std::make_unique<Stripe[]>(kStripes);
-}
+StopSet::StopSet(std::size_t expected_keys)
+    // Inserts cap at 3/4 load per stripe so the lock-free probe loop
+    // always terminates on an empty slot.
+    : stripe_capacity_(std::max<std::size_t>(
+          64, (2 * expected_keys + kStripes - 1) / kStripes)),
+      stripe_limit_(stripe_capacity_ - stripe_capacity_ / 4),
+      // Value-initialized: every slot starts at 0, the empty sentinel.
+      slots_(std::make_unique<std::atomic<std::uint64_t>[]>(
+          kStripes * stripe_capacity_)),
+      stripes_(std::make_unique<Stripe[]>(kStripes)) {}
 
 bool StopSet::contains(std::uint64_t key) const noexcept {
   // RROPT_HOT_BEGIN(stopset-contains): membership sits on the probing hot
   // path (one check per candidate probe); lock-free acquire loads over
   // the stripe's open-addressing run, no allocation, no mutex.
   const std::atomic<std::uint64_t>* slots = stripe_slots(stripe_of(key));
-  std::size_t i = key & stripe_mask_;
-  for (;;) {
+  for (std::size_t i = home_of(key);; i = next_slot(i)) {
     const std::uint64_t v = slots[i].load(std::memory_order_acquire);
     if (v == key) return true;
     if (v == 0) return false;
-    i = (i + 1) & stripe_mask_;
   }
   // RROPT_HOT_END(stopset-contains)
 }
@@ -98,15 +90,14 @@ bool StopSet::insert(std::uint64_t key) {
 
 bool StopSet::insert_locked(Stripe& stripe, std::atomic<std::uint64_t>* slots,
                             std::uint64_t key) {
-  std::size_t i = key & stripe_mask_;
-  for (;;) {
+  std::size_t i = home_of(key);
+  for (;; i = next_slot(i)) {
     // Writers are serialized per stripe, so a relaxed read of our own
     // stripe is exact; the release store below pairs with readers'
     // acquire loads.
     const std::uint64_t v = slots[i].load(std::memory_order_relaxed);
     if (v == key) return false;
     if (v == 0) break;
-    i = (i + 1) & stripe_mask_;
   }
   if (stripe.size >= stripe_limit_) {
     overflows_.fetch_add(1, std::memory_order_relaxed);
@@ -175,45 +166,12 @@ std::size_t StopSet::size() const {
 
 // ------------------------------------------------------ DoubletreeGate
 
-DoubletreeGate::DoubletreeGate(StopSet* local, StopSet* global, Config config)
-    : local_(local), global_(global), config_(config) {
-  if (config_.remember_paths) {
-    chain_.resize(static_cast<std::size_t>(config_.max_ttl) + 1);
-    chain_seen_.resize(static_cast<std::size_t>(config_.max_ttl) + 1, false);
-  }
-}
-
 int DoubletreeGate::begin(net::IPv4Address target) {
-  finish_trace();
   target_prefix_ = stopset_prefix_of(target);
-  return config_.first_hop;
+  return kFirstHop;
 }
 
-void DoubletreeGate::finish_trace() {
-  if (!config_.remember_paths) return;
-  // Memoize every (interface, TTL) fact whose below-chain this trace saw
-  // completely: a later backward stop at that fact can then backfill the
-  // exact hops probing would have re-discovered. Facts above the first
-  // unresponsive hop are not certifiable and stay out of the local set.
-  std::size_t complete_below = 0;  // hops 1..complete_below all seen
-  while (complete_below + 1 < chain_seen_.size() &&
-         chain_seen_[complete_below + 1]) {
-    ++complete_below;
-  }
-  for (std::size_t ttl = 1; ttl <= complete_below; ++ttl) {
-    const std::uint64_t key =
-        local_stop_key(chain_[ttl], static_cast<int>(ttl));
-    if (local_ != nullptr && local_->insert(key)) {
-      memo_[key].assign(chain_.begin() + 1,
-                        chain_.begin() + static_cast<std::ptrdiff_t>(ttl));
-    }
-  }
-  std::fill(chain_seen_.begin(), chain_seen_.end(), false);
-}
-
-bool DoubletreeGate::stop_forward(net::IPv4Address iface, int ttl) {
-  (void)ttl;
-  if (global_ == nullptr || !config_.forward_stop) return false;
+bool DoubletreeGate::stop_forward(net::IPv4Address iface) {
   ++stats_.checks;
   if (global_->contains(global_stop_key(iface, target_prefix_))) {
     ++stats_.hits;
@@ -223,43 +181,15 @@ bool DoubletreeGate::stop_forward(net::IPv4Address iface, int ttl) {
 }
 
 bool DoubletreeGate::stop_backward(net::IPv4Address iface, int ttl) {
-  if (local_ == nullptr || !config_.backward_stop) return false;
   ++stats_.checks;
-  const std::uint64_t key = local_stop_key(iface, ttl);
-  if (!local_->contains(key)) return false;
-  if (config_.remember_paths && memo_.find(key) == memo_.end()) {
-    // Path-memo mode only stops where it can reproduce the skipped hops.
-    return false;
-  }
+  if (!local_->contains(local_stop_key(iface, ttl))) return false;
   ++stats_.hits;
   return true;
 }
 
 void DoubletreeGate::record(net::IPv4Address iface, int ttl) {
-  if (config_.remember_paths) {
-    if (ttl >= 1 && static_cast<std::size_t>(ttl) < chain_.size()) {
-      chain_[static_cast<std::size_t>(ttl)] = iface;
-      chain_seen_[static_cast<std::size_t>(ttl)] = true;
-    }
-  } else if (local_ != nullptr) {
-    local_->insert(local_stop_key(iface, ttl));
-  }
-  if (global_ != nullptr) {
-    const std::uint64_t key = global_stop_key(iface, target_prefix_);
-    if (config_.live_global_inserts) {
-      global_->insert(key);
-    } else {
-      pending_global_.push_back(key);
-    }
-  }
-}
-
-std::span<const net::IPv4Address> DoubletreeGate::backfill(
-    net::IPv4Address iface, int ttl) {
-  if (!config_.remember_paths) return {};
-  const auto it = memo_.find(local_stop_key(iface, ttl));
-  if (it == memo_.end()) return {};
-  return it->second;
+  local_->insert(local_stop_key(iface, ttl));
+  pending_global_.push_back(global_stop_key(iface, target_prefix_));
 }
 
 }  // namespace rr::measure

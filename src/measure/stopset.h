@@ -19,20 +19,19 @@
 // hash set of 64-bit keys. Readers are lock-free (acquire loads, no
 // allocation — membership checks sit on the probing hot path); writers
 // serialize per stripe under a util::Mutex. Determinism of *visibility*
-// is the caller's job: parallel campaigns buffer their global insertions
-// and commit them in canonical VP order at round boundaries (the deferred
-// pattern the token-bucket replay established), so the set every worker
-// reads is a pure function of the probe stream, never of thread timing.
-// StopSet::commit runs such a commit with one pool task per stripe:
-// stripes never interact, so each stripe's keys in VP order are all the
-// canonical order fixes.
+// is the caller's job: DoubletreeGate only queues its global facts, and
+// the census commits them in canonical VP order at round boundaries (the
+// deferred pattern the token-bucket replay established), so the set every
+// worker reads is a pure function of the probe stream, never of thread
+// timing. StopSet::commit runs such a commit with one pool task per
+// stripe: stripes never interact, so each stripe's keys in VP order are
+// all the canonical order fixes.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "netbase/address.h"
@@ -87,6 +86,9 @@ class StopSet {
  public:
   static constexpr std::size_t kStripes = 64;
 
+  /// Gives each stripe ceil(2 * expected_keys / kStripes) slots, at least
+  /// 64. A stripe takes keys up to 3/4 load, so the set holds
+  /// `expected_keys` with room for the stripes' uneven shares.
   explicit StopSet(std::size_t expected_keys);
 
   StopSet(const StopSet&) = delete;
@@ -134,6 +136,15 @@ class StopSet {
   [[nodiscard]] std::size_t stripe_of(std::uint64_t key) const noexcept {
     return static_cast<std::size_t>(key >> 58) & (kStripes - 1);
   }
+  /// The key's home slot in its stripe: a multiply-shift of the key's low
+  /// 32 bits (the top six chose the stripe) onto [0, stripe_capacity_).
+  [[nodiscard]] std::size_t home_of(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>(
+        ((key & 0xffff'ffffu) * stripe_capacity_) >> 32);
+  }
+  [[nodiscard]] std::size_t next_slot(std::size_t i) const noexcept {
+    return i + 1 == stripe_capacity_ ? 0 : i + 1;
+  }
   [[nodiscard]] const std::atomic<std::uint64_t>* stripe_slots(
       std::size_t s) const noexcept {
     return slots_.get() + s * stripe_capacity_;
@@ -143,8 +154,7 @@ class StopSet {
     return slots_.get() + s * stripe_capacity_;
   }
 
-  std::size_t stripe_capacity_;  // power of two
-  std::size_t stripe_mask_;
+  std::size_t stripe_capacity_;  // ceil(2 * expected / kStripes), >= 64
   std::size_t stripe_limit_;     // max keys per stripe (3/4 load)
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
   std::unique_ptr<Stripe[]> stripes_;
@@ -184,67 +194,41 @@ struct StopSetStats {
 // ------------------------------------------------------ DoubletreeGate
 
 /// probe::TraceGate implementation over a local + global stop set: the
-/// policy half of Doubletree (backward/forward split from hop h), bound
+/// policy half of Doubletree (forward from hop h, backward h-1..1), bound
 /// to one VP's probe stream.
 ///
-/// Global-set *reads* are always safe; global-set *writes* depend on the
-/// execution mode:
-///  * deferred (default): discoveries accumulate in pending_global() and
-///    the campaign commits them in canonical VP order at round
-///    boundaries — bit-identical probe schedules at any thread count;
-///  * live (live_global_inserts): discoveries are inserted immediately.
-///    Only for serial callers (revtr, tools), where program order is the
-///    canonical order.
-///
-/// remember_paths additionally memoizes the hop chain below every local
-/// stop fact, so a backward stop can *backfill* the skipped hops into the
-/// trace result. Consumers that need complete paths (revtr's symmetric
-/// fallback) only stop where the gate can reproduce what probing would
-/// have found — their outputs stay byte-identical with stop sets on.
+/// The gate reads the global set and never writes it: record() inserts
+/// the local fact and queues the global fact in pending_global(), and the
+/// caller commits the queue (StopSet::commit) between traces. The census
+/// commits every VP's queue in canonical VP order at round boundaries, so
+/// its probe schedule is bit-identical at any thread count.
 class DoubletreeGate final : public probe::TraceGate {
  public:
-  struct Config {
-    int first_hop = 5;        // Doubletree's h: forward from h, backward h-1..1
-    bool forward_stop = true;
-    bool backward_stop = true;
-    bool live_global_inserts = false;
-    bool remember_paths = false;
-    int max_ttl = 64;
-  };
+  /// Doubletree's h: a trace probes forward from this TTL, then backward
+  /// from h-1 down to 1.
+  static constexpr int kFirstHop = 5;
 
-  DoubletreeGate(StopSet* local, StopSet* global, Config config);
+  DoubletreeGate(StopSet& local, const StopSet& global)
+      : local_(&local), global_(&global) {}
 
   int begin(net::IPv4Address target) override;
-  bool stop_forward(net::IPv4Address iface, int ttl) override;
+  bool stop_forward(net::IPv4Address iface) override;
   bool stop_backward(net::IPv4Address iface, int ttl) override;
   void record(net::IPv4Address iface, int ttl) override;
-  std::span<const net::IPv4Address> backfill(net::IPv4Address iface,
-                                             int ttl) override;
 
-  /// Deferred global-set discoveries; the campaign drains and commits
-  /// these (StopSet::commit) in canonical VP order.
+  /// Global-set facts recorded since the last commit, in record order.
   [[nodiscard]] std::vector<std::uint64_t>& pending_global() noexcept {
     return pending_global_;
   }
   [[nodiscard]] StopSetStats& stats() noexcept { return stats_; }
   [[nodiscard]] const StopSetStats& stats() const noexcept { return stats_; }
 
-  /// Finalizes the trace in flight (remember_paths memoization happens
-  /// here). begin() calls this implicitly; call it after the last trace.
-  void finish_trace();
-
  private:
   StopSet* local_;
-  StopSet* global_;
-  Config config_;
+  const StopSet* global_;
   net::IPv4Address target_prefix_;
   StopSetStats stats_;
   std::vector<std::uint64_t> pending_global_;
-  // remember_paths state: the chain observed by the trace in flight,
-  // indexed by TTL, and the memo of complete below-chains per local fact.
-  std::vector<net::IPv4Address> chain_;
-  std::vector<bool> chain_seen_;
-  std::unordered_map<std::uint64_t, std::vector<net::IPv4Address>> memo_;
 };
 
 }  // namespace rr::measure

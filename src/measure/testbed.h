@@ -54,7 +54,6 @@ class Testbed {
   [[nodiscard]] const sim::Behaviors& behaviors() const noexcept {
     return *behaviors_;
   }
-  [[nodiscard]] route::RoutingOracle& oracle() noexcept { return *oracle_; }
   [[nodiscard]] sim::Network& network() noexcept { return *network_; }
   [[nodiscard]] topo::Epoch epoch() const noexcept { return config_.epoch; }
   [[nodiscard]] int threads() const noexcept { return config_.threads; }

@@ -68,7 +68,6 @@ void harvest(PerVp& p, const probe::TracerouteResult& trace) {
   for (const auto& hop : trace.hops) {
     h = fnv_fold(h, static_cast<std::uint64_t>(hop.ttl) |
                         (static_cast<std::uint64_t>(hop.responded) << 8) |
-                        (static_cast<std::uint64_t>(hop.from_stopset) << 9) |
                         (static_cast<std::uint64_t>(hop.kind) << 10) |
                         (static_cast<std::uint64_t>(hop.address.value())
                          << 16));
@@ -164,10 +163,7 @@ TraceCensusResult run_trace_census(Testbed& testbed,
       // most of its traces: a default-scale census stores ~0.4 per
       // destination, so n_dests / 2 plus a floor leaves ample headroom.
       p->local = std::make_unique<StopSet>(4096 + n_dests / 2);
-      DoubletreeGate::Config gc;
-      gc.first_hop = config.first_hop;
-      gc.max_ttl = config.max_ttl;
-      p->gate = std::make_unique<DoubletreeGate>(p->local.get(), &global, gc);
+      p->gate = std::make_unique<DoubletreeGate>(*p->local, global);
     }
     p->order = sample;
     util::Rng rng(config.seed ^ (0x9e3779b97f4a7c15ULL * (v + 1)));
@@ -177,15 +173,12 @@ TraceCensusResult run_trace_census(Testbed& testbed,
 
   util::ThreadPool pool(threads);
   std::vector<std::span<const std::uint64_t>> pending(n_vps);
-  probe::TraceOptions topts;
-  topts.max_ttl = config.max_ttl;
-  topts.attempts = config.attempts;
 
   for (std::size_t begin = 0; begin < n_dests; begin += round) {
     const std::size_t end = std::min(begin + round, n_dests);
     pool.parallel_for(n_vps, [&](std::size_t v) {
       PerVp& p = *per_vp[v];
-      probe::TraceOptions options = topts;
+      probe::TraceOptions options;
       options.gate = p.gate.get();
       options.counters = &p.tally;
       for (std::size_t i = begin; i < end; ++i) {
@@ -232,7 +225,6 @@ TraceCensusResult run_trace_census(Testbed& testbed,
     result.probes_saved += p.probes_saved;
     result.schedule_hash = fnv_fold(result.schedule_hash, p.schedule_hash);
     if (p.gate != nullptr) {
-      p.gate->finish_trace();
       result.stats.merge(p.gate->stats());
       result.local_keys += p.local->size();
       result.stopset_overflows += p.local->overflows();

@@ -14,7 +14,9 @@
 // round boundaries), never of thread timing, and the census asserts that
 // by folding every VP's schedule into schedule_hash. At the end, each
 // VP's interface and link sets are sorted on the pool and merged pairwise
-// into the census-wide sets.
+// into the census-wide sets. Every trace takes probe::TraceOptions'
+// defaults (TTLs up to 30, two attempts per silent TTL), and with stop
+// sets on it starts at DoubletreeGate::kFirstHop.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +31,11 @@ struct TraceCensusConfig {
   /// Destinations traced per VP (0 = the topology's whole destination
   /// list). Each VP walks its own shuffled order over the same set.
   std::size_t per_vp_dests = 0;
-  int max_ttl = 30;
-  int attempts = 2;
   double pps = 20.0;
   std::uint64_t seed = 0x7261CE;
   /// Master switch: off = classic full traces (the baseline the probe
   /// reduction is measured against).
   bool use_stop_sets = true;
-  int first_hop = 5;   // Doubletree's h (forward from h, backward h-1..1)
   /// Destinations each VP advances per commit round (global stop-set
   /// insertions become visible at round boundaries only). Smaller rounds
   /// surface inter-monitor facts sooner (more savings) at the cost of

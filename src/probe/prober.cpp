@@ -290,10 +290,9 @@ void Prober::traceroute_into(net::IPv4Address target,
         break;
       }
       if (gate != nullptr) {
-        // Stop *before* record: the stop must reflect knowledge from
-        // earlier traces, never the fact this hop is about to add (a
-        // live-insert gate would otherwise stop on its own first hop).
-        const bool stop = gate->stop_forward(hop.address, t);
+        // Stop *before* record: the stop reflects knowledge from earlier
+        // traces, never the fact this hop is about to add.
+        const bool stop = gate->stop_forward(hop.address);
         gate->record(hop.address, t);
         if (stop) {
           result.forward_stop_ttl = t;
@@ -331,17 +330,6 @@ void Prober::traceroute_into(net::IPv4Address target,
       if (stop) {
         result.backward_stop_ttl = t;
         result.probes_saved += static_cast<std::uint64_t>(t - 1);
-        const auto below = gate->backfill(hop.address, t);
-        if (static_cast<int>(below.size()) >= t - 1) {
-          for (int bt = 1; bt < t; ++bt) {
-            TracerouteHop& bh = trace_hops_[static_cast<std::size_t>(bt)];
-            bh.ttl = bt;
-            bh.responded = true;
-            bh.address = below[static_cast<std::size_t>(bt - 1)];
-            bh.kind = ResponseKind::kTtlExceeded;
-            bh.from_stopset = true;
-          }
-        }
         break;
       }
     }

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,9 +113,6 @@ struct TracerouteHop {
   bool responded = false;
   net::IPv4Address address;            // responder (when responded)
   ResponseKind kind = ResponseKind::kNone;
-  /// True when the hop was not probed but backfilled from a stop-set
-  /// path memo (see TraceGate::backfill) — known, not re-measured.
-  bool from_stopset = false;
 };
 
 /// Redundancy-aware probing hooks for Prober::traceroute (Doubletree stop
@@ -134,17 +130,12 @@ class TraceGate {
   /// probing at (Doubletree's h; clamped by the caller to [1, max_ttl]).
   virtual int begin(net::IPv4Address target) = 0;
   /// Forward stop: the path from `iface` to the target's prefix is
-  /// already known to some monitor.
-  virtual bool stop_forward(net::IPv4Address iface, int ttl) = 0;
+  /// already known to some monitor. The fact does not depend on TTL.
+  virtual bool stop_forward(net::IPv4Address iface) = 0;
   /// Backward stop: this monitor has already seen `iface` at `ttl`.
   virtual bool stop_backward(net::IPv4Address iface, int ttl) = 0;
   /// Every TTL-exceeded responder observed by the trace.
   virtual void record(net::IPv4Address iface, int ttl) = 0;
-  /// Hops 1..ttl-1 below a backward stop at (`iface`, `ttl`), when the
-  /// gate memoizes paths (index i = TTL i+1); empty when unknown, in
-  /// which case the stop still holds but the hops stay unprobed.
-  virtual std::span<const net::IPv4Address> backfill(net::IPv4Address iface,
-                                                     int ttl) = 0;
 };
 
 struct TracerouteResult {

@@ -181,10 +181,7 @@ ReversePath ReverseTraceroute::measure(net::IPv4Address destination,
     // Forward traceroute S -> current, reversed, marked as an assumption
     // (exactly how the real system degrades).
     auto prober = testbed_->make_prober(source_host, config_.pps);
-    probe::TraceOptions topts;
-    topts.max_ttl = 30;
-    topts.gate = config_.trace_gate;
-    const auto trace = prober.traceroute(current, topts);
+    const auto trace = prober.traceroute(current, 30);
     if (trace.reached) {
       std::vector<net::IPv4Address> forward;
       for (const auto& hop : trace.hops) {

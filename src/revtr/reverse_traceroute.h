@@ -19,7 +19,8 @@
 //   4. When no VP is within range of the current hop, optionally fall
 //      back to assuming the remaining path is the reverse of a forward
 //      traceroute (marked as an assumption, exactly as the real system
-//      reports it).
+//      reports it). The fallback is a classic full trace from TTL 1: a
+//      stop set would skip the very hops the fallback reports.
 //
 // The result is the reverse path D → S at router granularity, a path no
 // traceroute can observe.
@@ -43,14 +44,6 @@ struct RevTrConfig {
   double pps = 20.0;
   bool allow_symmetric_fallback = true;
   std::uint64_t seed = 0x4E7;
-  /// Optional redundancy-aware stopping for the symmetric-fallback
-  /// forward traceroutes (probe/types.h). Callers that batch many revtr
-  /// measurements install a path-memoizing gate (a measure::DoubletreeGate
-  /// with remember_paths, forward stops off) so repeated fallback traces
-  /// skip the shared tree near the source; the gate backfills the skipped
-  /// hops, keeping reported paths identical to full traces. Serial use
-  /// only — measure() runs one trace at a time.
-  probe::TraceGate* trace_gate = nullptr;
 };
 
 enum class HopSource : std::uint8_t {

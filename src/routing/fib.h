@@ -68,9 +68,6 @@ class CompiledFib {
   Lookup reverse(HostId dst, HostId reply_to,
                  std::vector<PathHop>& out) const;
 
-  [[nodiscard]] std::size_t spine_pairs() const noexcept {
-    return pairs_.size();
-  }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     std::size_t bytes = pairs_.capacity() * sizeof(SpinePair) +
                         arenas_.capacity() * sizeof(arenas_.front()) +

@@ -103,15 +103,15 @@ RoutingOracle::RoutingOracle(std::shared_ptr<const topo::Topology> topology,
                     << " KiB";
 }
 
-std::vector<AsId> RoutingOracle::as_path(AsId src, AsId dst) {
+std::vector<AsId> RoutingOracle::as_path(AsId src, AsId dst) const {
   std::vector<AsId> storage;
   const auto view = path_view(src, dst, storage);
   if (view.data() == storage.data()) return storage;
   return {view.begin(), view.end()};
 }
 
-std::span<const AsId> RoutingOracle::path_view(AsId src, AsId dst,
-                                               std::vector<AsId>& storage) {
+std::span<const AsId> RoutingOracle::path_view(
+    AsId src, AsId dst, std::vector<AsId>& storage) const {
   if (src == dst) {
     storage.assign(1, src);
     return {storage.data(), 1};
@@ -137,7 +137,7 @@ std::span<const AsId> RoutingOracle::path_view(AsId src, AsId dst,
     return {storage.data(), storage.size()};
   }
 
-  fallback_path_into(src, dst, storage);
+  engine_.compute_tree(dst).as_path_into(src, storage);
   return {storage.data(), storage.size()};
 }
 
@@ -170,32 +170,10 @@ std::size_t RoutingOracle::memory_bytes() const noexcept {
   return bytes;
 }
 
-bool RoutingOracle::reachable(AsId src, AsId dst) {
+bool RoutingOracle::reachable(AsId src, AsId dst) const {
   if (src == dst) return true;
   std::vector<AsId> storage;
   return !path_view(src, dst, storage).empty();
-}
-
-void RoutingOracle::fallback_path_into(AsId src, AsId dst,
-                                       std::vector<AsId>& out) {
-  util::MutexLock lock(fallback_mu_);
-  if (const auto it = fallback_.find(dst); it != fallback_.end()) {
-    it->second->as_path_into(src, out);
-    return;
-  }
-  auto tree = std::make_unique<RouteTree>(engine_.compute_tree(dst));
-  const RouteTree& ref = *tree;
-  if (fallback_order_.size() >= kFallbackCacheSize) {
-    // Ring replacement: overwrite the oldest slot and advance, instead of
-    // the old erase(begin()) which shifted the whole order vector.
-    fallback_.erase(fallback_order_[fallback_evict_at_]);
-    fallback_order_[fallback_evict_at_] = dst;
-    fallback_evict_at_ = (fallback_evict_at_ + 1) % kFallbackCacheSize;
-  } else {
-    fallback_order_.push_back(dst);
-  }
-  fallback_.emplace(dst, std::move(tree));
-  ref.as_path_into(src, out);
 }
 
 }  // namespace rr::route

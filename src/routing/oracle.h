@@ -9,7 +9,7 @@
 //    stored compactly in per-block arenas);
 //  * pins the route trees *toward* each source AS, so reverse paths from
 //    any AS back to a source are a cheap pointer walk;
-//  * falls back to a FIFO cache of freshly computed trees for anything else.
+//  * computes a fresh tree for anything else (no study path asks for one).
 //
 // Forward/reverse asymmetry comes for free: the two directions consult
 // different trees.
@@ -27,22 +27,15 @@
 // lemma in oracle.cpp), so a source's path to it is the path to the
 // provider followed by the stub, assembled at query time.
 //
-// Concurrency: after construction the precomputed arrays and pinned trees
-// are immutable, so source-origin and source-destined queries are safe from
-// any number of threads. Only the fallback cache mutates post-construction;
-// it is guarded by a mutex (fallback queries are rare — campaign traffic
-// never takes that path).
+// Concurrency: the oracle is immutable after construction, so every query
+// is safe from any number of threads.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "routing/bgp.h"
-#include "util/annotations.h"
-#include "util/mutex.h"
 
 namespace rr::route {
 
@@ -60,8 +53,8 @@ class RoutingOracle {
 
   /// AS path from `src` to `dst`, inclusive; empty if unreachable.
   /// O(1)+path-length for source-origin or source-destined queries;
-  /// falls back to tree computation (FIFO-cached) otherwise.
-  [[nodiscard]] std::vector<AsId> as_path(AsId src, AsId dst);
+  /// computes `dst`'s route tree otherwise.
+  [[nodiscard]] std::vector<AsId> as_path(AsId src, AsId dst) const;
 
   /// Copy-free variant: the returned span aliases the immutable path arena
   /// for source-origin queries (the hot case — `storage` is not touched)
@@ -69,15 +62,14 @@ class RoutingOracle {
   /// which is filled reusing its capacity. The arena-backed span stays
   /// valid for the oracle's lifetime; a storage-backed span is valid until
   /// `storage` changes.
-  [[nodiscard]] std::span<const AsId> path_view(AsId src, AsId dst,
-                                                std::vector<AsId>& storage);
+  [[nodiscard]] std::span<const AsId> path_view(
+      AsId src, AsId dst, std::vector<AsId>& storage) const;
 
   /// True if `src` can reach `dst` at all under policy routing.
-  [[nodiscard]] bool reachable(AsId src, AsId dst);
+  [[nodiscard]] bool reachable(AsId src, AsId dst) const;
 
   /// Bytes held by the precomputed state: path arenas, offset and slot
-  /// tables, pinned trees and the stub table. The fallback cache (at most
-  /// kFallbackCacheSize trees, filled on demand) is not counted.
+  /// tables, pinned trees and the stub table.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
   /// The path arenas' share of memory_bytes().
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
@@ -87,11 +79,6 @@ class RoutingOracle {
   /// block's arena, empty when unreachable.
   [[nodiscard]] std::span<const AsId> arena_path(std::uint32_t slot,
                                                  AsId dst) const noexcept;
-
-  /// Fills `out` with the fallback path (the tree reference cannot outlive
-  /// the cache lock, so the lookup happens under it).
-  void fallback_path_into(AsId src, AsId dst, std::vector<AsId>& out)
-      RROPT_EXCLUDES(fallback_mu_);
 
   static constexpr std::uint32_t kNotSource = 0xffff'ffffu;
 
@@ -119,16 +106,6 @@ class RoutingOracle {
   // destination AS (null for non-sources — same flat-beats-hash reasoning
   // as source_slot_).
   std::vector<std::unique_ptr<RouteTree>> pinned_;
-
-  // Small FIFO cache for everything else, guarded for concurrent callers.
-  // Eviction replaces the slot at `fallback_evict_at_` and advances it (a
-  // ring) — never an O(n) pop-front.
-  static constexpr std::size_t kFallbackCacheSize = 64;
-  util::Mutex fallback_mu_;
-  std::unordered_map<AsId, std::unique_ptr<RouteTree>> fallback_
-      RROPT_GUARDED_BY(fallback_mu_);
-  std::vector<AsId> fallback_order_ RROPT_GUARDED_BY(fallback_mu_);
-  std::size_t fallback_evict_at_ RROPT_GUARDED_BY(fallback_mu_) = 0;
 };
 
 }  // namespace rr::route

@@ -14,14 +14,14 @@
 // direction route trees, so reply packets generally take a different router
 // path than the probe did.
 //
-// A stitcher holds no per-call state, so one instance may be shared by
-// concurrent callers as long as the oracle it wraps is itself safe for
-// concurrent queries (RoutingOracle is). Every entry point assembles the
-// hops straight into the caller's vector, and AS paths the oracle cannot
-// alias go through per-thread storage, so a caller that recycles its
-// output vector stitches without allocating once both have seen the
-// longest path. Campaign traffic reads most paths from a compiled table
-// instead (routing/fib.h); the network stitches everything else per send.
+// A stitcher holds no per-call state and the oracle it wraps is immutable,
+// so one instance may be shared by concurrent callers. Every entry point
+// assembles the hops straight into the caller's vector, and AS paths the
+// oracle cannot alias go through per-thread storage, so a caller that
+// recycles its output vector stitches without allocating once both have
+// seen the longest path. Campaign traffic reads most paths from a compiled
+// table instead (routing/fib.h); the network stitches everything else per
+// send.
 #pragma once
 
 #include <memory>
@@ -45,7 +45,7 @@ struct PathHop {
 class PathStitcher {
  public:
   PathStitcher(std::shared_ptr<const topo::Topology> topology,
-               RoutingOracle& oracle)
+               const RoutingOracle& oracle)
       : topology_(std::move(topology)), oracle_(&oracle) {}
 
   /// Stitches the router path from `src` to `dst` (hosts excluded) into
@@ -79,7 +79,6 @@ class PathStitcher {
   [[nodiscard]] const topo::Topology& topology() const noexcept {
     return *topology_;
   }
-  [[nodiscard]] RoutingOracle& oracle() noexcept { return *oracle_; }
 
  private:
   /// Appends the routers strictly between `from` and `to` inside one AS
@@ -108,7 +107,7 @@ class PathStitcher {
   }
 
   std::shared_ptr<const topo::Topology> topology_;
-  RoutingOracle* oracle_;
+  const RoutingOracle* oracle_;
 };
 
 }  // namespace rr::route

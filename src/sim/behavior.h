@@ -151,12 +151,6 @@ class Behaviors {
     return ases_[id];
   }
 
-  /// Effective "does this router stamp RR slots" (router flag already folds
-  /// in the AS stamping policy).
-  [[nodiscard]] bool router_stamps(topo::RouterId id) const noexcept {
-    return routers_[id].stamps;
-  }
-
   /// Background IP-ID velocity of a device (ids per second).
   [[nodiscard]] double router_ipid_velocity(topo::RouterId id) const noexcept {
     return router_ipid_velocity_[id];

@@ -26,7 +26,7 @@ void build_into_scratch(ReplyScratch& scratch, BuildFn&& build) {
 
 Network::Network(std::shared_ptr<const topo::Topology> topology,
                  std::shared_ptr<const Behaviors> behaviors,
-                 route::RoutingOracle& oracle, NetParams params)
+                 const route::RoutingOracle& oracle, NetParams params)
     : topology_(std::move(topology)),
       behaviors_(std::move(behaviors)),
       id_(g_next_network_id.fetch_add(1, std::memory_order_relaxed)),

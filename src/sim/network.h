@@ -136,7 +136,7 @@ class Network {
  public:
   Network(std::shared_ptr<const topo::Topology> topology,
           std::shared_ptr<const Behaviors> behaviors,
-          route::RoutingOracle& oracle, NetParams params = {});
+          const route::RoutingOracle& oracle, NetParams params = {});
 
   struct Delivery {
     std::vector<std::uint8_t> bytes;
@@ -217,9 +217,6 @@ class Network {
       RROPT_EXCLUDES(serial_gate_) {
     util::SerialGateLock gate(serial_gate_);
     fib_ = std::move(fib);
-  }
-  [[nodiscard]] const route::CompiledFib* compiled_fib() const noexcept {
-    return fib_.get();
   }
 
   /// Per-kind injected-fault tallies. Diagnostics only: in deferred mode

@@ -150,9 +150,6 @@ class Topology {
   }
 
   // ------------------------------------------------------------ statistics
-  [[nodiscard]] std::size_t num_destination_prefixes() const noexcept {
-    return destinations_.size();
-  }
   [[nodiscard]] std::string summary() const;
 
  private:

@@ -2,7 +2,7 @@
 //
 // The repo's core contract — bit-identical datasets at any thread count —
 // rests on a small set of lock and phase disciplines (ThreadPool region
-// state, RoutingOracle fallback cache, Network's serial-replay phases).
+// state, StopSet stripe locks, Network's serial-replay phases).
 // These macros turn those disciplines into compile-time facts: a clang
 // build with -Wthread-safety (wired into the static-analysis CI job as
 // -Werror=thread-safety) refuses code that touches guarded state without

@@ -82,7 +82,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 
 #include <algorithm>
 #include <memory>
-#include <span>
 
 #include "measure/campaign.h"
 #include "measure/testbed.h"
@@ -197,13 +196,9 @@ void steady_state_prober_test(rr::measure::Testbed& testbed) {
 class SplitGate final : public rr::probe::TraceGate {
  public:
   int begin(rr::net::IPv4Address) override { return 4; }
-  bool stop_forward(rr::net::IPv4Address, int) override { return false; }
+  bool stop_forward(rr::net::IPv4Address) override { return false; }
   bool stop_backward(rr::net::IPv4Address, int) override { return false; }
   void record(rr::net::IPv4Address, int) override {}
-  std::span<const rr::net::IPv4Address> backfill(rr::net::IPv4Address,
-                                                 int) override {
-    return {};
-  }
 };
 
 void steady_state_trace_test(rr::measure::Testbed& testbed) {

@@ -1,5 +1,6 @@
 // Golden-file regression for the seed-default headline outputs: the Table 1
-// text rendering and the Figure 1 series blocks for the test-scale world.
+// text rendering and the Figure 1 series blocks for the test-scale world,
+// plus the trace census's hashes and counts pinned in place.
 // Any change to topology generation, probing, classification, or figure
 // rendering that shifts these bytes fails here first — with a readable diff
 // instead of a distant assertion.
@@ -22,6 +23,7 @@
 #include "measure/figures.h"
 #include "measure/reachability.h"
 #include "measure/testbed.h"
+#include "measure/trace_census.h"
 #include "util/strings.h"
 
 namespace rr::measure {
@@ -111,6 +113,52 @@ TEST_F(GoldenOutputTest, Figure1MatchesGoldenFile) {
   std::ostringstream out;
   figure.print(out);
   check_golden("figure1.txt", out.str());
+}
+
+// ------------------------------------------------------ trace census pins
+//
+// The trace census on the default test-scale world, once with stop sets
+// on and once with them off. stopset_determinism_test holds the schedule
+// equal across thread counts; these pins also catch a change that moves
+// it at every thread count alike. Only a change to what the census
+// probes or discovers may move them; the stop sets' sizing and slot
+// layout may not.
+
+struct CensusPin {
+  std::uint64_t schedule_hash;
+  std::uint64_t interface_hash;
+  std::uint64_t link_hash;
+  std::uint64_t probes_sent;
+  std::uint64_t probes_saved;
+  std::uint64_t traces;
+  std::uint64_t reached;
+};
+
+void expect_census_pin(bool use_stop_sets, const CensusPin& want) {
+  TestbedConfig world;
+  world.topo_params = topo::TopologyParams::test_scale();
+  Testbed testbed{world};
+  TraceCensusConfig config;  // every destination, from every VP
+  config.use_stop_sets = use_stop_sets;
+  const auto got = run_trace_census(testbed, config);
+  EXPECT_EQ(got.schedule_hash, want.schedule_hash);
+  EXPECT_EQ(got.interface_hash, want.interface_hash);
+  EXPECT_EQ(got.link_hash, want.link_hash);
+  EXPECT_EQ(got.probes_sent, want.probes_sent);
+  EXPECT_EQ(got.probes_saved, want.probes_saved);
+  EXPECT_EQ(got.traces, want.traces);
+  EXPECT_EQ(got.reached, want.reached);
+  EXPECT_EQ(got.stopset_overflows, 0u);
+}
+
+TEST(TraceCensusPins, StopSetsOn) {
+  expect_census_pin(true, {0x997214644324d3f1, 0x5b5801ed255e2a68,
+                           0x21d798559924ed8b, 91631, 36112, 12404, 967});
+}
+
+TEST(TraceCensusPins, StopSetsOff) {
+  expect_census_pin(false, {0x4bcca39e7703bd77, 0x5b5801ed255e2a68,
+                            0xed264b682300f7f9, 271771, 0, 12404, 9588});
 }
 
 }  // namespace

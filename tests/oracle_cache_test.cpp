@@ -1,4 +1,5 @@
-// Oracle cache behaviour and stitcher buffer reuse under churn.
+// Oracle answers off the precomputed paths (the fallback that computes a
+// fresh tree per query) and stitcher buffer reuse under churn.
 #include <gtest/gtest.h>
 
 #include "routing/oracle.h"
@@ -20,8 +21,8 @@ class OracleCache : public ::testing::Test {
 };
 
 TEST_F(OracleCache, FallbackAnswersStayCorrectUnderEviction) {
-  // Query far more distinct fallback destinations than the cache holds;
-  // answers must stay identical to fresh computations.
+  // Every fallback destination, twice: each answer computes its tree
+  // afresh and must equal the engine's own, however many came before.
   BgpEngine engine{topo_, topo::Epoch::k2016};
   const std::size_t n = topo_->ases().size();
   for (int round = 0; round < 2; ++round) {

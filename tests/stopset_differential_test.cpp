@@ -8,15 +8,12 @@
 // Tier 2 — several campaigns and censuses per case.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "measure/campaign.h"
-#include "measure/stopset.h"
 #include "measure/testbed.h"
 #include "measure/trace_census.h"
 #include "measure/ttl_study.h"
-#include "revtr/reverse_traceroute.h"
 
 namespace rr::measure {
 namespace {
@@ -125,58 +122,6 @@ TEST(StopSetDifferential, Figure5RowsAreByteIdenticalOffVsOn) {
   }
   EXPECT_GT(on.stats.probes_saved, 0u) << "the study must actually save";
   EXPECT_EQ(off.stats.probes_saved, 0u);
-}
-
-TEST(StopSetDifferential, RevtrPathsAreByteIdenticalWithMemoGate) {
-  // Reverse traceroute needs complete fallback traces, so its gate runs
-  // with forward stops off and remember_paths on: it only skips hops the
-  // memo can backfill. Reported paths must match the ungated run hop for
-  // hop.
-  constexpr std::size_t kTargets = 12;
-
-  measure::Testbed off_bed{ideal_config()};
-  const auto off_campaign = Campaign::run(off_bed);
-  measure::Testbed on_bed{ideal_config()};
-  const auto on_campaign = Campaign::run(on_bed);
-
-  StopSet local(8192);
-  DoubletreeGate::Config gc;
-  gc.forward_stop = false;  // a forward stop would abort the fallback
-  gc.remember_paths = true;
-  DoubletreeGate gate(&local, nullptr, gc);
-
-  revtr::RevTrConfig off_config;
-  revtr::ReverseTraceroute off_revtr(off_bed, &off_campaign, off_config);
-  revtr::RevTrConfig on_config;
-  on_config.trace_gate = &gate;
-  revtr::ReverseTraceroute on_revtr(on_bed, &on_campaign, on_config);
-
-  const auto& topology = off_bed.topology();
-  const auto source = off_bed.vps().front()->host;
-  const std::size_t n =
-      std::min(kTargets, topology.destinations().size());
-  int fallbacks = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto target = topology.host_at(topology.destinations()[i]).address;
-    const auto off_path = off_revtr.measure(target, source);
-    const auto on_path = on_revtr.measure(target, source);
-    EXPECT_EQ(on_path.complete, off_path.complete) << target.to_string();
-    ASSERT_EQ(on_path.hops.size(), off_path.hops.size())
-        << target.to_string();
-    for (std::size_t h = 0; h < on_path.hops.size(); ++h) {
-      EXPECT_EQ(on_path.hops[h].address, off_path.hops[h].address)
-          << target.to_string() << " hop " << h;
-      EXPECT_EQ(static_cast<int>(on_path.hops[h].source),
-                static_cast<int>(off_path.hops[h].source));
-    }
-    fallbacks += std::any_of(
-        off_path.hops.begin(), off_path.hops.end(), [](const auto& hop) {
-          return hop.source == revtr::HopSource::kAssumedSymmetric;
-        });
-  }
-  gate.finish_trace();
-  // The property is about fallback traces; make sure some actually ran.
-  EXPECT_GT(fallbacks + static_cast<int>(gate.stats().checks), 0);
 }
 
 }  // namespace

@@ -159,6 +159,28 @@ TEST(StopSet, SaturationRejectsWithoutFalsePositives) {
   }
 }
 
+TEST(StopSet, SizedToTwiceTheExpectation) {
+  // Each stripe gets ceil(2 * expected / kStripes) slots, at least 64, and
+  // takes keys up to 3/4 load, so a set holds its expectation with room
+  // for the stripes' uneven shares. The sizes are the census's: a local
+  // set at quick and default scale, and the default-scale global set.
+  EXPECT_EQ(StopSet(1).capacity(), StopSet::kStripes * 64);
+  for (const std::size_t expected :
+       {std::size_t{4160}, std::size_t{6144}, std::size_t{100000},
+        std::size_t{1052672}}) {
+    SCOPED_TRACE(testing::Message() << expected << " keys expected");
+    StopSet set(expected);
+    EXPECT_GE(set.capacity(), 2 * expected);
+    EXPECT_LE(set.capacity(), 2 * expected + StopSet::kStripes);
+    const auto dest = addr(0xC0A80100);
+    for (std::uint32_t i = 0; i < expected; ++i) {
+      set.insert(global_stop_key(addr(0x0A000000 + i), dest));
+    }
+    EXPECT_EQ(set.overflows(), 0u);
+    EXPECT_EQ(set.size(), expected);
+  }
+}
+
 TEST(StopSet, ConcurrentInsertersAndReaders) {
   // The census shape: many writers on disjoint fact streams, lock-free
   // readers racing them. Everything a writer inserted must be visible
@@ -200,97 +222,55 @@ TEST(StopSet, ConcurrentInsertersAndReaders) {
 // --------------------------------------------------------- DoubletreeGate
 
 TEST(DoubletreeGate, BackwardStopAfterLocalFact) {
-  StopSet local(256);
-  DoubletreeGate::Config gc;
-  gc.first_hop = 5;
-  DoubletreeGate gate(&local, nullptr, gc);
+  StopSet local(256), global(256);
+  DoubletreeGate gate(local, global);
   const auto iface = addr(0x0A010101);
 
-  EXPECT_EQ(gate.begin(addr(0xC0A80101)), 5);
+  EXPECT_EQ(gate.begin(addr(0xC0A80101)), DoubletreeGate::kFirstHop);
   EXPECT_FALSE(gate.stop_backward(iface, 4)) << "no fact yet";
   gate.record(iface, 4);
   EXPECT_TRUE(gate.stop_backward(iface, 4)) << "fact recorded this trace";
   EXPECT_FALSE(gate.stop_backward(iface, 3)) << "TTL is part of the fact";
-  gate.finish_trace();
   EXPECT_GT(gate.stats().checks, 0u);
   EXPECT_GT(gate.stats().hits, 0u);
 }
 
+/// Commits the gate's queued global facts in order, as the census does
+/// between rounds.
+void commit_pending(DoubletreeGate& gate, StopSet& global) {
+  for (const std::uint64_t key : gate.pending_global()) global.insert(key);
+  gate.pending_global().clear();
+}
+
 TEST(DoubletreeGate, ForwardStopRequiresGlobalFactForSamePrefix) {
   StopSet local(256), global(256);
-  DoubletreeGate::Config gc;
-  gc.live_global_inserts = true;
-  DoubletreeGate gate(&local, &global, gc);
+  DoubletreeGate gate(local, global);
   const auto iface = addr(0x0A010101);
 
   gate.begin(addr(0xC0A80105));
-  EXPECT_FALSE(gate.stop_forward(iface, 6));
-  gate.record(iface, 6);  // live insert: (iface, 192.168.1.0/24) learned
-  gate.finish_trace();
+  EXPECT_FALSE(gate.stop_forward(iface));
+  gate.record(iface, 6);  // queues (iface, 192.168.1.0/24)
+  commit_pending(gate, global);
 
   gate.begin(addr(0xC0A80142));  // same /24, different host
-  EXPECT_TRUE(gate.stop_forward(iface, 7))
-      << "the forward fact is TTL-independent";
-  gate.finish_trace();
+  EXPECT_TRUE(gate.stop_forward(iface))
+      << "a fact about the /24 covers every host in it";
 
   gate.begin(addr(0xC0A80242));  // different /24
-  EXPECT_FALSE(gate.stop_forward(iface, 6));
-  gate.finish_trace();
+  EXPECT_FALSE(gate.stop_forward(iface));
 }
 
 TEST(DoubletreeGate, DeferredModeBuffersGlobalFacts) {
   StopSet local(256), global(256);
-  DoubletreeGate gate(&local, &global, DoubletreeGate::Config{});
+  DoubletreeGate gate(local, global);
   gate.begin(addr(0xC0A80105));
   gate.record(addr(0x0A010101), 6);
-  gate.finish_trace();
   EXPECT_EQ(global.size(), 0u) << "nothing visible before the commit";
   ASSERT_EQ(gate.pending_global().size(), 1u);
-  for (const std::uint64_t key : gate.pending_global()) global.insert(key);
-  gate.pending_global().clear();
+  commit_pending(gate, global);
   EXPECT_EQ(global.size(), 1u);
   gate.begin(addr(0xC0A80142));
-  EXPECT_TRUE(gate.stop_forward(addr(0x0A010101), 5));
-  gate.finish_trace();
-}
-
-TEST(DoubletreeGate, RememberPathsBackfillsTheSkippedChain) {
-  StopSet local(1024);
-  DoubletreeGate::Config gc;
-  gc.first_hop = 5;
-  gc.remember_paths = true;
-  DoubletreeGate gate(&local, nullptr, gc);
-
-  // Trace one: a complete chain 1..5 observed the hard way.
-  gate.begin(addr(0xC0A80105));
-  const std::uint32_t base = 0x0A010100;
-  for (int t = 1; t <= 5; ++t) gate.record(addr(base + t), t);
-  gate.finish_trace();
-
-  // Trace two: the same hop at TTL 4 stops backward, and the memo must
-  // reproduce hops 1..3 exactly as probing would have found them.
-  gate.begin(addr(0xC0A80905));
-  EXPECT_TRUE(gate.stop_backward(addr(base + 4), 4));
-  const auto below = gate.backfill(addr(base + 4), 4);
-  ASSERT_EQ(below.size(), 3u);
-  for (int t = 1; t <= 3; ++t) {
-    EXPECT_EQ(below[static_cast<std::size_t>(t - 1)], addr(base + t));
-  }
-  gate.finish_trace();
-}
-
-TEST(DoubletreeGate, NoBackfillWithoutACompleteChain) {
-  StopSet local(1024);
-  DoubletreeGate::Config gc;
-  gc.remember_paths = true;
-  DoubletreeGate gate(&local, nullptr, gc);
-  gate.begin(addr(0xC0A80105));
-  gate.record(addr(0x0A010104), 4);  // hops 1..3 never observed
-  gate.finish_trace();
-  gate.begin(addr(0xC0A80905));
-  EXPECT_FALSE(gate.stop_backward(addr(0x0A010104), 4))
-      << "remember_paths only stops where the memo can backfill";
-  gate.finish_trace();
+  EXPECT_TRUE(gate.stop_forward(addr(0x0A010101)));
 }
 
 // ------------------------------------------------- gated traceroute engine
@@ -366,26 +346,26 @@ TEST(GatedTraceroute, SecondTraceToSamePrefixStopsEarlyAndSendsFewer) {
   auto prober = testbed.make_prober(testbed.vps().front()->host, 1000.0);
 
   StopSet local(4096), global(4096);
-  DoubletreeGate::Config gc;
-  gc.live_global_inserts = true;  // serial caller: program order is canon
-  DoubletreeGate gate(&local, &global, gc);
+  DoubletreeGate gate(local, global);
   probe::TraceOptions options;
   options.gate = &gate;
 
-  // Find a destination the VP actually reaches beyond first_hop.
+  // Find a destination the VP actually reaches beyond kFirstHop.
   for (std::size_t i = 0; i < topology.destinations().size(); ++i) {
     const auto target = topology.host_at(topology.destinations()[i]).address;
     const auto first = prober.traceroute(target, options);
-    if (!first.reached || first.hop_count() <= gc.first_hop) continue;
+    commit_pending(gate, global);
+    if (!first.reached || first.hop_count() <= DoubletreeGate::kFirstHop) {
+      continue;
+    }
     const auto second = prober.traceroute(target, options);
     EXPECT_LT(second.probes_sent, first.probes_sent)
         << "redundant re-trace must cost less";
     EXPECT_TRUE(second.forward_stop_ttl > 0 || second.backward_stop_ttl > 0)
         << "some stop rule must have fired";
-    gate.finish_trace();
     return;
   }
-  GTEST_SKIP() << "no destination beyond first_hop at test scale";
+  GTEST_SKIP() << "no destination beyond kFirstHop at test scale";
 }
 
 TEST(GatedTraceroute, UngatedTraceMatchesLegacyEngine) {
