@@ -78,8 +78,8 @@ AsStampingResult audit_as_stamping(Testbed& testbed, const Campaign& campaign,
         }
       }
 
-      const auto trace =
-          prober.traceroute(target, config.traceroute_max_ttl);
+      constexpr int kTracerouteMaxTtl = 32;
+      const auto trace = prober.traceroute(target, kTracerouteMaxTtl);
       if (!trace.reached) continue;
 
       // AS set seen on the traceroute (exclude the source and destination

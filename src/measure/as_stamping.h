@@ -20,7 +20,6 @@ namespace rr::measure {
 struct AsStampingConfig {
   std::size_t max_dests_per_vp = 10000;  // the paper's cap
   double pps = 50.0;
-  int traceroute_max_ttl = 32;
   std::uint64_t seed = 0x35a;
 };
 

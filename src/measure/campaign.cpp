@@ -22,7 +22,7 @@ struct alignas(64) VpStream {
   probe::ProbeResult result;
 };
 
-/// One optimistic ping-RR exchange awaiting token-bucket resolution.
+/// One optimistic ping-RR exchange awaiting its Network::settle.
 /// Buffers (recorded, trace.events) are recycled across chunks via swap.
 struct PendingProbe {
   std::uint32_t dest = 0;
@@ -31,39 +31,6 @@ struct PendingProbe {
   sim::ProbeTrace trace;
   sim::NetCounters counters;
 };
-
-/// The counters a *serial* run would have recorded for a probe whose
-/// deferred token consume failed: everything past the policed router never
-/// happened, so keep only the optimistic counters the walk accrued before
-/// the kill point (which the trace's counted_* flags remember) and charge
-/// the policed drop itself. If a fault doomed the exchange *before* the
-/// failed consume, the serial run charged the fault's own drop at the fire
-/// point and suppressed the policed one; a doom recorded after the kill
-/// point never happened serially. Works for any exchange — echo replies,
-/// ICMP errors, UDP port unreachables — not just ping-RR.
-sim::NetCounters killed_counters(const sim::ProbeTrace& trace,
-                                 bool killed_reply, std::size_t kill_index) {
-  sim::NetCounters serial;
-  serial.sent = 1;
-  if (trace.doomed && kill_index >= trace.doom_after_events) {
-    if (trace.doom_charged_loss) {
-      serial.dropped_loss = 1;
-    } else {
-      serial.dropped_rate_limit = 1;
-    }
-  } else {
-    serial.dropped_rate_limit = 1;
-  }
-  if (killed_reply) {
-    // The forward leg completed and the response was generated; only the
-    // reply leg (and its counted_response) is rolled back. A forward-leg
-    // doom left these flags unset, so a ghost exchange keeps none.
-    serial.delivered = trace.counted_delivered ? 1 : 0;
-    serial.ttl_errors = trace.counted_ttl_error ? 1 : 0;
-    serial.port_unreachables = trace.counted_port_unreachable ? 1 : 0;
-  }
-  return serial;
-}
 
 /// Folds a probe result into the compact observation, extracting the
 /// recorded RR addresses for the per-destination union.
@@ -169,35 +136,18 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
   // Raw per-destination address sightings, deduplicated per block.
   std::vector<std::vector<net::IPv4Address>> collected(n_dests);
 
-  // Pass B for one chunk: token replay + result application, serially in
-  // the canonical (step, VP, event) order described in the study comment.
+  // Pass B for one chunk: settle + result application, serially in the
+  // canonical (step, VP) order described in the study comment.
   const auto replay = [&](std::vector<PendingProbe>& chunk,
                           std::size_t steps) {
     const auto pass_b_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
     for (std::size_t j = 0; j < steps; ++j) {
       for (std::size_t v = 0; v < n_vps; ++v) {
         PendingProbe& p = chunk[v * kChunkSteps + j];
-        bool killed_forward = false;
-        bool killed_reply = false;
-        std::size_t kill_index = 0;
-        for (std::size_t e = 0; e < p.trace.events.size(); ++e) {
-          const auto& ev = p.trace.events[e];
-          if (!net.try_consume_options_token(ev.router, ev.time)) {
-            // A policed drop is silent: a forward-leg failure means the
-            // probe never arrived anywhere, a reply-leg failure means the
-            // response never came home. Later events of this probe would
-            // not have happened (reply events always follow forward ones).
-            (ev.reply_leg ? killed_reply : killed_forward) = true;
-            kill_index = e;
-            break;
-          }
-        }
-        if (killed_forward || killed_reply) {
+        if (!net.settle(p.trace, p.counters)) {
           p.obs = RrObservation{};
           p.recorded.clear();
-          p.counters = killed_counters(p.trace, killed_reply, kill_index);
         }
-        net.merge_counters(p.counters);
         campaign.observations_[v * n_dests + p.dest] = p.obs;
         if (!p.recorded.empty()) {
           auto& sightings = collected[p.dest];
@@ -291,19 +241,19 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
     //
     // Execution is chunked: pass A advances every VP's probe stream a
     // fixed number of steps in parallel (per-VP prober and context,
-    // counter-based randomness — no shared mutable state), recording
-    // would-be token-bucket consumes instead of performing them. Pass B
-    // then replays those consumes serially in (step, VP, event) order —
-    // the exact order a single-threaded live run consumes tokens —
-    // cancelling any probe or reply whose consume fails and substituting
-    // the counters the serial run would have produced. Chunk size is
-    // fixed, and chunk boundaries are invisible to both passes, so
-    // contents are identical at any thread count.
+    // counter-based randomness — no shared mutable state), each send
+    // recording its would-be token-bucket consumes instead of performing
+    // them. Pass B then settles the probes serially in (step, VP) order —
+    // the order a single-threaded run sends them — and Network::settle
+    // cancels any probe or reply whose consume fails and substitutes the
+    // counters a walk that met the empty bucket would have produced.
+    // Chunk size is fixed, and chunk boundaries are invisible to both
+    // passes, so contents are identical at any thread count.
     //
     // Chunk k's pass B runs as one more task of chunk k+1's pass A region
     // (index 0, claimed first), so the serial replay hides under the
-    // parallel walk. The overlap is exact: deferred sends never read what
-    // the replay writes (token buckets, network counters, observations,
+    // parallel walk. The overlap is exact: sends never read what the
+    // replay writes (token buckets, network counters, observations,
     // sightings), and the two chunks' pending probes sit in different
     // buffers. Replays still run one at a time in chunk order, so tokens
     // are consumed in the same serial order as before.

@@ -16,13 +16,14 @@
 // (Prober::probe_into) on its own sim::SendContext. All
 // probe randomness is counter-based (sim::Network), so a probe's fate is
 // a pure function of the probe; the one piece of shared mutable state —
-// router token buckets — is resolved in a serial replay per chunk, in
-// exactly the order a single-threaded run would have consumed tokens.
-// The replay is serial but off the critical path: chunk k's replay runs
-// as one task beside chunk k+1's parallel probe streams, which never read
-// what it writes. The same pool compiles each destination block's
-// forwarding table (routing/fib.h) row by row. Campaign contents are
-// therefore bit-for-bit identical at any thread count.
+// router token buckets — is resolved in a serial replay per chunk that
+// calls sim::Network::settle once per probe, in exactly the order a
+// single-threaded run sends them. The replay is serial but off the
+// critical path: chunk k's replay runs as one task beside chunk k+1's
+// parallel probe streams, which never read what it writes. The same pool
+// compiles each destination block's forwarding table (routing/fib.h) row
+// by row. Campaign contents are therefore bit-for-bit identical at any
+// thread count.
 #pragma once
 
 #include <algorithm>

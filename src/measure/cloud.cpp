@@ -9,6 +9,9 @@ namespace rr::measure {
 
 namespace {
 
+/// TTL budget of every traceroute the study sends.
+constexpr int kTracerouteMaxTtl = 40;
+
 /// Hop count outside the provider AS: the paper counts path length from
 /// the first hop past the provider's edge (the probe is assumed to tunnel
 /// to the edge for free).
@@ -79,8 +82,7 @@ CloudStudyResult cloud_study(Testbed& testbed, const Campaign& campaign,
                                         config.pps);
       const auto target =
           topology.host_at(campaign.destinations()[d]).address;
-      const auto trace =
-          prober.traceroute(target, config.traceroute_max_ttl);
+      const auto trace = prober.traceroute(target, kTracerouteMaxTtl);
       if (trace.reached) {
         samples.push_back(static_cast<double>(trace.hops.size()));
       }
@@ -99,8 +101,7 @@ CloudStudyResult cloud_study(Testbed& testbed, const Campaign& campaign,
       for (std::size_t d : dests) {
         const auto target =
             topology.host_at(campaign.destinations()[d]).address;
-        const auto trace =
-            prober.traceroute(target, config.traceroute_max_ttl);
+        const auto trace = prober.traceroute(target, kTracerouteMaxTtl);
         const int hops = external_hop_count(trace, topology, cloud.as_id);
         if (hops > 0) samples.push_back(static_cast<double>(hops));
       }

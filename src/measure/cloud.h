@@ -23,7 +23,6 @@ namespace rr::measure {
 struct CloudStudyConfig {
   std::size_t max_reachable_dests = 20000;
   std::size_t max_responsive_dests = 20000;
-  int traceroute_max_ttl = 40;
   double pps = 100.0;
   std::uint64_t seed = 0xC10D;
 };

@@ -177,11 +177,13 @@ AliasSets run_midar(probe::Prober& prober,
   prober.set_pps(config.pps);
 
   // ---------------------------------------------------- stage 1: estimate
-  // Two probes per address, `estimation_gap_s` apart, processed in batches
-  // so the gap is realized by interleaving rather than idle waiting.
+  // Two probes per address, kEstimationGapSeconds apart, processed in
+  // batches so the gap is realized by interleaving rather than idle
+  // waiting.
+  constexpr double kEstimationGapSeconds = 2.0;
   std::vector<Candidate> usable;
   const std::size_t batch = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config.pps * config.estimation_gap_s));
+      1, static_cast<std::size_t>(config.pps * kEstimationGapSeconds));
   for (std::size_t begin = 0; begin < candidates.size(); begin += batch) {
     const std::size_t end = std::min(begin + batch, candidates.size());
     std::vector<Sample> first(end - begin);
@@ -223,7 +225,8 @@ AliasSets run_midar(probe::Prober& prober,
     const std::size_t end = std::min(begin + shard_size, usable.size());
 
     // Interleaved rounds: fresh, closely spaced samples for the MBT.
-    for (int round = 0; round < config.elimination_rounds; ++round) {
+    constexpr int kEliminationRounds = 5;
+    for (int round = 0; round < kEliminationRounds; ++round) {
       for (std::size_t i = begin; i < end; ++i) {
         const auto r =
             prober.probe(probe::ProbeSpec::ping(usable[i].address));
@@ -233,21 +236,27 @@ AliasSets run_midar(probe::Prober& prober,
       }
     }
 
-    // Pairwise MBT within the velocity window. Addresses are
-    // velocity-sorted, so only a forward neighbourhood needs testing.
+    // Pairwise MBT within the velocity window (a relative velocity
+    // difference of kVelocityTolerance), with an absolute IP-ID slack for
+    // the bounds test and a tighter one for the confirmation probes.
+    // Addresses are velocity-sorted, so only a forward neighbourhood
+    // needs testing.
+    constexpr double kVelocityTolerance = 0.08;
+    constexpr double kMbtSlackIds = 30.0;
+    constexpr double kConfirmSlackIds = 6.0;
     for (std::size_t i = begin; i < end; ++i) {
       const Candidate& a = usable[i];
       for (std::size_t j = i + 1; j < end; ++j) {
         const Candidate& b = usable[j];
         const double scale = std::max({a.velocity, b.velocity, 1.0});
-        if ((b.velocity - a.velocity) / scale > config.velocity_tolerance) {
+        if ((b.velocity - a.velocity) / scale > kVelocityTolerance) {
           break;  // sorted: nothing further can match
         }
         if (sets.same_device(a.address, b.address)) continue;
         const double velocity = 0.5 * (a.velocity + b.velocity);
-        if (mbt_pass(a, b, velocity, config.mbt_slack_ids) &&
+        if (mbt_pass(a, b, velocity, kMbtSlackIds) &&
             confirm_pair(prober, a.address, b.address, velocity,
-                         config.confirm_slack_ids)) {
+                         kConfirmSlackIds)) {
           sets.add_pair(a.address, b.address);
         }
       }

@@ -29,12 +29,7 @@ namespace rr::measure {
 
 struct MidarConfig {
   double pps = 100.0;              // alias probing is gentler than scanning
-  double estimation_gap_s = 2.0;   // spacing of the two estimation probes
-  int elimination_rounds = 5;
   std::size_t shard_size = 1024;   // addresses per elimination shard
-  double velocity_tolerance = 0.08;  // pairing window (relative)
-  double mbt_slack_ids = 30.0;     // absolute slack for the bounds test
-  double confirm_slack_ids = 6.0;  // slack for the tight confirmation probes
   std::size_t max_addresses = 250000;
   std::uint64_t seed = 0x41D5;
 };

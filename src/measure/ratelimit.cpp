@@ -31,8 +31,11 @@ RateLimitResult rate_limit_study(Testbed& testbed, const Campaign& campaign,
   const std::size_t n_vps = campaign.num_vps();
   std::vector<std::uint64_t> counts_low(n_vps, 0), counts_high(n_vps, 0);
 
+  // §4.1's two probing rates.
+  constexpr double kLowPps = 10.0;
+  constexpr double kHighPps = 100.0;
   for (const bool high_rate : {false, true}) {
-    const double pps = high_rate ? config.high_pps : config.low_pps;
+    const double pps = high_rate ? kHighPps : kLowPps;
     auto& counts = high_rate ? counts_high : counts_low;
 
     testbed.network().reset();
@@ -64,9 +67,12 @@ RateLimitResult rate_limit_study(Testbed& testbed, const Campaign& campaign,
     }
   }
 
+  // Exclusion threshold: the paper dropped VPs with fewer than 1,000
+  // responses to its 100k-destination sample, an absolute count; scaled
+  // to the sample probed here, that is 1% of it.
+  constexpr double kMinResponseFraction = 0.01;
   const auto threshold = static_cast<std::uint64_t>(
-      config.min_response_fraction *
-      static_cast<double>(responsive.size()));
+      kMinResponseFraction * static_cast<double>(responsive.size()));
   for (std::size_t v = 0; v < n_vps; ++v) {
     if (counts_low[v] < threshold && counts_high[v] < threshold) {
       ++result.excluded_vps;

@@ -14,12 +14,6 @@ namespace rr::measure {
 
 struct RateLimitConfig {
   std::size_t sample_size = 100000;  // destinations drawn from RR-responsive
-  double low_pps = 10.0;
-  double high_pps = 100.0;
-  /// Exclusion threshold as a fraction of the probed sample (the paper
-  /// excluded VPs with < 1000 of 100k responses, i.e. 1%... in fact the
-  /// paper's cut of 1000 responses is an absolute count; we scale it).
-  double min_response_fraction = 0.01;
   std::uint64_t seed = 0x441;
 };
 

@@ -66,16 +66,19 @@ ReclassifyResult reclassify(Testbed& testbed, const Campaign& campaign,
       if (campaign.at(v, d).rr_responsive()) responsive_vps.push_back(v);
     }
     rng.shuffle(responsive_vps);
-    const std::size_t tries = std::min<std::size_t>(
-        responsive_vps.size(),
-        static_cast<std::size_t>(std::max(config.udp_vps_per_dest, 1)));
+    // VPs tried per destination for the UDP probe (closest first would
+    // need a distance we do not have; responsive-first is the paper's
+    // position), with up to kUdpAttempts probes each.
+    constexpr std::size_t kUdpVpsPerDest = 3;
+    constexpr int kUdpAttempts = 2;
+    const std::size_t tries =
+        std::min(responsive_vps.size(), kUdpVpsPerDest);
 
     bool proven = false;
     for (std::size_t t = 0; t < tries && !proven; ++t) {
       auto prober = testbed.make_prober(
           campaign.vps()[responsive_vps[t]]->host, config.pps);
-      for (int attempt = 0; attempt < config.udp_attempts && !proven;
-           ++attempt) {
+      for (int attempt = 0; attempt < kUdpAttempts && !proven; ++attempt) {
         ++result.udp_probes_sent;
         const auto r = prober.probe(probe::ProbeSpec::ping_rr_udp(target));
         if (r.kind != probe::ResponseKind::kPortUnreachable) continue;

@@ -21,10 +21,6 @@
 namespace rr::measure {
 
 struct ReclassifyConfig {
-  /// VPs tried per destination for the UDP probe (closest first would need
-  /// a distance we do not have; responsive-first is the paper's position).
-  int udp_vps_per_dest = 3;
-  int udp_attempts = 2;
   double pps = 50.0;
   std::uint64_t seed = 0x3c3;
 };

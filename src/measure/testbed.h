@@ -68,9 +68,7 @@ class Testbed {
   /// Creates a prober bound to a VP host.
   [[nodiscard]] probe::Prober make_prober(topo::HostId source,
                                           double pps = 20.0) {
-    probe::Prober::Options options;
-    options.pps = pps;
-    return probe::Prober{*network_, source, options};
+    return probe::Prober{*network_, source, pps};
   }
 
  private:

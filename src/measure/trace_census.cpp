@@ -123,8 +123,14 @@ TraceCensusResult run_trace_census(Testbed& testbed,
                                   : std::min(config.per_vp_dests, n_all);
   const auto vps = testbed.vps();
   const std::size_t n_vps = vps.size();
+  // Destinations each VP advances per commit round (global stop-set
+  // insertions become visible at round boundaries only). Smaller rounds
+  // surface inter-monitor facts sooner (more savings) at the cost of more
+  // serial commit points; 16 keeps the first blind round under a seventh
+  // of typical bench samples.
+  constexpr std::size_t kRound = 16;
   const std::size_t round =
-      std::max<std::size_t>(1, std::min(config.round, n_dests));
+      std::max<std::size_t>(1, std::min(kRound, n_dests));
   const int threads = util::resolve_thread_count(
       config.threads > 0 ? config.threads : testbed.threads());
 
@@ -152,12 +158,8 @@ TraceCensusResult run_trace_census(Testbed& testbed,
   per_vp.reserve(n_vps);
   for (std::size_t v = 0; v < n_vps; ++v) {
     auto p = std::make_unique<PerVp>();
-    p->prober = std::make_unique<probe::Prober>(
-        testbed.network(), vps[v]->host, [&] {
-          probe::Prober::Options options;
-          options.pps = config.pps;
-          return options;
-        }());
+    p->prober = std::make_unique<probe::Prober>(testbed.network(),
+                                                vps[v]->host, config.pps);
     if (config.use_stop_sets) {
       // Local facts are (interface, TTL) pairs near this VP, shared by
       // most of its traces: a default-scale census stores ~0.4 per

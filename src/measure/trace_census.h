@@ -10,8 +10,8 @@
 // the buffered insertions are committed in canonical VP order — the
 // deferred pattern the token-bucket replay established — by one pool task
 // per stripe of the global set (StopSet::commit). A VP's probe stream is
-// therefore a pure function of (seed, round size, stop-set contents at
-// round boundaries), never of thread timing, and the census asserts that
+// therefore a pure function of (seed, stop-set contents at round
+// boundaries), never of thread timing, and the census asserts that
 // by folding every VP's schedule into schedule_hash. At the end, each
 // VP's interface and link sets are sorted on the pool and merged pairwise
 // into the census-wide sets. Every trace takes probe::TraceOptions'
@@ -36,12 +36,6 @@ struct TraceCensusConfig {
   /// Master switch: off = classic full traces (the baseline the probe
   /// reduction is measured against).
   bool use_stop_sets = true;
-  /// Destinations each VP advances per commit round (global stop-set
-  /// insertions become visible at round boundaries only). Smaller rounds
-  /// surface inter-monitor facts sooner (more savings) at the cost of
-  /// more serial commit points; 16 keeps the first blind round under a
-  /// seventh of typical bench samples.
-  std::size_t round = 16;
   int threads = 0;     // 0 = testbed default / RROPT_THREADS
 };
 

@@ -9,6 +9,16 @@
 
 namespace rr::measure {
 
+namespace {
+
+/// The initial TTLs the study draws from: kTtlMin..kTtlMax and the
+/// default TTL 64.
+constexpr int kTtlMin = 3;
+constexpr int kTtlMax = 23;
+constexpr int kDefaultTtl = 64;
+
+}  // namespace
+
 const TtlStudyResult::Row* TtlStudyResult::row_for(int ttl) const noexcept {
   for (const auto& row : rows) {
     if (row.ttl == ttl) return &row;
@@ -23,10 +33,8 @@ TtlStudyResult ttl_study(Testbed& testbed, const Campaign& campaign,
   std::map<int, TtlStudyResult::Row> rows;
 
   std::vector<int> ttl_values;
-  for (int ttl = config.ttl_min; ttl <= config.ttl_max; ++ttl) {
-    ttl_values.push_back(ttl);
-  }
-  if (config.include_default_ttl) ttl_values.push_back(64);
+  for (int ttl = kTtlMin; ttl <= kTtlMax; ++ttl) ttl_values.push_back(ttl);
+  ttl_values.push_back(kDefaultTtl);
 
   for (std::size_t v = 0; v < campaign.num_vps(); ++v) {
     // Near: directly RR-reachable from this VP. Far: RR-responsive to this
@@ -65,20 +73,17 @@ TtlStudyResult ttl_study(Testbed& testbed, const Campaign& campaign,
                                   .host_at(campaign.destinations()[d])
                                   .address;
           if (is_far) {
-            for (int t = config.ttl_min;
-                 t <= std::min(9, config.ttl_max); ++t) {
+            for (int t = kTtlMin; t <= std::min(9, kTtlMax); ++t) {
               stops->insert(path_point_key(target, t));
             }
           } else {
             const int s = campaign.at(v, d).dest_slot;
-            for (int t = config.ttl_min; t <= config.ttl_max; ++t) {
+            for (int t = kTtlMin; t <= kTtlMax; ++t) {
               stops->insert(t < s ? path_point_key(target, t)
                                   : reach_point_key(target, t));
             }
           }
-          if (config.include_default_ttl) {
-            stops->insert(reach_point_key(target, 64));
-          }
+          stops->insert(reach_point_key(target, kDefaultTtl));
         }
       }
     }

@@ -20,9 +20,6 @@
 namespace rr::measure {
 
 struct TtlStudyConfig {
-  int ttl_min = 3;
-  int ttl_max = 23;
-  bool include_default_ttl = true;  // also probe at TTL 64
   std::size_t per_vp_per_class = 400;
   double pps = 20.0;
   std::uint64_t seed = 0x771;

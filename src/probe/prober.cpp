@@ -55,16 +55,12 @@ std::string ProbeResult::to_string() const {
   return out;
 }
 
-Prober::Prober(sim::Network& network, topo::HostId source,
-               ProberOptions options)
+Prober::Prober(sim::Network& network, topo::HostId source, double pps)
     : network_(&network),
       source_(source),
       source_address_(network.topology().host_at(source).address),
-      icmp_id_(options.icmp_id != 0
-                   ? options.icmp_id
-                   : static_cast<std::uint16_t>(0x4000 | (source & 0x3fff))),
-      clock_(options.start_time),
-      interval_(1.0 / options.pps) {}
+      icmp_id_(static_cast<std::uint16_t>(0x4000 | (source & 0x3fff))),
+      interval_(1.0 / pps) {}
 
 void Prober::probe_into(const ProbeSpec& spec, sim::SendContext* ctx,
                         ProbeResult& out) {
@@ -72,12 +68,7 @@ void Prober::probe_into(const ProbeSpec& spec, sim::SendContext* ctx,
   // probe bytes are built into the recycled buffer and the delivery's
   // storage is reclaimed below, so the steady state allocates nothing —
   // rropt_lint keeps it that way by banning unwaived allocation here.
-  //
-  // Reset here, not just in Network::send_reusing: an early return before
-  // the send must not leave the previous probe's trace (or result fields)
-  // behind for a deferred-replay caller to mistake for this probe's.
   out.reset();
-  if (ctx != nullptr) ctx->trace.reset();
   const double send_time = clock_;
   clock_ += interval_;
   ++sent_;
@@ -90,7 +81,10 @@ void Prober::probe_into(const ProbeSpec& spec, sim::SendContext* ctx,
   out.type = spec.type;
   out.send_time = send_time;
 
-  auto delivery = network_->send_reusing(source_, buf_, send_time, ctx);
+  auto delivery =
+      ctx != nullptr
+          ? network_->send_reusing(source_, buf_, send_time, *ctx)
+          : network_->send_settled(source_, buf_, send_time, ctx_);
   if (delivery) {
     parse_response_into(spec, seq, send_time, *delivery, out);
     // Reclaim the response's storage (it was the probe buffer, or a reply
@@ -239,7 +233,7 @@ void Prober::traceroute_into(net::IPv4Address target,
 
   // Per-trace scratch reset; the hop buffer grows once, then stays flat
   // across traces.
-  trace_ctx_.counters = sim::NetCounters{};
+  ctx_.counters = sim::NetCounters{};
   if (static_cast<int>(trace_hops_.size()) < max_ttl + 1) {
     trace_hops_.resize(static_cast<std::size_t>(max_ttl) + 1);
   }
@@ -254,7 +248,7 @@ void Prober::traceroute_into(net::IPv4Address target,
   const auto probe_ttl = [&](int ttl) {
     ProbeSpec spec = ProbeSpec::ping(target);
     spec.ttl = static_cast<std::uint8_t>(ttl);
-    probe_into(spec, &trace_ctx_, trace_result_);
+    probe_into(spec, &ctx_, trace_result_);
     ++sent;
     return trace_result_.responded();
   };
@@ -356,9 +350,9 @@ void Prober::traceroute_into(net::IPv4Address target,
   }
 
   if (options.counters != nullptr) {
-    options.counters->merge(trace_ctx_.counters);
+    options.counters->merge(ctx_.counters);
   } else {
-    network_->merge_counters(trace_ctx_.counters);
+    network_->merge_counters(ctx_.counters);
   }
 }
 

@@ -16,12 +16,6 @@
 
 namespace rr::probe {
 
-struct ProberOptions {
-  double pps = 20.0;           // probing rate (paper default)
-  std::uint16_t icmp_id = 0;   // 0 = derive from source host id
-  double start_time = 0.0;     // virtual campaign start
-};
-
 /// Knobs for Prober::traceroute. The engine probes the forward sweep in
 /// windows of four TTLs: every TTL of a window is sent (so a window can
 /// probe past the destination) before the window is scanned for the
@@ -34,41 +28,42 @@ struct TraceOptions {
   int attempts = 2;  // probes per unresponsive TTL
   /// Redundancy-aware stopping rules; nullptr = classic full trace.
   TraceGate* gate = nullptr;
-  /// Sink for the trace's network counters. Traces always run the
-  /// deferred (SendContext) dataplane mode; with a sink the tally is
-  /// merged there (concurrent callers: one sink per worker, merge into
-  /// the network at a serial point), without one it is folded straight
-  /// into the network totals — serial callers only.
+  /// Sink for the trace's network counters. A trace's probes are plain
+  /// pings, which record no bucket consumes, so the tally needs no
+  /// settle: with a sink it is merged there (concurrent callers: one sink
+  /// per worker, merge into the network at a serial point), without one
+  /// it is merged straight into the network totals — serial callers only.
   sim::NetCounters* counters = nullptr;
 };
 
 class Prober {
  public:
-  using Options = ProberOptions;
+  /// A prober sending from `source` at `pps` probes per second of virtual
+  /// time (the paper's studies ran at 20), its clock starting at 0.
+  Prober(sim::Network& network, topo::HostId source, double pps = 20.0);
 
-  Prober(sim::Network& network, topo::HostId source,
-         ProberOptions options = ProberOptions{});
-
-  /// Sends one probe at the next paced slot and returns its result.
-  ProbeResult probe(const ProbeSpec& spec) { return probe(spec, nullptr); }
-
-  /// Same, but routes simulator bookkeeping through `ctx` so that probes
-  /// from different probers can run on concurrent threads (see
-  /// sim::SendContext). The clock still advances one paced slot per call
-  /// whether or not a response arrives, so send times — and therefore
-  /// outcomes — depend only on the probe stream, not on thread timing.
-  ProbeResult probe(const ProbeSpec& spec, sim::SendContext* ctx) {
+  /// Sends one probe at the next paced slot, settles it at once, and
+  /// returns its result.
+  ProbeResult probe(const ProbeSpec& spec) {
     ProbeResult result;
-    probe_into(spec, ctx, result);
+    probe_into(spec, nullptr, result);
     return result;
   }
 
   /// Allocation-free probe: builds the datagram in the prober's reusable
-  /// buffer, sends it with Network::send_reusing, inspects the response
-  /// in place (packet/wire.h), and reclaims the delivery's storage.
-  /// `out` is reset first (its vectors keep their capacity), so a caller
-  /// that reuses one result performs zero heap allocations per exchange
-  /// once the buffers have warmed up.
+  /// buffer, sends it, inspects the response in place (packet/wire.h),
+  /// and reclaims the delivery's storage. `out` is reset first (its
+  /// vectors keep their capacity), so a caller that reuses one result
+  /// performs zero heap allocations per exchange once the buffers have
+  /// warmed up.
+  ///
+  /// With `ctx == nullptr` the probe is settled at once on the prober's
+  /// own context (Network::send_settled). With a context it is a
+  /// Network::send_reusing on it, so probes from different probers can
+  /// run on concurrent threads; the caller settles or merges `ctx`. The
+  /// clock advances one paced slot per call whether or not a response
+  /// arrives, so send times — and therefore outcomes — depend only on the
+  /// probe stream, not on thread timing.
   void probe_into(const ProbeSpec& spec, sim::SendContext* ctx,
                   ProbeResult& out);
 
@@ -82,15 +77,14 @@ class Prober {
 
   /// Traceroute: TTL-limited pings until the target answers, a stop-set
   /// rule fires (options.gate), or the TTL budget is exhausted. Every
-  /// probe of a trace is a probe_into on the prober's one trace context,
-  /// whose forward path scratch then stitches the trace's path once.
-  /// The deferred dataplane keeps a trace's probe outcomes a pure
-  /// function of its probe stream — identical whether traces run serially
-  /// or on concurrent threads (with per-thread probers/counter sinks).
-  /// Plain pings carry no IP options, so the deferred mode's optimistic
-  /// bucket events never occur and no replay pass is needed. `out` is
-  /// reset first and its hop list keeps its capacity, so a caller that
-  /// reuses one result allocates nothing per trace once warm.
+  /// probe of a trace is a probe_into on the prober's own context, whose
+  /// forward path scratch then stitches the trace's path once. Its probe
+  /// outcomes are a pure function of its probe stream — identical whether
+  /// traces run serially or on concurrent threads (with per-thread
+  /// probers/counter sinks). Plain pings carry no IP options, so they
+  /// record no bucket consumes and need no settle. `out` is reset first
+  /// and its hop list keeps its capacity, so a caller that reuses one
+  /// result allocates nothing per trace once warm.
   void traceroute_into(net::IPv4Address target, const TraceOptions& options,
                        TracerouteResult& out);
 
@@ -142,17 +136,18 @@ class Prober {
   std::uint16_t icmp_id_;
   std::uint16_t next_seq_ = 1;
   std::uint16_t next_udp_port_ = 0;
-  double clock_;
+  double clock_ = 0.0;
   double interval_;
   std::uint64_t sent_ = 0;
   std::uint64_t matched_ = 0;
   std::uint64_t mismatched_ = 0;
   std::vector<std::uint8_t> buf_;  // probe/reply storage, recycled
   std::uint64_t buffer_growths_ = 0;
-  // Traceroute scratch (the context and result every probe of a trace
-  // uses, plus the TTL-indexed hop buffer), reused across traces so a
-  // census performs no steady-state allocation per trace.
-  sim::SendContext trace_ctx_;
+  // The prober's own context: settled probes and every probe of a trace
+  // send on it. With the trace's result and TTL-indexed hop buffer it is
+  // reused across traces, so a census performs no steady-state
+  // allocation per trace.
+  sim::SendContext ctx_;
   ProbeResult trace_result_;
   std::vector<TracerouteHop> trace_hops_;
 };

@@ -96,7 +96,7 @@ ReverseTraceroute::spoof_segment(topo::HostId vp_host,
 
   clock_ += 1.0 / config_.pps;
   auto delivery =
-      testbed_->network().send_reusing(vp_host, probe_buf_, clock_);
+      testbed_->network().send_settled(vp_host, probe_buf_, clock_, ctx_);
   if (!delivery) return std::nullopt;
   // The reply's storage becomes the next probe's buffer.
   probe_buf_ = std::move(delivery->bytes);
@@ -138,17 +138,18 @@ ReversePath ReverseTraceroute::measure(net::IPv4Address destination,
   std::unordered_set<std::uint32_t> visited{destination.value()};
   net::IPv4Address current = destination;
 
-  for (int segment = 0; segment < config_.max_segments; ++segment) {
+  for (int segment = 0; segment < kMaxSegments; ++segment) {
     std::optional<SpoofResult> best;
     auto vps = candidate_vps(current);
     // The source itself is the cheapest vantage point when in range.
     vps.insert(vps.begin(), source_host);
     int tried = 0;
+    // Each VP gets a few tries: loss and rate limiting kill some probes.
+    constexpr int kAttemptsPerVp = 3;
     for (const topo::HostId vp : vps) {
       if (tried >= config_.vps_to_try) break;
       ++tried;
-      for (int attempt = 0; attempt < config_.attempts_per_segment;
-           ++attempt) {
+      for (int attempt = 0; attempt < kAttemptsPerVp; ++attempt) {
         best = spoof_segment(vp, current, source_host);
         if (best && (!best->reverse_hops.empty() || best->slots_remained)) {
           break;

@@ -38,8 +38,6 @@
 namespace rr::revtr {
 
 struct RevTrConfig {
-  int max_segments = 10;          // spoofed-measurement iterations
-  int attempts_per_segment = 3;   // retries (loss, rate limiting)
   int vps_to_try = 12;            // candidate VPs tested per segment
   double pps = 20.0;
   bool allow_symmetric_fallback = true;
@@ -83,6 +81,9 @@ struct ReversePath {
 /// such an atlas); without one, candidate VPs are probed on demand.
 class ReverseTraceroute {
  public:
+  /// Spoofed measurements one reverse path may take.
+  static constexpr int kMaxSegments = 10;
+
   ReverseTraceroute(measure::Testbed& testbed,
                     const measure::Campaign* campaign = nullptr,
                     RevTrConfig config = {});
@@ -115,6 +116,7 @@ class ReverseTraceroute {
   std::uint16_t next_id_ = 0x7a00;
   double clock_ = 0.0;
   std::vector<std::uint8_t> probe_buf_;  // spoofed probe/reply, recycled
+  sim::SendContext ctx_;  // every spoofed probe is settled on it
   /// Atlas index: probed address -> campaign destination index, built once
   /// so per-target candidate lookup is O(1) instead of a campaign scan.
   std::unordered_map<std::uint32_t, std::size_t> dest_index_;

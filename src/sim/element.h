@@ -10,7 +10,7 @@
 //   BaseLossElement        fast-path Bernoulli loss
 //   SlowPathLossElement    extra loss risk on the options slow path
 //   StormGateElement       rate-limit storm windows (fault plan)
-//   CoppGateElement        CoPP options token bucket (live or deferred)
+//   CoppGateElement        CoPP options token bucket (records the consume)
 //   TransitFilterElement   AS drops options packets in transit
 //   EdgeFilterElement      AS drops options packets at its own edge
 //   TtlDecrementElement    TTL decrement + Time-Exceeded trigger
@@ -34,8 +34,8 @@
 // Hot-path rules: element process() bodies are hot regions — rropt_lint
 // bans heap allocation and stream IO inside them without needing explicit
 // RROPT_HOT markers (tools/lint). The one allocation-shaped call, the
-// deferred bucket event push, carries the standard RROPT_HOT_OK waiver:
-// its vector's capacity is recycled across probes.
+// bucket event push, carries the standard RROPT_HOT_OK waiver: its
+// vector's capacity is recycled across probes.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,6 @@
 #include "packet/view.h"
 #include "packet/wire.h"
 #include "sim/fault.h"
-#include "sim/token_bucket.h"
 #include "topology/types.h"
 #include "util/rng.h"
 
@@ -106,7 +105,7 @@ struct NetCounters {
   [[nodiscard]] bool operator==(const NetCounters&) const = default;
 };
 
-/// One deferred options-token consume: a policed router saw an options
+/// One recorded options-token consume: a policed router saw an options
 /// packet at a virtual time. Recorded in probe order (forward leg first,
 /// then the reply leg); times increase within a leg.
 struct BucketEvent {
@@ -115,13 +114,12 @@ struct BucketEvent {
   bool reply_leg = false;
 };
 
-/// Per-send bookkeeping for deferred-bucket (concurrent) execution. The
-/// counted_* flags remember which optimistic aggregate counters this send
-/// incremented before any reply-leg bucket event, so the serial replay
-/// phase (Campaign::run pass B) can reconstruct exactly the counters a
-/// serial run would have recorded when a deferred consume fails: a
-/// forward-leg kill keeps none of them, a reply-leg kill keeps all but
-/// counted_response.
+/// Per-send bookkeeping for Network::settle. The counted_* flags remember
+/// which optimistic aggregate counters this send incremented before any
+/// reply-leg bucket event, so settle can reconstruct exactly the counters
+/// a walk that met the empty bucket live would have recorded when a
+/// consume fails: a forward-leg kill keeps none of them, a reply-leg kill
+/// keeps all but counted_response.
 struct ProbeTrace {
   std::vector<BucketEvent> events;
   bool counted_delivered = false;
@@ -130,10 +128,10 @@ struct ProbeTrace {
   bool counted_port_unreachable = false;
   // A fault doomed this exchange: the drop was charged when the fault
   // fired (as dropped_loss or dropped_rate_limit), after the first
-  // `doom_after_events` bucket events had been recorded. The serial
-  // replay uses this to reconstruct which drop a serial run would have
-  // charged when a deferred consume fails: the doom charge stands only if
-  // the serial walk actually reaches the doom point.
+  // `doom_after_events` bucket events had been recorded. settle uses this
+  // to reconstruct which drop a live walk would have charged when a
+  // consume fails: the doom charge stands only if that walk actually
+  // reaches the doom point.
   bool doomed = false;
   bool doom_charged_loss = false;
   std::uint32_t doom_after_events = 0;
@@ -178,9 +176,8 @@ enum class HopVerdict : std::uint8_t {
 
 /// The per-hop state an element reads and mutates. One HopContext is set
 /// up per leg; the per-hop fields (router, egress, as_id, hop, now) are
-/// refreshed by the walk loop before each run list executes. Exactly one
-/// of `trace` (deferred/concurrent mode) and `buckets` (serial mode, only
-/// formed under the serial gate) is non-null when a CoppGateElement runs.
+/// refreshed by the walk loop before each run list executes. `trace` is
+/// the send's: the CoPP gate and the dooming fault elements record into it.
 struct HopContext {
   // ------------------------------------------------------------ per leg
   pkt::Ipv4HeaderView* view = nullptr;
@@ -193,8 +190,7 @@ struct HopContext {
   topo::AsId dst_as = 0;
   NetCounters* counters = nullptr;
   FaultCounters* fault_counters = nullptr;
-  ProbeTrace* trace = nullptr;      // deferred mode; null in serial mode
-  TokenBucket* buckets = nullptr;   // serial mode; null in deferred mode
+  ProbeTrace* trace = nullptr;
   // ------------------------------------------------------------ per hop
   topo::RouterId router = topo::kNoRouter;
   net::IPv4Address egress;
@@ -247,12 +243,10 @@ struct FaultInjectorElement {
       ctx.fault_counters->note(FaultKind::kChecksumCorrupt);
       ++ctx.counters->dropped_loss;
       ctx.doomed = true;
-      if (ctx.trace != nullptr) {
-        ctx.trace->doomed = true;
-        ctx.trace->doom_charged_loss = true;
-        ctx.trace->doom_after_events =
-            static_cast<std::uint32_t>(ctx.trace->events.size());
-      }
+      ctx.trace->doomed = true;
+      ctx.trace->doom_charged_loss = true;
+      ctx.trace->doom_after_events =
+          static_cast<std::uint32_t>(ctx.trace->events.size());
     }
     return HopVerdict::kContinue;
   }
@@ -292,9 +286,9 @@ struct SlowPathLossElement {
 
 /// A rate-limit storm closes the slow path outright for a window of
 /// virtual time. The check is a stateless pure function of (router,
-/// window), so serial and deferred modes agree without replay. The
-/// packet is doomed — not dropped — so it still consumes this and every
-/// downstream router's slow-path budget exactly as the baseline walk did.
+/// window), so it needs no settle. The packet is doomed — not dropped —
+/// so it still consumes this and every downstream router's slow-path
+/// budget exactly as the baseline walk did.
 /// Only compiled into options run lists when the fault plan is enabled.
 struct StormGateElement {
   const FaultPlan* plan = nullptr;
@@ -306,34 +300,22 @@ struct StormGateElement {
     ctx.fault_counters->note(FaultKind::kStorm);
     ++ctx.counters->dropped_rate_limit;
     ctx.doomed = true;
-    if (ctx.trace != nullptr) {
-      ctx.trace->doomed = true;
-      ctx.trace->doom_charged_loss = false;
-      ctx.trace->doom_after_events =
-          static_cast<std::uint32_t>(ctx.trace->events.size());
-    }
+    ctx.trace->doomed = true;
+    ctx.trace->doom_charged_loss = false;
+    ctx.trace->doom_after_events =
+        static_cast<std::uint32_t>(ctx.trace->events.size());
     return HopVerdict::kContinue;
   }
 };
 
-/// CoPP options token bucket. In deferred (concurrent) mode the consume is
-/// recorded for serial resolution and assumed to succeed — a failed
-/// consume is a silent drop, so nothing later in the walk would have
-/// differed. In serial mode the bucket is consulted live; the walk loop
-/// only forms `ctx.buckets` under the serial gate, which is what makes
-/// that access the caller's no-concurrency promise.
+/// CoPP options token bucket. The consume is recorded for Network::settle
+/// and assumed to succeed — a failed consume is a silent drop, so nothing
+/// later in the walk would have differed.
 struct CoppGateElement {
   HopVerdict process(HopContext& ctx) const noexcept {
-    if (ctx.trace != nullptr) {
-      ctx.trace->events.push_back(  // RROPT_HOT_OK: capacity recycled
-          {ctx.router, ctx.now, ctx.leg != 0});
-      return HopVerdict::kContinue;
-    }
-    if (ctx.buckets[ctx.router].try_consume(ctx.now)) {
-      return HopVerdict::kContinue;
-    }
-    if (!ctx.doomed) ++ctx.counters->dropped_rate_limit;
-    return HopVerdict::kDrop;
+    ctx.trace->events.push_back(  // RROPT_HOT_OK: capacity recycled
+        {ctx.router, ctx.now, ctx.leg != 0});
+    return HopVerdict::kContinue;
   }
 };
 

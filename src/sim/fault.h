@@ -184,7 +184,7 @@ class FaultPlan {
   // -------------------------------------------------------------- storms
   /// Whether `router`'s options slow path is inside a storm window at
   /// virtual time `now`. Stateless — a pure function of (router, window) —
-  /// so it needs no deferred replay and cannot race.
+  /// so it needs no settle and cannot race.
   [[nodiscard]] bool storm_active(topo::RouterId router,
                                   double now) const noexcept;
 

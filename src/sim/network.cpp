@@ -13,6 +13,12 @@ namespace {
 /// Source of Network ids; 0 is never handed out (ForwardPath's "no key").
 std::atomic<std::uint64_t> g_next_network_id{1};
 
+/// Virtual time a packet spends per router hop (seconds).
+constexpr double kHopDelaySeconds = 0.0005;
+
+/// Payload bytes an ICMP error quotes past the offending header (RFC 792).
+constexpr std::size_t kQuotedPayloadBytes = 8;
+
 /// Runs a reply build against the scratch, counting capacity growths so
 /// steady-state allocation-freedom is observable.
 template <typename BuildFn>
@@ -20,6 +26,36 @@ void build_into_scratch(ReplyScratch& scratch, BuildFn&& build) {
   const std::size_t capacity = scratch.bytes.capacity();
   build(scratch.bytes);
   if (scratch.bytes.capacity() != capacity) ++scratch.growths;
+}
+
+/// The counters a walk that met an empty bucket live would have recorded
+/// for a send whose `kill_index`th recorded consume fails: everything past
+/// the policed router never happened, so keep only the optimistic counters
+/// the walk accrued before the kill point (which the trace's counted_*
+/// flags remember) and charge the policed drop itself. If a fault doomed
+/// the exchange *before* the failed consume, the live walk charged the
+/// fault's own drop at the fire point and suppressed the policed one; a
+/// doom recorded after the kill point never happened. Works for any
+/// exchange — echo replies, ICMP errors, UDP port unreachables.
+NetCounters killed_counters(const ProbeTrace& trace, bool killed_reply,
+                            std::size_t kill_index) {
+  NetCounters live;
+  live.sent = 1;
+  if (trace.doomed && kill_index >= trace.doom_after_events &&
+      trace.doom_charged_loss) {
+    live.dropped_loss = 1;
+  } else {
+    live.dropped_rate_limit = 1;
+  }
+  if (killed_reply) {
+    // The forward leg completed and the response was generated; only the
+    // reply leg (and its counted_response) is rolled back. A forward-leg
+    // doom left these flags unset, so a ghost exchange keeps none.
+    live.delivered = trace.counted_delivered ? 1 : 0;
+    live.ttl_errors = trace.counted_ttl_error ? 1 : 0;
+    live.port_unreachables = trace.counted_port_unreachable ? 1 : 0;
+  }
+  return live;
 }
 
 }  // namespace
@@ -59,6 +95,44 @@ void Network::merge_counters(const NetCounters& tally) {
   counters_.merge(tally);
 }
 
+bool Network::settle(const ProbeTrace& trace, NetCounters& tally) {
+  util::SerialGateLock gate(serial_gate_);
+  // RROPT_HOT_BEGIN(network-settle): runs once per campaign probe in pass
+  // B; a bucket consume per recorded event, then a counter merge.
+  bool survived = true;
+  for (std::size_t e = 0; e < trace.events.size(); ++e) {
+    const BucketEvent& event = trace.events[e];
+    if (buckets_[event.router].try_consume(event.time)) continue;
+    // A policed drop is silent: a forward-leg failure means the probe
+    // never arrived anywhere, a reply-leg failure means the response never
+    // came home. Later events would not have happened (reply events
+    // always follow forward ones).
+    tally = killed_counters(trace, event.reply_leg, e);
+    survived = false;
+    break;
+  }
+  counters_.merge(tally);
+  // RROPT_HOT_END(network-settle)
+  return survived;
+}
+
+std::optional<Network::Delivery> Network::send_settled(
+    HostId src, std::vector<std::uint8_t>& bytes, double time,
+    SendContext& ctx) {
+  // The salt is this send's ordinal in the network's send count: the
+  // settled totals so far plus this send.
+  std::uint64_t salt = 0;
+  {
+    util::SerialGateLock gate(serial_gate_);
+    salt = counters_.sent + 1;
+  }
+  ctx.counters = NetCounters{};
+  std::optional<Delivery> out = exchange(src, bytes, time, ctx, salt);
+  if (settle(ctx.trace, ctx.counters)) return out;
+  if (out) bytes = std::move(out->bytes);
+  return std::nullopt;
+}
+
 bool Network::host_hops(HostId from, HostId to, bool reply,
                         std::vector<route::PathHop>& out) {
   if (fib_ != nullptr) {
@@ -92,7 +166,7 @@ WalkResult Network::walk_pipeline(std::vector<std::uint8_t>& bytes,
                                   std::span<const route::PathHop> hops,
                                   double start, topo::AsId src_as,
                                   topo::AsId dst_as, std::uint64_t flow,
-                                  int leg, SendContext* ctx, bool doomed_in) {
+                                  int leg, SendContext& ctx, bool doomed_in) {
   // One view per leg: option offsets are located once, and every per-hop
   // TTL decrement and RR/TS stamp is an O(1) in-place mutation with an
   // RFC 1624 incremental checksum update (see packet/view.h).
@@ -107,22 +181,14 @@ WalkResult Network::walk_pipeline(std::vector<std::uint8_t>& bytes,
   hc.flow = flow;
   hc.src_as = src_as;
   hc.dst_as = dst_as;
-  hc.counters = &counters_for(ctx);
+  hc.counters = &ctx.counters;
   hc.fault_counters = &fault_counters_;
-  if (ctx != nullptr) {
-    // Deferred mode: CoPP consumes are recorded into the trace for serial
-    // resolution (see the header comment on Network).
-    hc.trace = &ctx->trace;
-  } else {
-    // Serial mode: ctx == nullptr is the caller's no-concurrency promise,
-    // which is what holding the serial gate means; the bucket array is
-    // only handed to the elements under that promise.
-    serial_gate_.assert_held();
-    hc.buckets = buckets_.data();
-  }
+  // CoPP consumes are recorded into the trace for settle() (see the header
+  // comment on Network).
+  hc.trace = &ctx.trace;
   return walk_hops(hc, hops, pipeline_.list_bank(hc.has_options),
                    pipeline_.rows().data(), pipeline_.elements(),
-                   params_.hop_delay_s);
+                   kHopDelaySeconds);
 }
 
 std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
@@ -134,9 +200,10 @@ std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
 }
 
 bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
-                         double time, SendContext* ctx, StagedSend& out) {
-  NetCounters& c = counters_for(ctx);
-  if (ctx != nullptr) ctx->trace.reset();
+                         double time, std::uint64_t salt, SendContext& ctx,
+                         StagedSend& out) {
+  NetCounters& c = ctx.counters;
+  ctx.trace.reset();
   ++c.sent;
   const auto dst_addr = pkt::peek_destination(bytes);
   if (!dst_addr) return false;
@@ -157,17 +224,15 @@ bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
 
   // The packet's flow key: every random decision along both legs derives
   // from it, so the probe's fate is a pure function of (seed, injecting
-  // host, destination address, send time). Serial mode additionally folds
-  // in the global send counter so that back-to-back retries of an
-  // identical packet redraw their luck, matching pre-existing behaviour of
-  // interactive tests; campaign mode relies on unique send times instead.
+  // host, destination address, send time). A settled send additionally
+  // folds in its salt, the network's running send count, so that
+  // back-to-back retries of an identical packet redraw their luck;
+  // concurrent sends pass 0 and rely on unique send times instead.
   std::uint64_t flow = util::mix64(params_.seed ^ 0x5252464c4f57ULL);
   flow = util::mix64(flow ^
                      ((std::uint64_t{src} << 32) ^ dst_addr->value()));
   flow = util::mix64(flow ^ std::bit_cast<std::uint64_t>(time));
-  // `c` is counters_ exactly when ctx == nullptr, so this reads the
-  // global send counter through the serial-gate-checked reference.
-  if (ctx == nullptr) flow = util::mix64(flow ^ c.sent);
+  if (salt != 0) flow = util::mix64(flow ^ salt);
 
   out.flow = flow;
   out.owner = *owner;
@@ -178,7 +243,7 @@ bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
   // per probe. A reuse reads the scratch as it is, and a resolve writes
   // into its recycled capacity, so a warm scratch resolves without
   // allocating.
-  ForwardPath& fwd = forward_path_for(ctx);
+  ForwardPath& fwd = ctx.fwd_path;
   if (owner->kind == topo::AddressOwner::Kind::kHost) {
     const HostId dst = owner->id;
     out.dst_as = topology_->host_at(dst).as_id;
@@ -211,8 +276,8 @@ bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
 
 bool Network::settle_forward(const WalkResult& fwd, const StagedSend& staged,
                              std::vector<std::uint8_t>& bytes,
-                             SendContext* ctx, std::optional<Delivery>& out) {
-  NetCounters& c = counters_for(ctx);
+                             SendContext& ctx, std::optional<Delivery>& out) {
+  NetCounters& c = ctx.counters;
   switch (fwd.outcome) {
     case WalkResult::Outcome::kDropped:
       return false;
@@ -223,7 +288,7 @@ bool Network::settle_forward(const WalkResult& fwd, const StagedSend& staged,
         return false;
       }
       ++c.ttl_errors;
-      if (ctx != nullptr) ctx->trace.counted_ttl_error = true;
+      ctx.trace.counted_ttl_error = true;
       out = emit_router_error(
           hop.router, hop.ingress,
           static_cast<std::uint8_t>(pkt::IcmpType::kTimeExceeded),
@@ -236,16 +301,16 @@ bool Network::settle_forward(const WalkResult& fwd, const StagedSend& staged,
   }
   if (!fwd.doomed) {
     ++c.delivered;
-    if (ctx != nullptr) ctx->trace.counted_delivered = true;
+    ctx.trace.counted_delivered = true;
   }
   return true;
 }
 
-std::optional<Network::Delivery> Network::send_reusing(
+std::optional<Network::Delivery> Network::exchange(
     HostId src, std::vector<std::uint8_t>& bytes, double time,
-    SendContext* ctx) {
+    SendContext& ctx, std::uint64_t salt) {
   StagedSend staged;
-  if (!stage_send(src, bytes, time, ctx, staged)) return std::nullopt;
+  if (!stage_send(src, bytes, time, salt, ctx, staged)) return std::nullopt;
   const WalkResult fwd =
       walk_pipeline(bytes, staged.fwd_hops, time, staged.src_as,
                     staged.dst_as, staged.flow, /*leg=*/0, ctx);
@@ -262,15 +327,15 @@ std::optional<Network::Delivery> Network::send_reusing(
 std::optional<Network::Delivery> Network::emit_router_error(
     RouterId router, net::IPv4Address from, std::uint8_t icmp_type,
     std::uint8_t code, std::vector<std::uint8_t>& offending, HostId reply_to,
-    double time, std::uint64_t flow, SendContext* ctx) {
+    double time, std::uint64_t flow, SendContext& ctx) {
   const auto probe_src = pkt::peek_source(offending);
   if (!probe_src) return std::nullopt;
 
   const std::uint16_t ip_id = next_ip_id(/*is_router=*/true, router, time);
-  ReplyScratch& scratch = scratch_for(ctx);
+  ReplyScratch& scratch = ctx.scratch;
   build_into_scratch(scratch, [&](std::vector<std::uint8_t>& out) {
     pkt::build_icmp_error(out, icmp_type, code, from, *probe_src, ip_id,
-                          offending, params_.quoted_payload_bytes);
+                          offending, kQuotedPayloadBytes);
   });
   // A buggy/byzantine error generator quotes a mangled inner header: the
   // message still parses, but quotation matching must reject it.
@@ -282,9 +347,9 @@ std::optional<Network::Delivery> Network::emit_router_error(
 
   // Route the error from the originating router back to the prober. The
   // error itself carries no options, so edge filters leave it alone.
-  std::vector<route::PathHop>& hops = reply_path_for(ctx);
+  std::vector<route::PathHop>& hops = ctx.rev_path_scratch;
   if (!stitcher_.router_path(router, reply_to, hops)) {
-    ++counters_for(ctx).dropped_unroutable;
+    ++ctx.counters.dropped_unroutable;
     return std::nullopt;
   }
   const topo::AsId router_as = topology_->router_at(router).as_id;
@@ -295,8 +360,8 @@ std::optional<Network::Delivery> Network::emit_router_error(
 
 std::optional<Network::Delivery> Network::host_respond(
     HostId dst, HostId reply_to, std::vector<std::uint8_t>& bytes, double time,
-    std::uint64_t flow, SendContext* ctx, bool doomed) {
-  NetCounters& c = counters_for(ctx);
+    std::uint64_t flow, SendContext& ctx, bool doomed) {
+  NetCounters& c = ctx.counters;
   const HostBehavior& hb = behaviors_->host(dst);
   const auto info = pkt::inspect_datagram(bytes);
   if (!info) return std::nullopt;
@@ -333,7 +398,7 @@ std::optional<Network::Delivery> Network::host_respond(
       }
       pkt::finalize_checksums(bytes, info->header_bytes, info->total_length);
     } else {
-      ReplyScratch& scratch = scratch_for(ctx);
+      ReplyScratch& scratch = ctx.scratch;
       build_into_scratch(scratch, [&](std::vector<std::uint8_t>& out_bytes) {
         pkt::build_echo_reply_stripped(out_bytes, bytes, *info, ip_id);
       });
@@ -345,17 +410,17 @@ std::optional<Network::Delivery> Network::host_respond(
     if (!hb.ping_responsive || !hb.responds_udp) return std::nullopt;
     if (!doomed) {
       ++c.port_unreachables;
-      if (ctx != nullptr) ctx->trace.counted_port_unreachable = true;
+      ctx.trace.counted_port_unreachable = true;
     }
     // Port unreachable, quoting the datagram as it arrived — including
     // any RR stamps it accrued on the forward path.
     const std::uint16_t error_id = next_ip_id(false, dst, time);
-    ReplyScratch& scratch = scratch_for(ctx);
+    ReplyScratch& scratch = ctx.scratch;
     build_into_scratch(scratch, [&](std::vector<std::uint8_t>& out_bytes) {
       pkt::build_icmp_error(
           out_bytes, static_cast<std::uint8_t>(pkt::IcmpType::kDestUnreachable),
           pkt::kCodePortUnreachable, info->destination, info->source, error_id,
-          bytes, params_.quoted_payload_bytes);
+          bytes, kQuotedPayloadBytes);
     });
     if (fault_plan_.enabled() && fault_plan_.mangle_quote(flow) &&
         pkt::mangle_icmp_quote(scratch.bytes)) {
@@ -364,7 +429,7 @@ std::optional<Network::Delivery> Network::host_respond(
     std::swap(bytes, scratch.bytes);
   }
 
-  std::vector<route::PathHop>& hops = reply_path_for(ctx);
+  std::vector<route::PathHop>& hops = ctx.rev_path_scratch;
   if (!host_hops(dst, reply_to, /*reply=*/true, hops)) {
     ++c.dropped_unroutable;
     return std::nullopt;
@@ -377,7 +442,7 @@ std::optional<Network::Delivery> Network::host_respond(
 std::optional<Network::Delivery> Network::router_respond(
     RouterId router, net::IPv4Address probed, HostId reply_to,
     std::vector<std::uint8_t>& bytes, double time, std::uint64_t flow,
-    SendContext* ctx, bool doomed) {
+    SendContext& ctx, bool doomed) {
   const RouterBehavior& rb = behaviors_->router(router);
   if (!rb.responds_ping) return std::nullopt;
   const auto info = pkt::inspect_datagram(bytes);
@@ -397,15 +462,15 @@ std::optional<Network::Delivery> Network::router_respond(
     pkt::Ipv4HeaderView{bytes}.rr_stamp(probed);
     pkt::finalize_checksums(bytes, info->header_bytes, info->total_length);
   } else {
-    ReplyScratch& scratch = scratch_for(ctx);
+    ReplyScratch& scratch = ctx.scratch;
     build_into_scratch(scratch, [&](std::vector<std::uint8_t>& out) {
       pkt::build_echo_reply_stripped(out, bytes, *info, ip_id);
     });
     std::swap(bytes, scratch.bytes);
   }
-  std::vector<route::PathHop>& hops = reply_path_for(ctx);
+  std::vector<route::PathHop>& hops = ctx.rev_path_scratch;
   if (!stitcher_.router_path(router, reply_to, hops)) {
-    ++counters_for(ctx).dropped_unroutable;
+    ++ctx.counters.dropped_unroutable;
     return std::nullopt;
   }
   return deliver_back(bytes, hops, time, topology_->router_at(router).as_id,
@@ -416,7 +481,7 @@ std::optional<Network::Delivery> Network::router_respond(
 std::optional<Network::Delivery> Network::deliver_back(
     std::vector<std::uint8_t>& bytes, std::span<const route::PathHop> hops,
     double start, topo::AsId src_as, topo::AsId dst_as, HostId receiver,
-    std::uint64_t flow, SendContext* ctx, bool doomed) {
+    std::uint64_t flow, SendContext& ctx, bool doomed) {
   const WalkResult result = walk_pipeline(bytes, hops, start, src_as, dst_as,
                                           flow, /*leg=*/1, ctx, doomed);
   if (result.outcome != WalkResult::Outcome::kDelivered || result.doomed) {
@@ -426,9 +491,8 @@ std::optional<Network::Delivery> Network::deliver_back(
     // budget exactly as in the baseline, but nothing arrives either.
     return std::nullopt;
   }
-  NetCounters& c = counters_for(ctx);
-  ++c.responses;
-  if (ctx != nullptr) ctx->trace.counted_response = true;
+  ++ctx.counters.responses;
+  ctx.trace.counted_response = true;
   Delivery delivery{std::move(bytes), result.time, receiver};
   if (fault_plan_.enabled()) {
     // Capture-point faults: an extra identical copy, or a late arrival.

@@ -2,9 +2,11 @@
 //
 // Network::send_reusing() injects a serialized IPv4 datagram at a source
 // host at a virtual time and returns the response datagram (if any)
-// exactly as the probing host would capture it. In between, the packet is
-// walked hop by hop along the policy-routed forward path, each router
-// applying its behaviour to the real wire bytes:
+// exactly as the probing host would capture it, unless Network::settle()
+// later finds one of the send's token-bucket consumes refused. In
+// between, the packet is walked hop by hop along the policy-routed
+// forward path, each router applying its behaviour to the real wire
+// bytes:
 //
 //   * slow-path diversion for packets with IP options (rate limiting,
 //     AS edge/transit filtering),
@@ -18,8 +20,9 @@
 // back (the reverse-traceroute mechanism the paper builds on).
 //
 // It is the one send path: every probe — a campaign ping-RR, each TTL of
-// a traceroute, a ping-sweep attempt — is one call, and a caller that
-// sends many probes reuses one SendContext (below) across them.
+// a traceroute, a ping-sweep attempt, a lone study probe — is one call,
+// and a caller that sends many probes reuses one SendContext (below)
+// across them.
 //
 // Measurement code never sees simulator internals — only response bytes.
 //
@@ -30,25 +33,24 @@
 // packet's fate is a pure function of the packet — independent of how many
 // other packets are in flight or of the order threads execute them. The
 // only cross-packet state is the per-router options token buckets and the
-// aggregate counters:
-//
-//   * in the default serial mode (ctx == nullptr) buckets are consulted
-//     live and counters accumulate in the network, exactly as before;
-//   * in concurrent mode the caller passes a SendContext per worker:
-//     counters accumulate in the context, and bucket consumes are not
-//     decided — they are *recorded* as BucketEvents (assumed to succeed)
-//     for the caller to resolve later in virtual-time order via
-//     try_consume_options_token(). A rate-limit drop is silent, so a probe
-//     whose deferred consume fails simply has its optimistic response
-//     discarded; nothing else about the walk would have differed.
+// aggregate counters. A send touches neither: its counters accumulate in
+// its SendContext, and its bucket consumes are not decided but *recorded*
+// as BucketEvents (assumed to succeed). settle() then replays one send's
+// events against the buckets, in whatever canonical order the caller
+// feeds sends (the campaign uses virtual-time order), and merges its
+// counters into the totals. A rate-limit drop is silent, so a send whose
+// consume fails simply has its optimistic response discarded; nothing
+// else about the walk would have differed. send_settled() is the lone
+// send: a send_reusing plus its settle, for callers with one probe in
+// flight.
 //
 // Buckets and aggregate counters sit behind a serial gate (util/mutex.h).
-// A deferred send never reads or writes them, so a gate holder — a replay
-// through try_consume_options_token(), a merge_counters() — may run beside
-// deferred sends; the campaign replays one chunk's consumes while the
-// next chunk's probes walk. A gate holder must never run beside a
-// serial-mode send or another gate holder, and table or plan installs
-// (set_compiled_fib, set_fault_plan, reset) never beside any send.
+// A send never reads or writes them, so a gate holder — a settle(), a
+// merge_counters() — may run beside sends; the campaign settles one
+// chunk's probes while the next chunk's probes walk. A gate holder must
+// never run beside another gate holder (a send_settled is one), and
+// table or plan installs (set_compiled_fib, set_fault_plan, reset) never
+// beside any send.
 //
 // Device IP-ID counters are atomics: response IP-IDs depend on global send
 // order (they model background traffic on a shared counter), but they
@@ -80,8 +82,6 @@ using topo::RouterId;
 
 struct NetParams {
   std::uint64_t seed = 0x51C0FFEE;
-  double hop_delay_s = 0.0005;          // per router hop
-  std::size_t quoted_payload_bytes = 8;  // ICMP error quotation depth
 };
 
 /// Reusable buffer for building replies whose geometry differs from the
@@ -113,9 +113,9 @@ struct ForwardPath {
   }
 };
 
-/// Per-worker state for concurrent sends: a private counter tally (merge
-/// into the network with merge_counters()) plus the trace of the most
-/// recent send. One context must never be used by two threads at once.
+/// Per-worker send state: a private counter tally (settled or merged into
+/// the network by the caller) plus the trace of the most recent send. One
+/// context must never be used by two threads at once.
 struct SendContext {
   NetCounters counters;
   ProbeTrace trace;
@@ -162,31 +162,43 @@ class Network {
   /// reuse one buffer per worker — and reclaim the delivery's bytes after
   /// parsing — allocate nothing per exchange.
   ///
-  /// With `ctx == nullptr` the call is serial-mode: counters and token
-  /// buckets live in the network and the call must not race other sends.
-  /// With a context, the call is safe to run concurrently with other
-  /// sends holding *different* contexts; bucket consumes are deferred into
-  /// `ctx->trace` (see the header comment) and the returned delivery is
-  /// optimistic until the caller resolves those events.
+  /// Safe to run concurrently with other sends holding *different*
+  /// contexts. Counters accumulate in `ctx.counters`, bucket consumes are
+  /// recorded in `ctx.trace` (see the header comment), and the returned
+  /// delivery is optimistic until the caller settles that trace.
   std::optional<Delivery> send_reusing(HostId src,
                                        std::vector<std::uint8_t>& bytes,
-                                       double time, SendContext* ctx = nullptr);
-
-  /// Serial-phase resolution of one deferred options-token consume.
-  /// Callers must feed events in their chosen canonical order (the
-  /// campaign uses virtual-time order); concurrent calls are not allowed —
-  /// the serial gate (util/mutex.h) turns that sentence into a capability
-  /// the thread-safety analysis checks on every bucket access. Deferred
-  /// sends may be in flight meanwhile; serial-mode sends may not.
-  bool try_consume_options_token(RouterId router, double now)
-      RROPT_EXCLUDES(serial_gate_) {
-    util::SerialGateLock gate(serial_gate_);
-    return bucket_for(router).try_consume(now);
+                                       double time, SendContext& ctx) {
+    return exchange(src, bytes, time, ctx, /*salt=*/0);
   }
 
-  /// Folds a per-worker counter tally into the network totals. Serial
-  /// phase only: must not race serial-mode sends or other gate holders
-  /// (deferred sends never touch the totals).
+  /// A lone send, settled at once: send_reusing, then settle() on the
+  /// send's own tally, which `ctx.counters` holds afterwards. Its flow key
+  /// also folds in the network's running send count, so back-to-back
+  /// retries of an identical packet redraw their luck. When a consume
+  /// fails it returns nullopt, with the storage back in `bytes`. A gate
+  /// holder: it must not run beside another one.
+  std::optional<Delivery> send_settled(HostId src,
+                                       std::vector<std::uint8_t>& bytes,
+                                       double time, SendContext& ctx)
+      RROPT_EXCLUDES(serial_gate_);
+
+  /// Replays one send's recorded options-token consumes against the
+  /// buckets, in order. At the first failed consume the rest never
+  /// happen, and `tally` (the send's counters) becomes what a walk that
+  /// met the empty bucket live would have counted. Then merges `tally`
+  /// into the network totals and returns whether the exchange survived.
+  /// Callers settle sends in their chosen canonical order (the campaign
+  /// uses virtual-time order); concurrent calls are not allowed — the
+  /// serial gate (util/mutex.h) turns that sentence into a capability the
+  /// thread-safety analysis checks on every bucket access. Sends may be in
+  /// flight meanwhile.
+  bool settle(const ProbeTrace& trace, NetCounters& tally)
+      RROPT_EXCLUDES(serial_gate_);
+
+  /// Folds a per-worker counter tally into the network totals, for sends
+  /// that recorded no bucket consumes (plain pings). Serial phase only:
+  /// must not race other gate holders (sends never touch the totals).
   void merge_counters(const NetCounters& tally) RROPT_EXCLUDES(serial_gate_);
 
   /// Resets token buckets and counters (fresh measurement campaign).
@@ -219,9 +231,9 @@ class Network {
     fib_ = std::move(fib);
   }
 
-  /// Per-kind injected-fault tallies. Diagnostics only: in deferred mode
-  /// they include faults on optimistically-walked probes that replay later
-  /// kills, so unlike NetCounters they are not thread-count-exact.
+  /// Per-kind injected-fault tallies. Diagnostics only: they include
+  /// faults on optimistically-walked probes that a settle later kills, so
+  /// unlike NetCounters they are not thread-count-exact.
   [[nodiscard]] const FaultCounters& fault_counters() const noexcept {
     return fault_counters_;
   }
@@ -268,14 +280,22 @@ class Network {
     std::span<const route::PathHop> fwd_hops;  // views the forward scratch
   };
 
-  /// The staging step of send_reusing: trace reset, sent/unroutable
+  /// One exchange, the body of send_reusing and send_settled. A nonzero
+  /// `salt` is folded into the flow key (see send_settled).
+  std::optional<Delivery> exchange(HostId src,
+                                   std::vector<std::uint8_t>& bytes,
+                                   double time, SendContext& ctx,
+                                   std::uint64_t salt);
+
+  /// The staging step of an exchange: trace reset, sent/unroutable
   /// accounting, flow key, owner and reply-to lookup, and forward-spine
   /// resolution (a probed router is trimmed off the spine: it answers
   /// rather than forwards). A host path already in the send's forward
   /// scratch is reused, else resolved. Returns false when the send ends
   /// here, with no delivery.
   bool stage_send(HostId src, std::span<const std::uint8_t> bytes,
-                  double time, SendContext* ctx, StagedSend& out);
+                  double time, std::uint64_t salt, SendContext& ctx,
+                  StagedSend& out);
 
   /// Settles a forward walk: a drop ends the exchange silently, a TTL
   /// expiry raises the router's Time-Exceeded error (unless the router is
@@ -283,7 +303,7 @@ class Network {
   /// only for a delivery, which the caller hands to the endpoint;
   /// otherwise `out` holds the exchange's final result.
   bool settle_forward(const WalkResult& fwd, const StagedSend& staged,
-                      std::vector<std::uint8_t>& bytes, SendContext* ctx,
+                      std::vector<std::uint8_t>& bytes, SendContext& ctx,
                       std::optional<Delivery>& out);
 
   /// Runs one leg through walk_hops over `hops`, mutating `bytes` in
@@ -295,7 +315,7 @@ class Network {
   WalkResult walk_pipeline(std::vector<std::uint8_t>& bytes,
                            std::span<const route::PathHop> hops, double start,
                            topo::AsId src_as, topo::AsId dst_as,
-                           std::uint64_t flow, int leg, SendContext* ctx,
+                           std::uint64_t flow, int leg, SendContext& ctx,
                            bool doomed_in = false);
 
   /// Host owning an address, if any (responses are routed to it).
@@ -311,7 +331,7 @@ class Network {
                                             std::vector<std::uint8_t>& offending,
                                             HostId reply_to, double time,
                                             std::uint64_t flow,
-                                            SendContext* ctx);
+                                            SendContext& ctx);
 
   /// Response from the destination host for an echo request / UDP probe.
   /// `doomed` continues a ghost exchange (see walk_pipeline()). The reply
@@ -320,7 +340,7 @@ class Network {
   std::optional<Delivery> host_respond(HostId dst, HostId reply_to,
                                        std::vector<std::uint8_t>& bytes,
                                        double time, std::uint64_t flow,
-                                       SendContext* ctx, bool doomed);
+                                       SendContext& ctx, bool doomed);
 
   /// Response from a directly probed router interface.
   std::optional<Delivery> router_respond(RouterId router,
@@ -328,7 +348,7 @@ class Network {
                                          HostId reply_to,
                                          std::vector<std::uint8_t>& bytes,
                                          double time, std::uint64_t flow,
-                                         SendContext* ctx, bool doomed);
+                                         SendContext& ctx, bool doomed);
 
   /// Walks a response along the reverse path to `receiver`, moving `bytes`
   /// into the returned Delivery on arrival (after the capture-point
@@ -338,33 +358,8 @@ class Network {
                                        std::span<const route::PathHop> hops,
                                        double start, topo::AsId src_as,
                                        topo::AsId dst_as, HostId receiver,
-                                       std::uint64_t flow, SendContext* ctx,
+                                       std::uint64_t flow, SendContext& ctx,
                                        bool doomed);
-
-  [[nodiscard]] NetCounters& counters_for(SendContext* ctx) noexcept {
-    if (ctx != nullptr) return ctx->counters;
-    // ctx == nullptr is the serial-mode promise (see send_reusing()): the
-    // caller asserted no concurrent sends, so the network totals are safe
-    // to mutate directly.
-    serial_gate_.assert_held();
-    return counters_;
-  }
-
-  [[nodiscard]] ReplyScratch& scratch_for(SendContext* ctx) noexcept {
-    return ctx != nullptr ? ctx->scratch : serial_scratch_;
-  }
-
-  /// The scratch a send resolves its forward leg into: the context's, or
-  /// in serial mode the network's own.
-  [[nodiscard]] ForwardPath& forward_path_for(SendContext* ctx) noexcept {
-    return ctx != nullptr ? ctx->fwd_path : serial_fwd_path_;
-  }
-
-  /// The hop-list scratch any reply leg resolves into, likewise.
-  [[nodiscard]] std::vector<route::PathHop>& reply_path_for(
-      SendContext* ctx) noexcept {
-    return ctx != nullptr ? ctx->rev_path_scratch : serial_rev_path_scratch_;
-  }
 
   /// Resolves the host path `from` -> `to` into `out`: from the compiled
   /// FIB when one is installed and covers the pair, otherwise stitched.
@@ -376,11 +371,6 @@ class Network {
 
   [[nodiscard]] std::uint16_t next_ip_id(bool is_router, std::uint32_t id,
                                          double now);
-
-  TokenBucket& bucket_for(RouterId router) noexcept
-      RROPT_REQUIRES(serial_gate_) {
-    return buckets_[router];
-  }
 
   std::shared_ptr<const topo::Topology> topology_;
   std::shared_ptr<const Behaviors> behaviors_;
@@ -394,10 +384,9 @@ class Network {
   NetParams params_;
   /// Phase capability for the caller-serialized state below. Not a lock
   /// (zero cost): it names the campaign's structural guarantee — buckets
-  /// and aggregate counters are only consulted live by one serial actor
-  /// at a time (a serial-mode send, the deferred replay and its merges,
-  /// reset), never by a deferred send — so the compiler can reject code
-  /// that touches them without it. `fault_plan_` and `fib_` are
+  /// and aggregate counters are only touched by one serial actor at a
+  /// time (a settle, a merge, reset), never by a send — so the compiler
+  /// can reject code that touches them without it. `fault_plan_` and `fib_` are
   /// deliberately outside the capability: they are written only while no
   /// send is in flight but *read* concurrently by every send, so a
   /// guarded-by would demand a capability on the hot path; installs go
@@ -415,9 +404,6 @@ class Network {
   /// after construction except for the serial-phase run-list recompile in
   /// set_fault_plan.
   CompiledPipeline pipeline_;
-  ReplyScratch serial_scratch_;  // ctx == nullptr sends only
-  ForwardPath serial_fwd_path_;
-  std::vector<route::PathHop> serial_rev_path_scratch_;
   std::vector<std::atomic<std::uint32_t>> router_ipid_count_;
   std::vector<std::atomic<std::uint32_t>> host_ipid_count_;
 };

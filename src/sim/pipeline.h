@@ -196,7 +196,7 @@ struct WalkResult {
 /// The hop walk: executes each hop's run list (`bank[rows[hop].flags]`)
 /// over `hc`, advancing virtual time by `hop_delay_s` per hop from
 /// `hc.now`. `hc` arrives with its per-leg fields filled (view, bytes,
-/// flow, leg, ASes, counters, trace or buckets, doomed); the walk sets the
+/// flow, leg, ASes, counters, trace, doomed); the walk sets the
 /// per-hop ones. Every leg of every send, forward or reply, runs this one
 /// loop. A doomed packet that walks the full path is still
 /// "delivered" so the endpoint raises its ghost reply; callers treat a

@@ -8,11 +8,10 @@
 //
 // A bucket is plain serial state with virtual-time-ordered semantics: its
 // outcome sequence is fully determined by the ordered sequence of consume
-// times it is fed. Concurrent campaign execution exploits this by
-// *recording* would-be consumes during the parallel phase and replaying
-// them through Network::try_consume_options_token() in a canonical
-// virtual-time order — the bucket itself is never touched from two
-// threads.
+// times it is fed. The network exploits this: a send only *records* its
+// would-be consumes, and Network::settle() replays them in the caller's
+// canonical order (virtual-time order for the campaign) — the bucket
+// itself is never touched from two threads.
 #pragma once
 
 #include <algorithm>

@@ -10,19 +10,18 @@
 // util::SerialGate is a *zero-cost phase capability*: it is not a lock at
 // all, but a compile-time token for "the caller promised nothing else
 // touches the guarded state right now". Network's token buckets and
-// aggregate counters are consulted live only by one serial actor at a
-// time (the deferred-replay pass B, a serial-mode send, reset between
-// campaigns); guarding them with a real mutex would tax the hot path for a
-// discipline that is enforced by campaign structure, not by blocking. The
-// gate gives the structure a name the compiler can check: direct accesses
-// to RROPT_GUARDED_BY(serial_gate_) state must either hold a
-// SerialGateLock or assert the contract with assert_held().
+// aggregate counters are touched only by one serial actor at a time (a
+// settle — the campaign's pass B or a settled send —, a counter merge,
+// reset between campaigns); guarding them with a real mutex would tax the
+// hot path for a discipline that is enforced by campaign structure, not
+// by blocking. The gate gives the structure a name the compiler can
+// check: direct accesses to RROPT_GUARDED_BY(serial_gate_) state must
+// either hold a SerialGateLock or assert the contract with assert_held().
 //
 // The contract is about the guarded state, not about sends in general: a
-// gate holder may run beside deferred sends (those with a SendContext),
-// which never read or write gate-guarded state — the campaign replays one
-// chunk's token consumes while the next chunk's probes walk. It must never
-// run beside a serial-mode (ctx == nullptr) send or another gate holder.
+// gate holder may run beside sends, which never read or write gate-guarded
+// state — the campaign settles one chunk's probes while the next chunk's
+// probes walk. It must never run beside another gate holder.
 #pragma once
 
 #include <mutex>
@@ -89,9 +88,9 @@ class RROPT_SCOPED_CAPABILITY CvLock {
 };
 
 /// Zero-cost capability for caller-serialized phases (see file comment):
-/// one holder at a time, never beside a serial-mode send, but deferred
-/// sends may be in flight. acquire()/release() compile to nothing; the
-/// value is entirely in the annotations they carry.
+/// one holder at a time, but sends may be in flight. acquire()/release()
+/// compile to nothing; the value is entirely in the annotations they
+/// carry.
 class RROPT_CAPABILITY("serial-phase") SerialGate {
  public:
   SerialGate() = default;
@@ -102,8 +101,8 @@ class RROPT_CAPABILITY("serial-phase") SerialGate {
   void release() RROPT_RELEASE() {}
 
   /// Claims the serial contract holds here without a scoped acquisition —
-  /// the annotated equivalent of "the caller passed ctx == nullptr and
-  /// thereby promised not to race this call" (Network's send contract).
+  /// the annotated equivalent of "the caller promised not to race this
+  /// call" (a read of Network's totals between phases).
   void assert_held() const RROPT_ASSERT_CAPABILITY() {}
 };
 

@@ -4,15 +4,17 @@
 // its network context on a fixed destination sweep, and then asserts two
 // properties the zero-copy refactor promises:
 //
-//   1. zero steady-state allocations: a warmed-up serial probe exchange
+//   1. zero steady-state allocations: a warmed-up probe exchange
 //      (build -> walk -> reply -> parse) performs no heap allocation at
 //      all — every buffer (probe datagram, reply scratch, hop-list
 //      scratches, result vectors, trace events) is recycled, on every
 //      path the network stitches: host to host, a router's Time-Exceeded
-//      error back to the prober, and host to router interface and back —
-//      and so does a whole traceroute (Prober::traceroute_into into a
-//      reused result), whose probes share one context and its forward
-//      path;
+//      error back to the prober, and host to router interface and back,
+//      whether the caller's context carries the send or the prober
+//      settles it at once on its own, policed exchanges included — and so
+//      does a whole traceroute
+//      (Prober::traceroute_into into a reused result), whose probes share
+//      one context and its forward path;
 //   2. flat growth counters: Prober::buffer_growths() and the context's
 //      ReplyScratch growths stop moving once the largest probe/reply
 //      geometry has been seen, and two identical campaigns report
@@ -113,7 +115,6 @@ int g_failures = 0;
   } while (0)
 
 void steady_state_prober_test(rr::measure::Testbed& testbed) {
-  auto prober = testbed.make_prober(testbed.vps().front()->host, 20.0);
   rr::sim::SendContext ctx;
   rr::probe::ProbeResult result;
 
@@ -131,26 +132,30 @@ void steady_state_prober_test(rr::measure::Testbed& testbed) {
   // path: host to host both ways (ping-RR and ping), a ping whose TTL of
   // 2-6 expires mid-path so a router's Time-Exceeded error is stitched
   // back along router_path, and a ping to a router interface, stitched
-  // host_to_router_path out and router_path back.
-  const auto sweep = [&] {
+  // host_to_router_path out and router_path back. `send_ctx` is passed
+  // straight to probe_into: the caller's context, or nullptr to settle
+  // each probe at once on the prober's own context.
+  const auto sweep = [&](rr::probe::Prober& prober,
+                         rr::sim::SendContext* send_ctx) {
     SweepCounts counts;
     for (std::size_t i = 0; i < n; ++i) {
       const auto target =
           topology.host_at(topology.destinations()[i]).address;
-      prober.probe_into(rr::probe::ProbeSpec::ping_rr(target), &ctx, result);
+      prober.probe_into(rr::probe::ProbeSpec::ping_rr(target), send_ctx,
+                        result);
       if (result.kind != rr::probe::ResponseKind::kNone) ++counts.matched;
-      prober.probe_into(rr::probe::ProbeSpec::ping(target), &ctx, result);
+      prober.probe_into(rr::probe::ProbeSpec::ping(target), send_ctx, result);
       if (result.kind != rr::probe::ResponseKind::kNone) ++counts.matched;
 
       rr::probe::ProbeSpec short_ttl = rr::probe::ProbeSpec::ping(target);
       short_ttl.ttl = static_cast<std::uint8_t>(2 + i % 5);
-      prober.probe_into(short_ttl, &ctx, result);
+      prober.probe_into(short_ttl, send_ctx, result);
       if (result.kind == rr::probe::ResponseKind::kTtlExceeded) {
         ++counts.ttl_exceeded;
       }
 
       const auto iface = routers[(i * 53) % routers.size()].interfaces.front();
-      prober.probe_into(rr::probe::ProbeSpec::ping(iface), &ctx, result);
+      prober.probe_into(rr::probe::ProbeSpec::ping(iface), send_ctx, result);
       if (result.kind == rr::probe::ResponseKind::kEchoReply) {
         ++counts.router_echoes;
       }
@@ -158,36 +163,62 @@ void steady_state_prober_test(rr::measure::Testbed& testbed) {
     return counts;
   };
 
-  // Two warm-up sweeps: the first grows every reusable buffer (probe
-  // datagram, reply and hop-list scratches, the stitcher's per-thread
-  // AS-path storage) to its steady geometry; the second confirms the
-  // clock-dependent state (bucket refills) allocates nothing new either.
-  sweep();
-  sweep();
+  // Returns the probes the token buckets policed in the measured sweep.
+  const auto check_steady = [&](rr::probe::Prober& prober,
+                                rr::sim::SendContext* send_ctx,
+                                const char* label) {
+    // Two warm-up sweeps: the first grows every reusable buffer (probe
+    // datagram, reply and hop-list scratches, the stitcher's per-thread
+    // AS-path storage) to its steady geometry; the second confirms the
+    // clock-dependent state (bucket refills) allocates nothing new either.
+    sweep(prober, send_ctx);
+    sweep(prober, send_ctx);
 
-  const std::uint64_t allocations_before =
-      g_allocations.load(std::memory_order_relaxed);
-  const std::uint64_t buffer_growths_before = prober.buffer_growths();
-  const std::uint64_t scratch_growths_before = ctx.scratch.growths;
+    const std::uint64_t allocations_before =
+        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t buffer_growths_before = prober.buffer_growths();
+    const std::uint64_t scratch_growths_before = ctx.scratch.growths;
+    const std::uint64_t policed_before =
+        testbed.network().counters().dropped_rate_limit;
 
-  const SweepCounts counts = sweep();
+    const SweepCounts counts = sweep(prober, send_ctx);
 
-  const std::uint64_t allocated =
-      g_allocations.load(std::memory_order_relaxed) - allocations_before;
-  std::printf("steady-state sweep: %zu exchanges, %llu host responses, "
-              "%llu ttl-exceeded, %llu router echoes, "
-              "%llu heap allocations\n",
-              4 * n, static_cast<unsigned long long>(counts.matched),
-              static_cast<unsigned long long>(counts.ttl_exceeded),
-              static_cast<unsigned long long>(counts.router_echoes),
-              static_cast<unsigned long long>(allocated));
-  CHECK_EQ_U64(allocated, 0);
-  CHECK_EQ_U64(prober.buffer_growths(), buffer_growths_before);
-  CHECK_EQ_U64(ctx.scratch.growths, scratch_growths_before);
-  // The sweep must be exercising real exchanges of every kind.
-  CHECK(counts.matched > n / 2);
-  CHECK(counts.ttl_exceeded > 0);
-  CHECK(counts.router_echoes > 0);
+    const std::uint64_t allocated =
+        g_allocations.load(std::memory_order_relaxed) - allocations_before;
+    const std::uint64_t policed =
+        testbed.network().counters().dropped_rate_limit - policed_before;
+    std::printf("steady-state %s sweep: %zu exchanges, %llu host responses, "
+                "%llu ttl-exceeded, %llu router echoes, %llu policed, "
+                "%llu heap allocations\n",
+                label, 4 * n, static_cast<unsigned long long>(counts.matched),
+                static_cast<unsigned long long>(counts.ttl_exceeded),
+                static_cast<unsigned long long>(counts.router_echoes),
+                static_cast<unsigned long long>(policed),
+                static_cast<unsigned long long>(allocated));
+    // No allocation also means the prober's own reply scratch, which
+    // settled probes use, grew no further.
+    CHECK_EQ_U64(allocated, 0);
+    CHECK_EQ_U64(prober.buffer_growths(), buffer_growths_before);
+    CHECK_EQ_U64(ctx.scratch.growths, scratch_growths_before);
+    // The sweep must be exercising real exchanges of every kind.
+    CHECK(counts.matched > n / 2);
+    CHECK(counts.ttl_exceeded > 0);
+    CHECK(counts.router_echoes > 0);
+    return policed;
+  };
+
+  auto prober = testbed.make_prober(testbed.vps().front()->host, 20.0);
+  check_steady(prober, &ctx, "context");
+
+  // Settled probes from the VP behind a strict source-proximate limiter,
+  // at a rate it polices: a policed exchange hands its storage back for
+  // the next probe, so the kill path allocates nothing either.
+  const auto& strict = testbed.behaviors().strict_limited_vp_indices();
+  CHECK(!strict.empty());
+  if (strict.empty()) return;
+  auto policed_prober = testbed.make_prober(
+      testbed.topology().vantage_points()[strict.front()].host, 100.0);
+  CHECK(check_steady(policed_prober, nullptr, "settled") > 0);
 }
 
 /// A gate that starts every trace at TTL 4 and never stops it, so each

@@ -27,6 +27,7 @@ TEST(NetworkReset, IdenticalTrafficReplaysIdentically) {
 
   auto run_once = [&]() {
     testbed.network().reset();
+    sim::SendContext ctx;
     std::vector<int> outcomes;
     for (std::size_t i = 0; i < 200; ++i) {
       const auto probe = pkt::make_ping(
@@ -35,7 +36,7 @@ TEST(NetworkReset, IdenticalTrafficReplaysIdentically) {
           7, static_cast<std::uint16_t>(i), 64, 9);
       auto bytes = *probe.serialize();
       const auto delivery =
-          testbed.network().send_reusing(src, bytes, i * 0.05);
+          testbed.network().send_settled(src, bytes, i * 0.05, ctx);
       outcomes.push_back(delivery ? static_cast<int>(delivery->bytes.size())
                                   : -1);
     }
@@ -53,7 +54,8 @@ TEST(NetworkCounters, ResetClearsEverything) {
       topology.host_at(src).address,
       topology.host_at(topology.destinations()[0]).address, 7, 1, 64, 9);
   auto bytes = *probe.serialize();
-  (void)testbed.network().send_reusing(src, bytes, 0.0);
+  sim::SendContext ctx;
+  (void)testbed.network().send_settled(src, bytes, 0.0, ctx);
   EXPECT_GT(testbed.network().counters().sent, 0u);
   testbed.network().reset();
   EXPECT_EQ(testbed.network().counters().sent, 0u);

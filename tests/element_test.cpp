@@ -24,7 +24,6 @@
 #include "sim/element.h"
 #include "sim/fault.h"
 #include "sim/pipeline.h"
-#include "sim/token_bucket.h"
 
 namespace rr::sim {
 namespace {
@@ -54,8 +53,8 @@ std::uint16_t header_fold(std::span<const std::uint8_t> bytes) {
   return static_cast<std::uint16_t>(sum);
 }
 
-/// A packet + context rig: one leg's HopContext over a fresh buffer, with
-/// per-hop fields filled in as the walk loop would.
+/// A packet + context rig: one leg's HopContext over a fresh buffer and a
+/// fresh trace, with per-hop fields filled in as the walk loop would.
 struct Rig {
   explicit Rig(std::vector<std::uint8_t> packet)
       : bytes(std::move(packet)), view(bytes) {
@@ -67,6 +66,7 @@ struct Rig {
     ctx.dst_as = 2;
     ctx.counters = &counters;
     ctx.fault_counters = &fault_counters;
+    ctx.trace = &trace;
     ctx.router = 3;
     ctx.egress = kEgress;
     ctx.as_id = 5;
@@ -78,6 +78,7 @@ struct Rig {
   pkt::Ipv4HeaderView view;
   NetCounters counters;
   FaultCounters fault_counters;
+  ProbeTrace trace;
   HopContext ctx;
 };
 
@@ -278,30 +279,23 @@ TEST(FilterElements, TransitAlwaysEdgeOnlyAtEnds) {
 
 // ------------------------------------------------------------- CoPP gate
 
-TEST(CoppGateElement, DeferredModeRecordsSerialModeConsumes) {
+TEST(CoppGateElement, RecordsEveryConsumeAndNeverDrops) {
   const CoppGateElement copp;
-  {
-    Rig rig{make_ping_rr()};
-    ProbeTrace trace;
-    rig.ctx.trace = &trace;
-    rig.ctx.leg = 1;
-    EXPECT_EQ(copp.process(rig.ctx), HopVerdict::kContinue);
-    ASSERT_EQ(trace.events.size(), 1u);
-    EXPECT_EQ(trace.events[0].router, rig.ctx.router);
-    EXPECT_EQ(trace.events[0].time, rig.ctx.now);
-    EXPECT_TRUE(trace.events[0].reply_leg);
-    EXPECT_EQ(drops(rig.counters), 0u);  // optimistic: resolved in replay
-  }
-  {
-    Rig rig{make_ping_rr()};
-    std::vector<TokenBucket> buckets(rig.ctx.router + 1,
-                                     TokenBucket{/*rate_per_s=*/1.0,
-                                                 /*burst=*/1.0});
-    rig.ctx.buckets = buckets.data();
-    EXPECT_EQ(copp.process(rig.ctx), HopVerdict::kContinue);
-    EXPECT_EQ(copp.process(rig.ctx), HopVerdict::kDrop);  // bucket empty
-    EXPECT_EQ(rig.counters.dropped_rate_limit, 1u);
-  }
+  Rig rig{make_ping_rr()};
+  const ProbeTrace& trace = rig.trace;
+  rig.ctx.leg = 1;
+  EXPECT_EQ(copp.process(rig.ctx), HopVerdict::kContinue);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].router, rig.ctx.router);
+  EXPECT_EQ(trace.events[0].time, rig.ctx.now);
+  EXPECT_TRUE(trace.events[0].reply_leg);
+  // A second consume at the same instant, which a one-token bucket would
+  // police: the gate only records it; Network::settle decides.
+  rig.ctx.leg = 0;
+  EXPECT_EQ(copp.process(rig.ctx), HopVerdict::kContinue);
+  ASSERT_EQ(trace.events.size(), 2u);
+  EXPECT_FALSE(trace.events[1].reply_leg);
+  EXPECT_EQ(drops(rig.counters), 0u);  // optimistic: resolved in settle
 }
 
 // ------------------------------------------------------- fault elements
@@ -313,9 +307,8 @@ TEST(FaultInjectorElement, ChecksumCorruptionDoomsOnce) {
   FaultInjectorElement fault;
   fault.plan = &plan;
   Rig rig{make_ping_rr()};
-  ProbeTrace trace;
-  trace.events.push_back({1, 0.5, false});
-  rig.ctx.trace = &trace;
+  const ProbeTrace& trace = rig.trace;
+  rig.trace.events.push_back({1, 0.5, false});
   EXPECT_EQ(fault.process(rig.ctx), HopVerdict::kContinue);  // ghost walks on
   EXPECT_TRUE(rig.ctx.doomed);
   EXPECT_EQ(rig.counters.dropped_loss, 1u);  // charged at the fault hop
@@ -349,8 +342,7 @@ TEST(StormGateElement, ActiveWindowDoomsWithoutDropping) {
   }
   ASSERT_NE(router, topo::kNoRouter) << "no storm window found at rate 1.0";
   Rig rig{make_ping_rr()};
-  ProbeTrace trace;
-  rig.ctx.trace = &trace;
+  const ProbeTrace& trace = rig.trace;
   rig.ctx.router = router;
   rig.ctx.now = when;
   EXPECT_EQ(storm.process(rig.ctx), HopVerdict::kContinue);

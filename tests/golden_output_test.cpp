@@ -1,6 +1,7 @@
 // Golden-file regression for the seed-default headline outputs: the Table 1
 // text rendering and the Figure 1 series blocks for the test-scale world,
-// plus the trace census's hashes and counts pinned in place.
+// plus the trace census's and the settled studies' hashes and counts
+// pinned in place.
 // Any change to topology generation, probing, classification, or figure
 // rendering that shifts these bytes fails here first — with a readable diff
 // instead of a distant assertion.
@@ -21,9 +22,11 @@
 #include "measure/campaign.h"
 #include "measure/classify.h"
 #include "measure/figures.h"
+#include "measure/ratelimit.h"
 #include "measure/reachability.h"
 #include "measure/testbed.h"
 #include "measure/trace_census.h"
+#include "measure/ttl_study.h"
 #include "util/strings.h"
 
 namespace rr::measure {
@@ -159,6 +162,96 @@ TEST(TraceCensusPins, StopSetsOn) {
 TEST(TraceCensusPins, StopSetsOff) {
   expect_census_pin(false, {0x4bcca39e7703bd77, 0x5b5801ed255e2a68,
                             0xed264b682300f7f9, 271771, 0, 12404, 9588});
+}
+
+// ---------------------------------------------------- settled-path pins
+//
+// The rate-limit and TTL studies send each probe alone and settle it
+// against the token buckets before the next one leaves, so their rows
+// and the network's counters pin the settled path, CoPP kills included:
+// the rate-limit study's 100 pps pass polices many of its probes. A
+// settled send's flow key folds in the network's running send count, so
+// every outcome depends on all earlier sends; the test builds its own
+// world and runs the campaign first instead of sharing a testbed.
+
+std::uint64_t fnv_fold(std::uint64_t hash, std::uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    hash ^= (value >> (b * 8)) & 0xff;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+void expect_counters(const sim::NetCounters& got,
+                     const sim::NetCounters& want) {
+  EXPECT_EQ(got.sent, want.sent);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.responses, want.responses);
+  EXPECT_EQ(got.dropped_loss, want.dropped_loss);
+  EXPECT_EQ(got.dropped_filter, want.dropped_filter);
+  EXPECT_EQ(got.dropped_rate_limit, want.dropped_rate_limit);
+  EXPECT_EQ(got.dropped_ttl, want.dropped_ttl);
+  EXPECT_EQ(got.dropped_unroutable, want.dropped_unroutable);
+  EXPECT_EQ(got.ttl_errors, want.ttl_errors);
+  EXPECT_EQ(got.port_unreachables, want.port_unreachables);
+}
+
+TEST(SettledPathPins, RateLimitThenTtlStudy) {
+  TestbedConfig world;
+  world.topo_params = topo::TopologyParams::test_scale();
+  Testbed testbed{world};
+  const Campaign campaign = Campaign::run(testbed);
+  const sim::Network& net = testbed.network();
+
+  RateLimitConfig rate_config;
+  rate_config.sample_size = 2000;
+  const auto rate = rate_limit_study(testbed, campaign, rate_config);
+  std::uint64_t rate_hash = 1469598103934665603ULL;
+  for (const auto& row : rate.rows) {
+    rate_hash = fnv_fold(rate_hash, row.vp_index);
+    rate_hash = fnv_fold(rate_hash, row.responses_low);
+    rate_hash = fnv_fold(rate_hash, row.responses_high);
+  }
+  EXPECT_EQ(rate.rows.size(), 12u);
+  EXPECT_EQ(rate.excluded_vps, 2u);
+  EXPECT_EQ(rate.probed_destinations, 562u);
+  EXPECT_EQ(rate_hash, 0xd6ecd4ce83a754acULL);
+  EXPECT_GT(net.counters().dropped_rate_limit, 0u);  // the kill path ran
+  expect_counters(net.counters(), {.sent = 7868,
+                                   .delivered = 6043,
+                                   .responses = 5727,
+                                   .dropped_loss = 470,
+                                   .dropped_filter = 1118,
+                                   .dropped_rate_limit = 553,
+                                   .dropped_ttl = 0,
+                                   .dropped_unroutable = 0,
+                                   .ttl_errors = 0,
+                                   .port_unreachables = 0});
+
+  const auto ttl = ttl_study(testbed, campaign);
+  std::uint64_t ttl_hash = 1469598103934665603ULL;
+  for (const auto& row : ttl.rows) {
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(row.ttl), row.near_sent,
+          row.near_replied, row.near_expired, row.far_sent, row.far_replied,
+          row.far_expired}) {
+      ttl_hash = fnv_fold(ttl_hash, v);
+    }
+  }
+  EXPECT_EQ(ttl.rows.size(), 22u);
+  EXPECT_EQ(ttl.stats.probes_sent, 885u);
+  EXPECT_EQ(ttl.stats.probes_saved, 1851u);
+  EXPECT_EQ(ttl_hash, 0x1339a09602ac6709ULL);
+  expect_counters(net.counters(), {.sent = 8753,
+                                   .delivered = 6670,
+                                   .responses = 6529,
+                                   .dropped_loss = 519,
+                                   .dropped_filter = 1118,
+                                   .dropped_rate_limit = 586,
+                                   .dropped_ttl = 1,
+                                   .dropped_unroutable = 0,
+                                   .ttl_errors = 189,
+                                   .port_unreachables = 0});
 }
 
 }  // namespace

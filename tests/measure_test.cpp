@@ -365,8 +365,8 @@ TEST_F(MeasureTest, VpResponseCountsRevealEdgeFiltering) {
 }
 
 // ------------------------------------------------------------- faults
-// These run LAST (gtest preserves declaration order): serial-mode probe
-// flow keys fold the network's global send counter, so tests that push
+// These run LAST (gtest preserves declaration order): a settled probe's
+// flow key folds in the network's running send count, so tests that push
 // extra traffic through the shared testbed must not run before the
 // deterministic studies above.
 

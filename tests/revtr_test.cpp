@@ -63,7 +63,9 @@ TEST_F(RevTrTest, SpoofedProbeIsDeliveredToTheNamedSource) {
   const auto probe = pkt::make_ping(topology.host_at(named).address, target,
                                     0x9999, 1, 64, 9);
   auto bytes = *probe.serialize();
-  const auto delivery = testbed_->network().send_reusing(injector, bytes, 0.0);
+  sim::SendContext ctx;
+  const auto delivery =
+      testbed_->network().send_settled(injector, bytes, 0.0, ctx);
   ASSERT_TRUE(delivery.has_value());
   EXPECT_EQ(delivery->receiver, named);
   const auto reply = pkt::Datagram::parse(delivery->bytes);
@@ -78,8 +80,10 @@ TEST_F(RevTrTest, SpoofingAnUnownedAddressGetsNothing) {
   const auto probe = pkt::make_ping(net::IPv4Address(203, 0, 113, 7), target,
                                     1, 1, 64, 9);
   auto bytes = *probe.serialize();
-  EXPECT_FALSE(
-      testbed_->network().send_reusing(injector, bytes, 0.0).has_value());
+  sim::SendContext ctx;
+  EXPECT_FALSE(testbed_->network()
+                   .send_settled(injector, bytes, 0.0, ctx)
+                   .has_value());
 }
 
 TEST_F(RevTrTest, MeasuresReversePathsForReachableDestinations) {
@@ -166,7 +170,7 @@ TEST_F(RevTrTest, MultiSegmentMeasurementStitchesDistantPaths) {
     const auto target =
         topology.host_at(campaign_->destinations()[d]).address;
     const auto path = revtr.measure(target, source);
-    EXPECT_LE(path.segments_used, config.max_segments);
+    EXPECT_LE(path.segments_used, ReverseTraceroute::kMaxSegments);
     if (path.complete && path.segments_used >= 2) {
       ++multi_segment;
       if (multi_segment >= 2) break;
@@ -206,7 +210,7 @@ TEST_F(RevTrTest, StitchingUnderMissingAndForgedStampsStaysSound) {
     const auto target = topology.host_at(dest_host).address;
     const auto path = revtr.measure(target, source);
     ++attempted;
-    EXPECT_LE(path.segments_used, config.max_segments);
+    EXPECT_LE(path.segments_used, ReverseTraceroute::kMaxSegments);
     if (path.measured_hops() == 0) continue;
     ++with_hops;
 

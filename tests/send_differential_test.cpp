@@ -217,10 +217,10 @@ TEST_F(SendDifferentialTest, ReusedContextMatchesFreshContexts) {
 /// Thread invariance where mid-probe kills are routine: every router
 /// polices its options slow path with a 1-2 pps bucket, so nearly every
 /// ping-RR dies at a failed consume and every chunk holds kills that
-/// suppress the same probe's later consumes. That is where the serial
-/// replay's early break and killed_counters reconstruct what a
-/// single-threaded live run would have counted — and the result must not
-/// depend on how pass A was spread across workers.
+/// suppress the same probe's later consumes. That is where
+/// Network::settle's early break and kill rule reconstruct what a walk
+/// that met the empty buckets live would have counted — and the result
+/// must not depend on how pass A was spread across workers.
 TEST_F(SendDifferentialTest, ReplayThreadInvariantUnderContention) {
   TestbedConfig config;
   config.topo_params = topo::TopologyParams::test_scale();

@@ -105,7 +105,8 @@ class SimTest : public ::testing::Test {
                        topo_->host_at(dst).address, 100, 1, ttl, rr_slots);
     auto bytes = probe.serialize();
     if (!bytes) return std::nullopt;
-    const auto delivery = network_->send_reusing(src, *bytes, 0.0);
+    SendContext ctx;
+    const auto delivery = network_->send_settled(src, *bytes, 0.0, ctx);
     if (!delivery) return std::nullopt;
     return pkt::Datagram::parse(delivery->bytes);
   }
@@ -256,7 +257,8 @@ TEST_F(SimTest, UdpProbeGetsPortUnreachableWithQuote) {
         33435, 64, 9);
     auto bytes = probe.serialize();
     ASSERT_TRUE(bytes.has_value());
-    const auto delivery = network_->send_reusing(src, *bytes, 0.0);
+    SendContext ctx;
+    const auto delivery = network_->send_settled(src, *bytes, 0.0, ctx);
     if (!delivery) continue;
     const auto reply = pkt::Datagram::parse(delivery->bytes);
     ASSERT_TRUE(reply.has_value());
@@ -302,13 +304,14 @@ TEST_F(SimTest, RateLimiterDropsFastOptionsTraffic) {
   const topo::HostId src = vp.host;
 
   // Find any destination that answers ping-RR from this VP at slow rate.
+  SendContext ctx;
   topo::HostId dst = topo::kNoHost;
   for (const topo::HostId candidate : topo_->destinations()) {
     const auto probe = pkt::make_ping(topo_->host_at(src).address,
                                       topo_->host_at(candidate).address, 7,
                                       1, 64, 9);
     auto bytes = probe.serialize();
-    const auto delivery = network_->send_reusing(src, *bytes, 1000.0);
+    const auto delivery = network_->send_settled(src, *bytes, 1000.0, ctx);
     if (delivery) {
       dst = candidate;
       break;
@@ -325,7 +328,12 @@ TEST_F(SimTest, RateLimiterDropsFastOptionsTraffic) {
         topo_->host_at(src).address, topo_->host_at(dst).address, 7,
         static_cast<std::uint16_t>(i + 2), 64, 9);
     auto bytes = probe.serialize();
-    if (network_->send_reusing(src, *bytes, i * 0.005)) ++answered;
+    if (network_->send_settled(src, *bytes, i * 0.005, ctx)) {
+      ++answered;
+    } else {
+      // A policed exchange hands its storage back for the next probe.
+      EXPECT_FALSE(bytes->empty());
+    }
   }
   EXPECT_LT(answered, probes / 2);
   EXPECT_GT(network_->counters().dropped_rate_limit, 0u);
@@ -394,7 +402,7 @@ TEST_F(SimTest, ReusedContextGetsEachNetworksOwnPath) {
                      : topo_->router_at(router).interfaces.back();
     pkt::build_ping(bytes, topo_->host_at(src).address, target, 100, 1, 64,
                     0);
-    (void)send.net->send_reusing(src, bytes, time, &ctx);
+    (void)send.net->send_reusing(src, bytes, time, ctx);
     time += 1.0;
     ASSERT_TRUE(send.to_host
                     ? send.net->stitcher().host_path(src, dst, expected)

@@ -30,7 +30,6 @@ TraceCensusResult census_at(int threads, bool stop_sets = true) {
   measure::Testbed testbed{world_config()};
   TraceCensusConfig config;
   config.per_vp_dests = 48;
-  config.round = 8;
   config.threads = threads;
   config.use_stop_sets = stop_sets;
   return run_trace_census(testbed, config);

@@ -68,7 +68,6 @@ TEST(StopSetDifferential, CensusInterfaceDiscoveryIsIdenticalOffVsOn) {
   // forward stop truncates the trace before the echo could be seen.
   TraceCensusConfig config;
   config.per_vp_dests = 48;
-  config.round = 8;
 
   measure::Testbed off_bed{ideal_config()};
   config.use_stop_sets = false;
