@@ -1,14 +1,14 @@
 // Microbenchmarks for the toolkit's primitives (google-benchmark): probe
-// build and inspection, in-place RR stamping, LPM lookups, BGP route-tree
-// computation, and full simulated probes. Not a paper artifact, but the
-// numbers justify the harness's ability to replay census-scale studies.
+// build and inspection, in-place RR stamping, address-to-AS lookups, BGP
+// route-tree computation, and full simulated probes. Not a paper artifact,
+// but the numbers justify the harness's ability to replay census-scale
+// studies.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "bench/telemetry.h"
 #include "measure/testbed.h"
-#include "netbase/lpm_trie.h"
 #include "packet/view.h"
 #include "packet/wire.h"
 #include "probe/prober.h"
@@ -101,22 +101,6 @@ void walk_with_pipeline(std::vector<std::uint8_t>& bytes,
   }
 }
 
-void BM_LpmLookup(benchmark::State& state) {
-  net::LpmTrie<std::uint32_t> trie;
-  util::Rng rng{1};
-  for (std::uint32_t i = 0; i < 50000; ++i) {
-    trie.insert(net::Prefix{net::IPv4Address{static_cast<std::uint32_t>(
-                    rng())}, 24}, i);
-  }
-  std::uint64_t x = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        trie.lookup(net::IPv4Address{static_cast<std::uint32_t>(
-            util::mix64(++x))}));
-  }
-}
-BENCHMARK(BM_LpmLookup);
-
 std::shared_ptr<const topo::Topology> bench_topology() {
   static auto topo = [] {
     topo::TopologyParams params = topo::TopologyParams::paper_scale();
@@ -127,6 +111,25 @@ std::shared_ptr<const topo::Topology> bench_topology() {
   }();
   return topo;
 }
+
+/// Topology::as_of_address, the address-to-AS map the AS-stamping audit
+/// and the cloud study run over every recorded and traceroute address, on
+/// any byte of randomly drawn destination /24s.
+void BM_AsOfAddress(benchmark::State& state) {
+  const auto topo = bench_topology();
+  const auto dests = topo->destinations();
+  util::Rng rng{1};
+  std::vector<net::IPv4Address> addrs(4096);
+  for (auto& addr : addrs) {
+    const topo::Host& host = topo->host_at(dests[rng.next_below(dests.size())]);
+    addr = host.prefix.address_at(rng.next_below(256));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topo->as_of_address(addrs[i++ % addrs.size()]));
+  }
+}
+BENCHMARK(BM_AsOfAddress);
 
 void BM_BgpRouteTree(benchmark::State& state) {
   route::BgpEngine engine{bench_topology(), topo::Epoch::k2016};

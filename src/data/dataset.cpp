@@ -2,7 +2,6 @@
 
 #include <array>
 #include <fstream>
-#include <unordered_map>
 
 #include "netbase/byte_io.h"
 #include "netbase/checksum.h"
@@ -326,38 +325,13 @@ int CampaignDataset::min_rr_distance(std::size_t dest) const noexcept {
 }
 
 measure::ResponseTable CampaignDataset::response_table() const {
-  measure::ResponseTable table;
-  struct AsAgg {
-    std::uint8_t type = 0;
-    bool ping = false;
-    bool rr = false;
-  };
-  std::unordered_map<std::uint32_t, AsAgg> per_as;
-
+  measure::ResponseTally tally;
   for (std::size_t d = 0; d < destinations.size(); ++d) {
     const auto& dest = destinations[d];
-    const std::size_t type_index = 1 + dest.as_type;
-    const bool ping = dest.ping_responsive != 0;
-    const bool rr = rr_responsive(d);
-    for (const std::size_t idx : {std::size_t{0}, type_index}) {
-      ++table.by_ip[idx].probed;
-      if (ping) ++table.by_ip[idx].ping_responsive;
-      if (rr) ++table.by_ip[idx].rr_responsive;
-    }
-    AsAgg& agg = per_as[dest.asn];
-    agg.type = dest.as_type;
-    agg.ping = agg.ping || ping;
-    agg.rr = agg.rr || rr;
+    tally.add(dest.asn, static_cast<topo::AsType>(dest.as_type),
+              dest.ping_responsive != 0, rr_responsive(d));
   }
-  for (const auto& [asn, agg] : per_as) {
-    const std::size_t type_index = 1 + agg.type;
-    for (const std::size_t idx : {std::size_t{0}, type_index}) {
-      ++table.by_as[idx].probed;
-      if (agg.ping) ++table.by_as[idx].ping_responsive;
-      if (agg.rr) ++table.by_as[idx].rr_responsive;
-    }
-  }
-  return table;
+  return tally.table();
 }
 
 }  // namespace rr::data

@@ -1,49 +1,49 @@
 #include "measure/classify.h"
 
-#include <unordered_map>
-
 namespace rr::measure {
 
-ResponseTable build_response_table(const Campaign& campaign) {
-  ResponseTable table;
-  const auto& topology = campaign.topology();
+namespace {
 
-  struct AsAgg {
-    topo::AsType type = topo::AsType::kUnknown;
-    bool ping = false;
-    bool rr = false;
-  };
-  std::unordered_map<topo::AsId, AsAgg> per_as;
-
-  for (std::size_t d = 0; d < campaign.num_destinations(); ++d) {
-    const topo::Host& host =
-        topology.host_at(campaign.destinations()[d]);
-    const topo::AsType type = topology.as_at(host.as_id).type;
-    const std::size_t type_index = 1 + static_cast<std::size_t>(type);
-    const bool ping = campaign.ping_responsive(d);
-    const bool rr = campaign.rr_responsive(d);
-
-    for (const std::size_t idx : {std::size_t{0}, type_index}) {
-      ++table.by_ip[idx].probed;
-      if (ping) ++table.by_ip[idx].ping_responsive;
-      if (rr) ++table.by_ip[idx].rr_responsive;
-    }
-
-    AsAgg& agg = per_as[host.as_id];
-    agg.type = type;
-    agg.ping = agg.ping || ping;
-    agg.rr = agg.rr || rr;
+/// Counts one row (probed, and ping/RR-responsive) into the total and its
+/// AS type's row.
+void add_row(std::array<ResponseCounts, 1 + topo::kNumAsTypes>& rows,
+             topo::AsType type, bool ping, bool rr) {
+  const std::size_t type_row = 1 + static_cast<std::size_t>(type);
+  for (const std::size_t idx : {std::size_t{0}, type_row}) {
+    ++rows[idx].probed;
+    if (ping) ++rows[idx].ping_responsive;
+    if (rr) ++rows[idx].rr_responsive;
   }
+}
 
-  for (const auto& [as_id, agg] : per_as) {
-    const std::size_t type_index = 1 + static_cast<std::size_t>(agg.type);
-    for (const std::size_t idx : {std::size_t{0}, type_index}) {
-      ++table.by_as[idx].probed;
-      if (agg.ping) ++table.by_as[idx].ping_responsive;
-      if (agg.rr) ++table.by_as[idx].rr_responsive;
-    }
+}  // namespace
+
+void ResponseTally::add(std::uint32_t as, topo::AsType type, bool ping,
+                        bool rr) {
+  add_row(table_.by_ip, type, ping, rr);
+  AsAgg& agg = per_as_[as];
+  agg.type = type;
+  agg.ping = agg.ping || ping;
+  agg.rr = agg.rr || rr;
+}
+
+ResponseTable ResponseTally::table() const {
+  ResponseTable table = table_;
+  for (const auto& [as, agg] : per_as_) {
+    add_row(table.by_as, agg.type, agg.ping, agg.rr);
   }
   return table;
+}
+
+ResponseTable build_response_table(const Campaign& campaign) {
+  const auto& topology = campaign.topology();
+  ResponseTally tally;
+  for (std::size_t d = 0; d < campaign.num_destinations(); ++d) {
+    const topo::AsId as = topology.host_at(campaign.destinations()[d]).as_id;
+    tally.add(as, topology.as_at(as).type, campaign.ping_responsive(d),
+              campaign.rr_responsive(d));
+  }
+  return tally.table();
 }
 
 std::vector<int> responding_vp_counts(const Campaign& campaign) {

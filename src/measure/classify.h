@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "measure/campaign.h"
@@ -38,6 +39,27 @@ struct ResponseTable {
   /// Content, Unknown).
   std::array<ResponseCounts, 1 + topo::kNumAsTypes> by_ip;
   std::array<ResponseCounts, 1 + topo::kNumAsTypes> by_as;
+};
+
+/// The Table 1 fold, shared by a live campaign (build_response_table) and
+/// a frozen dataset (data::CampaignDataset::response_table): add() counts
+/// one probed destination by IP and folds it into its AS, and table()
+/// counts each AS once, as ping- or RR-responsive if any of its
+/// destinations was.
+class ResponseTally {
+ public:
+  /// `as` is any id unique per AS (an AsId, or the ASN a dataset keeps).
+  void add(std::uint32_t as, topo::AsType type, bool ping, bool rr);
+  [[nodiscard]] ResponseTable table() const;
+
+ private:
+  struct AsAgg {
+    topo::AsType type = topo::AsType::kUnknown;
+    bool ping = false;
+    bool rr = false;
+  };
+  ResponseTable table_;  // by_ip only; table() fills by_as
+  std::unordered_map<std::uint32_t, AsAgg> per_as_;
 };
 
 [[nodiscard]] ResponseTable build_response_table(const Campaign& campaign);

@@ -58,52 +58,43 @@ std::uint64_t reach_point_key(net::IPv4Address dest, int ttl) noexcept {
 // ------------------------------------------------------------- StopSet
 
 StopSet::StopSet(std::size_t expected_keys)
-    // Inserts cap at 3/4 load per stripe so the lock-free probe loop
-    // always terminates on an empty slot.
+    // Inserts cap at 3/4 load per stripe so the probe loop always
+    // terminates on an empty slot.
     : stripe_capacity_(std::max<std::size_t>(
           64, (2 * expected_keys + kStripes - 1) / kStripes)),
       stripe_limit_(stripe_capacity_ - stripe_capacity_ / 4),
       // Value-initialized: every slot starts at 0, the empty sentinel.
-      slots_(std::make_unique<std::atomic<std::uint64_t>[]>(
-          kStripes * stripe_capacity_)),
+      slots_(std::make_unique<std::uint64_t[]>(kStripes * stripe_capacity_)),
       stripes_(std::make_unique<Stripe[]>(kStripes)) {}
 
 bool StopSet::contains(std::uint64_t key) const noexcept {
   // RROPT_HOT_BEGIN(stopset-contains): membership sits on the probing hot
-  // path (one check per candidate probe); lock-free acquire loads over
-  // the stripe's open-addressing run, no allocation, no mutex.
-  const std::atomic<std::uint64_t>* slots = stripe_slots(stripe_of(key));
+  // path (one check per candidate probe); plain loads over the stripe's
+  // open-addressing run, no allocation.
+  const std::uint64_t* slots = stripe_slots(stripe_of(key));
   for (std::size_t i = home_of(key);; i = next_slot(i)) {
-    const std::uint64_t v = slots[i].load(std::memory_order_acquire);
-    if (v == key) return true;
-    if (v == 0) return false;
+    if (slots[i] == key) return true;
+    if (slots[i] == 0) return false;
   }
   // RROPT_HOT_END(stopset-contains)
 }
 
 bool StopSet::insert(std::uint64_t key) {
-  const std::size_t s = stripe_of(key);
-  Stripe& stripe = stripes_[s];
-  util::MutexLock lock(stripe.mu);
-  return insert_locked(stripe, stripe_slots(s), key);
+  return insert_into(stripe_of(key), key);
 }
 
-bool StopSet::insert_locked(Stripe& stripe, std::atomic<std::uint64_t>* slots,
-                            std::uint64_t key) {
+bool StopSet::insert_into(std::size_t s, std::uint64_t key) {
+  std::uint64_t* slots = stripe_slots(s);
   std::size_t i = home_of(key);
-  for (;; i = next_slot(i)) {
-    // Writers are serialized per stripe, so a relaxed read of our own
-    // stripe is exact; the release store below pairs with readers'
-    // acquire loads.
-    const std::uint64_t v = slots[i].load(std::memory_order_relaxed);
-    if (v == key) return false;
-    if (v == 0) break;
+  for (; slots[i] != 0; i = next_slot(i)) {
+    if (slots[i] == key) return false;
   }
+  Stripe& stripe = stripes_[s];
   if (stripe.size >= stripe_limit_) {
-    overflows_.fetch_add(1, std::memory_order_relaxed);
+    ++stripe.overflows;
     return false;
   }
-  slots[i].store(key, std::memory_order_release);
+  slots[i] = key;
   ++stripe.size;
   return true;
 }
@@ -137,17 +128,15 @@ std::size_t StopSet::commit(
     }
   });
 
-  // Then each stripe takes its runs in batch order, under one lock.
+  // Then each stripe takes its runs in batch order; a stripe is written
+  // by its task alone.
   std::array<std::size_t, kStripes> fresh{};
   pool.parallel_for(kStripes, [&](std::size_t s) {
-    Stripe& stripe = stripes_[s];
-    std::atomic<std::uint64_t>* slots = stripe_slots(s);
-    util::MutexLock lock(stripe.mu);
     std::size_t inserted = 0;
     for (std::size_t b = 0; b < n; ++b) {
       const std::size_t* run = runs.data() + b * (kStripes + 1);
       for (std::size_t i = run[s]; i < run[s + 1]; ++i) {
-        if (insert_locked(stripe, slots, keys[i])) ++inserted;
+        if (insert_into(s, keys[i])) ++inserted;
       }
     }
     fresh[s] = inserted;
@@ -155,12 +144,15 @@ std::size_t StopSet::commit(
   return std::accumulate(fresh.begin(), fresh.end(), std::size_t{0});
 }
 
-std::size_t StopSet::size() const {
+std::size_t StopSet::size() const noexcept {
   std::size_t total = 0;
-  for (std::size_t s = 0; s < kStripes; ++s) {
-    util::MutexLock lock(stripes_[s].mu);
-    total += stripes_[s].size;
-  }
+  for (std::size_t s = 0; s < kStripes; ++s) total += stripes_[s].size;
+  return total;
+}
+
+std::uint64_t StopSet::overflows() const noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < kStripes; ++s) total += stripes_[s].overflows;
   return total;
 }
 

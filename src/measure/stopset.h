@@ -15,12 +15,13 @@
 //    discovers nothing (the forward stopping rule).
 //
 // Both kinds (plus the TTL-study's path-point/reach-point facts) live in
-// the same concurrent structure, StopSet: a lock-striped open-addressing
-// hash set of 64-bit keys. Readers are lock-free (acquire loads, no
-// allocation — membership checks sit on the probing hot path); writers
-// serialize per stripe under a util::Mutex. Determinism of *visibility*
-// is the caller's job: DoubletreeGate only queues its global facts, and
-// the census commits them in canonical VP order at round boundaries (the
+// the same structure, StopSet: a striped open-addressing hash set of
+// 64-bit keys with allocation-free membership checks (they sit on the
+// probing hot path). A set has one writer at a time and is never written
+// while another thread reads it: a census local set belongs to its VP's
+// task, the TTL study is serial, and the global set is read-only inside a
+// census round. DoubletreeGate only queues its global facts, and the
+// census commits them in canonical VP order at round boundaries (the
 // deferred pattern the token-bucket replay established), so the set every
 // worker reads is a pure function of the probe stream, never of thread
 // timing. StopSet::commit runs such a commit with one pool task per
@@ -28,7 +29,6 @@
 // all the canonical order fixes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,8 +36,6 @@
 
 #include "netbase/address.h"
 #include "probe/types.h"
-#include "util/annotations.h"
-#include "util/mutex.h"
 
 namespace rr::util {
 class ThreadPool;
@@ -74,14 +72,16 @@ namespace rr::measure {
 
 // ------------------------------------------------------------- StopSet
 
-/// Lock-striped concurrent hash set of stop-fact keys.
+/// Striped open-addressing hash set of stop-fact keys.
 ///
-/// Fixed capacity, chosen at construction from the expected fact count:
-/// membership checks must be allocation-free and tolerate concurrent
-/// writers, which rules out rehashing under readers. A stripe that fills
-/// past its load limit stops accepting inserts (counted in overflows());
-/// saturation only costs savings, never correctness — an absent fact
-/// means the probe is sent, exactly as with stop sets disabled.
+/// Not thread-safe: at most one thread writes a set (insert() or
+/// commit(), whose stripe tasks write disjoint stripes), and none reads it
+/// meanwhile; any number may read it between writes. Fixed capacity,
+/// chosen at construction from the expected fact count, so membership
+/// checks never meet a rehash. A stripe that fills past its load limit
+/// stops accepting inserts (counted in overflows()); saturation only
+/// costs savings, never correctness — an absent fact means the probe is
+/// sent, exactly as with stop sets disabled.
 class StopSet {
  public:
   static constexpr std::size_t kStripes = 64;
@@ -94,8 +94,7 @@ class StopSet {
   StopSet(const StopSet&) = delete;
   StopSet& operator=(const StopSet&) = delete;
 
-  /// Lock-free membership: safe concurrently with insert(); sees every
-  /// key whose insert() returned before this call began. No allocation.
+  /// Membership. No allocation.
   [[nodiscard]] bool contains(std::uint64_t key) const noexcept;
 
   /// Inserts one key. Returns true when the key is new; false when it was
@@ -108,30 +107,26 @@ class StopSet {
   /// different stripes never interact, and keeping each stripe's keys in
   /// batch order gives the same contents, slot layout, size() and
   /// overflows() as calling insert() on every key in that order, at any
-  /// pool size. Returns how many keys were new. contains() may run
-  /// alongside; a concurrent insert() lands in no defined order.
+  /// pool size. Returns how many keys were new.
   std::size_t commit(std::span<const std::span<const std::uint64_t>> batches,
                      util::ThreadPool& pool);
 
-  /// Number of keys stored (takes every stripe lock; not for hot paths).
-  [[nodiscard]] std::size_t size() const;
+  /// Number of keys stored (sums the stripes; not for hot paths).
+  [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] std::size_t capacity() const noexcept {
     return kStripes * stripe_capacity_;
   }
   /// Inserts rejected because a stripe was at its load limit.
-  [[nodiscard]] std::uint64_t overflows() const noexcept {
-    return overflows_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t overflows() const noexcept;
 
  private:
   struct Stripe {
-    util::Mutex mu;
-    std::size_t size RROPT_GUARDED_BY(mu) = 0;
+    std::size_t size = 0;
+    std::uint64_t overflows = 0;
   };
 
-  /// insert() with the key's stripe, and its lock, already in hand.
-  bool insert_locked(Stripe& stripe, std::atomic<std::uint64_t>* slots,
-                     std::uint64_t key) RROPT_REQUIRES(stripe.mu);
+  /// insert() into stripe `s`, the key's stripe.
+  bool insert_into(std::size_t s, std::uint64_t key);
 
   [[nodiscard]] std::size_t stripe_of(std::uint64_t key) const noexcept {
     return static_cast<std::size_t>(key >> 58) & (kStripes - 1);
@@ -145,20 +140,18 @@ class StopSet {
   [[nodiscard]] std::size_t next_slot(std::size_t i) const noexcept {
     return i + 1 == stripe_capacity_ ? 0 : i + 1;
   }
-  [[nodiscard]] const std::atomic<std::uint64_t>* stripe_slots(
+  [[nodiscard]] const std::uint64_t* stripe_slots(
       std::size_t s) const noexcept {
     return slots_.get() + s * stripe_capacity_;
   }
-  [[nodiscard]] std::atomic<std::uint64_t>* stripe_slots(
-      std::size_t s) noexcept {
+  [[nodiscard]] std::uint64_t* stripe_slots(std::size_t s) noexcept {
     return slots_.get() + s * stripe_capacity_;
   }
 
   std::size_t stripe_capacity_;  // ceil(2 * expected / kStripes), >= 64
   std::size_t stripe_limit_;     // max keys per stripe (3/4 load)
-  std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+  std::unique_ptr<std::uint64_t[]> slots_;
   std::unique_ptr<Stripe[]> stripes_;
-  std::atomic<std::uint64_t> overflows_{0};
 };
 
 // -------------------------------------------------------------- stats

@@ -24,7 +24,7 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 /// One VP's census state — prober (persistent clock), gate over its own
 /// local set, deferred global discoveries, the trace result every trace
 /// reuses, and private result tallies. Workers touch only their own PerVp
-/// plus lock-free global-set reads.
+/// plus reads of the global set, which no one writes inside a round.
 struct PerVp {
   std::unique_ptr<probe::Prober> prober;
   std::unique_ptr<StopSet> local;

@@ -22,7 +22,6 @@
 #include "measure/ttl_study.h"
 #include "netbase/address.h"
 #include "netbase/checksum.h"
-#include "netbase/lpm_trie.h"
 #include "netbase/prefix.h"
 #include "packet/view.h"
 #include "packet/wire.h"

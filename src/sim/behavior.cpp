@@ -95,9 +95,9 @@ Behaviors::Behaviors(std::shared_ptr<const topo::Topology> topology,
     b.stamps_self = !host_rng.chance(params_.host_no_self_stamp);
     b.responds_udp = host_rng.chance(params_.host_responds_udp);
     b.stamp_address = host.address;
-    if (!host.aliases.empty() && host_rng.chance(params_.host_stamps_alias)) {
-      b.stamp_address =
-          host.aliases[host_rng.next_below(host.aliases.size())];
+    const auto aliases = topology_->host_aliases(static_cast<topo::HostId>(i));
+    if (!aliases.empty() && host_rng.chance(params_.host_stamps_alias)) {
+      b.stamp_address = aliases[host_rng.next_below(aliases.size())];
     }
     host_ipid_velocity_[i] =
         params_.ipid_velocity_min +

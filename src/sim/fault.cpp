@@ -1,8 +1,12 @@
 #include "sim/fault.h"
 
-#include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "util/strings.h"
 
 namespace rr::sim {
 
@@ -14,18 +18,14 @@ double unit_from_key(std::uint64_t key) noexcept {
   return static_cast<double>(util::mix64(key) >> 11) * 0x1.0p-53;
 }
 
-bool parse_double(std::string_view text, double& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
+/// A rate: a finite number in [0, 1].
+double parse_rate(std::string_view text, const std::string& name) {
+  return util::parse_double(text, name, 0.0, 1.0);
 }
 
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
+/// A duration in virtual seconds: a finite number above zero.
+double parse_duration(std::string_view text, const std::string& name) {
+  return util::parse_double(text, name, std::numeric_limits<double>::min());
 }
 
 }  // namespace
@@ -65,27 +65,19 @@ bool FaultParams::any() const noexcept {
          duplicate_reply > 0.0 || reorder_reply > 0.0 || storm > 0.0;
 }
 
-std::optional<FaultParams> parse_fault_plan(std::string_view spec) {
-  FaultParams params;
-  if (spec.empty() || spec == "none") return params;
+FaultParams parse_fault_plan(std::string_view spec) {
+  static const std::string kFlag = "--fault-plan";
+  if (spec.empty() || spec == "none") return FaultParams{};
 
+  // "uniform:<rate>", or a bare number as shorthand for it.
   if (spec.rfind("uniform:", 0) == 0) {
-    double rate = 0.0;
-    if (!parse_double(spec.substr(8), rate) || rate < 0.0 || rate > 1.0) {
-      return std::nullopt;
-    }
-    return FaultParams::uniform(rate);
+    return FaultParams::uniform(parse_rate(spec.substr(8), kFlag));
   }
-
-  // A bare number is shorthand for uniform:<rate>.
   if (spec.find('=') == std::string_view::npos) {
-    double rate = 0.0;
-    if (!parse_double(spec, rate) || rate < 0.0 || rate > 1.0) {
-      return std::nullopt;
-    }
-    return FaultParams::uniform(rate);
+    return FaultParams::uniform(parse_rate(spec, kFlag));
   }
 
+  FaultParams params;
   std::string_view rest = spec;
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
@@ -94,39 +86,40 @@ std::optional<FaultParams> parse_fault_plan(std::string_view spec) {
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
+    if (eq == std::string_view::npos) {
+      throw std::invalid_argument(kFlag + ": expected knob=value, got '" +
+                                  std::string{item} + "'");
+    }
     const std::string_view key = item.substr(0, eq);
     const std::string_view value = item.substr(eq + 1);
+    const std::string name = kFlag + ": " + std::string{key};
     if (key == "seed") {
-      if (!parse_u64(value, params.seed)) return std::nullopt;
-      continue;
-    }
-    double number = 0.0;
-    if (!parse_double(value, number)) return std::nullopt;
-    if (key == "rr_truncate") {
-      params.rr_truncate = number;
+      params.seed = util::parse_uint(value, name);
+    } else if (key == "rr_truncate") {
+      params.rr_truncate = parse_rate(value, name);
     } else if (key == "rr_garble") {
-      params.rr_garble = number;
+      params.rr_garble = parse_rate(value, name);
     } else if (key == "checksum_corrupt") {
-      params.checksum_corrupt = number;
+      params.checksum_corrupt = parse_rate(value, name);
     } else if (key == "option_strip") {
-      params.option_strip = number;
+      params.option_strip = parse_rate(value, name);
     } else if (key == "byzantine_stamp") {
-      params.byzantine_stamp = number;
+      params.byzantine_stamp = parse_rate(value, name);
     } else if (key == "quote_mangle") {
-      params.quote_mangle = number;
+      params.quote_mangle = parse_rate(value, name);
     } else if (key == "duplicate_reply") {
-      params.duplicate_reply = number;
+      params.duplicate_reply = parse_rate(value, name);
     } else if (key == "reorder_reply") {
-      params.reorder_reply = number;
+      params.reorder_reply = parse_rate(value, name);
     } else if (key == "storm") {
-      params.storm = number;
+      params.storm = parse_rate(value, name);
     } else if (key == "storm_period_s") {
-      params.storm_period_s = number;
+      params.storm_period_s = parse_duration(value, name);
     } else if (key == "reorder_delay_s") {
-      params.reorder_delay_s = number;
+      params.reorder_delay_s = parse_duration(value, name);
     } else {
-      return std::nullopt;
+      throw std::invalid_argument(kFlag + ": unknown knob '" +
+                                  std::string{key} + "'");
     }
   }
   return params;

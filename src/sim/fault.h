@@ -38,7 +38,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -94,10 +93,12 @@ struct FaultParams {
 ///   "none"                  — inert plan
 ///   "0.01" / "uniform:0.01" — every rate at 1%
 ///   "rr_garble=0.1,storm=0.05,seed=7" — individual knobs
-/// Returns std::nullopt (with no partial effect) on unknown keys or
-/// unparseable numbers.
-[[nodiscard]] std::optional<FaultParams> parse_fault_plan(
-    std::string_view spec);
+/// Parsing is strict (util::parse_double / util::parse_uint): every rate
+/// must be a finite number in [0, 1], and storm_period_s and
+/// reorder_delay_s finite and above zero. An unknown knob, an item with
+/// no '=' or a bad value throws std::invalid_argument, whose message
+/// starts "--fault-plan: " and names the knob and the text it rejects.
+[[nodiscard]] FaultParams parse_fault_plan(std::string_view spec);
 
 /// Human-readable one-line summary ("faults: rr_garble=0.1 storm=0.05").
 [[nodiscard]] std::string to_string(const FaultParams& params);

@@ -71,8 +71,6 @@ struct Generator::BuildPlan {
   std::vector<std::pair<RouterId, net::IPv4Address>> interfaces;
   std::vector<HostRec> hosts;
   std::vector<net::IPv4Address> alias_arena;  // HostRec spans point here
-  /// Prefix-trie inserts in legacy insertion order.
-  std::vector<std::pair<net::Prefix, AsId>> prefixes;
   /// Address-index inserts in legacy insertion order.
   std::vector<std::pair<net::IPv4Address, AddressOwner>> owners;
 
@@ -90,28 +88,18 @@ struct Generator::BuildPlan {
 };
 
 struct Generator::AllocState {
-  std::uint32_t next_block = 0x10000000;  // 16.0.0.0, grows upward
-
   struct Chunk {
     std::uint32_t next = 0;
     std::uint32_t end = 0;
   };
   std::vector<Chunk> infra;  // per-AS current infrastructure /24 chunk
-  BuildPlan* plan = nullptr;
-
-  net::Prefix alloc_slash24() {
-    const net::Prefix prefix{net::IPv4Address{next_block}, 24};
-    next_block += 256;
-    return prefix;
-  }
 
   /// Next unique infrastructure address for an AS, pulling fresh /24
-  /// chunks (recorded for the AS in the LPM trie) as needed.
+  /// blocks of the address plan (Topology::alloc_block) as needed.
   net::IPv4Address infra_addr(Topology& topo, AsId as) {
     Chunk& chunk = infra[as];
     if (chunk.next >= chunk.end) {
-      const net::Prefix block = alloc_slash24();
-      plan->prefixes.emplace_back(block, as);
+      const net::Prefix block = topo.alloc_block(as);
       if (topo.ases_[as].infra_prefix.length() == 0) {
         topo.ases_[as].infra_prefix = block;
       }
@@ -127,7 +115,6 @@ std::shared_ptr<const Topology> Generator::generate() {
   util::Rng rng{params_.seed};
   AllocState alloc;
   BuildPlan plan;
-  alloc.plan = &plan;
 
   // Serial plan: consumes the whole RNG stream in the fixed legacy order.
   assign_types_and_tiers(*topo, rng);
@@ -143,7 +130,7 @@ std::shared_ptr<const Topology> Generator::generate() {
   // time only; every byte of the result is fixed by the plan.
   util::ThreadPool pool{util::resolve_thread_count(params_.threads)};
   materialize(*topo, plan, pool);
-  topo->compile(pool);
+  topo->compile();
 
   util::log_info() << "generated topology: " << topo->summary();
   return topo;
@@ -155,20 +142,32 @@ void Generator::materialize(Topology& topo, BuildPlan& plan,
 
   // Group interface addresses by router with a stable counting sort: the
   // per-router order equals plan order, which equals the order the legacy
-  // builder pushed them (loopback first).
+  // builder pushed them (loopback first). The topology keeps the arena.
   const std::size_t n_routers = plan.routers.size();
-  std::vector<std::uint32_t> iface_offset(n_routers + 1, 0);
+  std::vector<std::uint32_t>& iface_offset = topo.iface_offset_;
+  iface_offset.assign(n_routers + 1, 0);
   for (const auto& [rid, addr] : plan.interfaces) ++iface_offset[rid + 1];
   std::partial_sum(iface_offset.begin(), iface_offset.end(),
                    iface_offset.begin());
-  std::vector<net::IPv4Address> iface_arena(plan.interfaces.size());
+  topo.iface_arena_.resize(plan.interfaces.size());
   {
     std::vector<std::uint32_t> cursor(iface_offset.begin(),
                                       iface_offset.end() - 1);
     for (const auto& [rid, addr] : plan.interfaces) {
-      iface_arena[cursor[rid]++] = addr;
+      topo.iface_arena_[cursor[rid]++] = addr;
     }
   }
+
+  // Host alias runs: [address, aliases...] for a host with aliases, empty
+  // for the rest, in host order.
+  const std::size_t n_hosts = plan.hosts.size();
+  std::vector<std::uint32_t>& alias_offset = topo.alias_offset_;
+  alias_offset.assign(n_hosts + 1, 0);
+  for (std::size_t h = 0; h < n_hosts; ++h) {
+    const std::uint32_t extra = plan.hosts[h].alias_count;
+    alias_offset[h + 1] = alias_offset[h] + (extra == 0 ? 0 : 1 + extra);
+  }
+  topo.alias_arena_.resize(alias_offset[n_hosts]);
 
   // Expand entities across the pool in disjoint index blocks.
   constexpr std::size_t kBlock = 4096;
@@ -180,13 +179,10 @@ void Generator::materialize(Topology& topo, BuildPlan& plan,
       Router& out = topo.routers_[r];
       out.as_id = plan.routers[r].as;
       out.is_border = plan.routers[r].border;
-      out.interfaces.assign(iface_arena.begin() + iface_offset[r],
-                            iface_arena.begin() + iface_offset[r + 1]);
-      out.loopback = out.interfaces.front();
+      out.loopback = topo.iface_arena_[iface_offset[r]];
     }
   });
 
-  const std::size_t n_hosts = plan.hosts.size();
   topo.hosts_.resize(n_hosts);
   const std::size_t host_blocks = (n_hosts + kBlock - 1) / kBlock;
   pool.parallel_for(host_blocks, [&](std::size_t b) {
@@ -198,18 +194,15 @@ void Generator::materialize(Topology& topo, BuildPlan& plan,
       out.access_router = rec.access;
       out.address = rec.address;
       out.prefix = rec.prefix;
-      out.aliases.assign(
-          plan.alias_arena.begin() + rec.alias_begin,
-          plan.alias_arena.begin() + rec.alias_begin + rec.alias_count);
+      if (rec.alias_count == 0) continue;
+      const auto aliases = plan.alias_arena.begin() + rec.alias_begin;
+      const auto run = topo.alias_arena_.begin() + alias_offset[h];
+      *run = rec.address;
+      std::copy(aliases, aliases + rec.alias_count, run + 1);
     }
   });
 
-  // The prefix trie is one pooled structure; replaying the records in plan
-  // order keeps even its node layout identical to the legacy interleaved
-  // build. The address index build is internally sharded and parallel.
-  for (const auto& [prefix, as] : plan.prefixes) {
-    topo.address_to_as_.insert(prefix, as);
-  }
+  // The address index build is internally sharded and parallel.
   topo.address_index_.build(plan.owners, pool);
 }
 
@@ -741,8 +734,7 @@ void Generator::build_destinations(Topology& topo, BuildPlan& plan,
     const int count =
         shifted_geometric(rng, mean, params_.max_prefixes_per_as);
     for (int i = 0; i < count; ++i) {
-      const net::Prefix block = alloc.alloc_slash24();
-      plan.prefixes.emplace_back(block, as);
+      const net::Prefix block = topo.alloc_block(as);
 
       BuildPlan::HostRec host;
       host.as = as;

@@ -9,8 +9,8 @@
 // thread count. Generation is split into a serial *plan* pass, which makes
 // every RNG draw, ID assignment and address allocation in one fixed order
 // and records them as flat arrays, and a *materialize* pass that expands
-// those records into the heavyweight per-entity structures (router
-// interface sets, host alias sets, the address index) across a
+// those records into the per-entity structures (routers, hosts, the
+// interface and alias arenas, the address index) across a
 // util::ThreadPool. Each worker owns a disjoint index range and the merged
 // result is a pure function of the plan, so threads only change wall-clock
 // time, never a byte of the output.
@@ -52,9 +52,9 @@ class Generator {
   void place_vantage_points(Topology& topo, BuildPlan& plan,
                             AllocState& alloc, util::Rng& rng);
 
-  /// Expands the plan's flat records into routers_, hosts_, the prefix
-  /// trie and the address index. Parallel over disjoint index ranges;
-  /// bit-identical at any thread count.
+  /// Expands the plan's flat records into routers_, hosts_, the interface
+  /// and alias arenas and the address index. Parallel over disjoint index
+  /// ranges; bit-identical at any thread count.
   void materialize(Topology& topo, BuildPlan& plan, util::ThreadPool& pool);
 
   TopologyParams params_;

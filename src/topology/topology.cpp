@@ -1,11 +1,9 @@
 #include "topology/topology.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/rng.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace rr::topo {
 
@@ -29,9 +27,9 @@ const char* to_string(Platform platform) noexcept {
   return "?";
 }
 
-void Topology::compile(util::ThreadPool& pool) {
+void Topology::compile() {
   assert_mutable();
-  flat_address_to_as_ = net::FlatLpm<AsId>{address_to_as_, &pool};
+  block_as_.shrink_to_fit();
 
   vps_2011_.clear();
   vps_2016_.clear();
@@ -40,45 +38,12 @@ void Topology::compile(util::ThreadPool& pool) {
     if (vp.exists_in_2016) vps_2016_.push_back(&vp);
   }
 
-  // Hosts with extra aliases get a contiguous [address, aliases...] run;
-  // the common no-alias host is served straight from its inline member.
-  // Built block-parallel: each shard of the host range sizes its own
-  // arena slice, a serial prefix sum places the slices in index order, and
-  // the shards then fill disjoint ranges — the arena bytes are identical
-  // to the old single-threaded append loop at any thread count.
-  host_alias_offset_.assign(hosts_.size(), kNoAliasEntry);
-  constexpr std::size_t kHostShard = 1u << 16;
-  const std::size_t n_shards = (hosts_.size() + kHostShard - 1) / kHostShard;
-  std::vector<std::size_t> shard_base(n_shards + 1, 0);
-  pool.parallel_for(n_shards, [&](std::size_t s) {
-    const std::size_t end = std::min(hosts_.size(), (s + 1) * kHostShard);
-    std::size_t bytes = 0;
-    for (std::size_t h = s * kHostShard; h < end; ++h) {
-      if (!hosts_[h].aliases.empty()) bytes += 1 + hosts_[h].aliases.size();
-    }
-    shard_base[s + 1] = bytes;
-  });
-  std::partial_sum(shard_base.begin(), shard_base.end(), shard_base.begin());
-  host_alias_arena_.resize(shard_base[n_shards]);
-  pool.parallel_for(n_shards, [&](std::size_t s) {
-    const std::size_t end = std::min(hosts_.size(), (s + 1) * kHostShard);
-    std::size_t at = shard_base[s];
-    for (std::size_t h = s * kHostShard; h < end; ++h) {
-      const Host& host = hosts_[h];
-      if (host.aliases.empty()) continue;
-      host_alias_offset_[h] = static_cast<std::uint32_t>(at);
-      host_alias_arena_[at++] = host.address;
-      for (const auto& alias : host.aliases) host_alias_arena_[at++] = alias;
-    }
-  });
-
   // Stitch-path lookups: RouterId-indexed runs laid out in index order,
   // then the generation-time maps are released (swapped with empties, so
   // their buckets go too).
   const std::size_t n_routers = routers_.size();
   router_as_.resize(n_routers);
   chain_offset_.assign(n_routers + 1, 0);
-  iface_offset_.assign(n_routers + 1, 0);
   for (std::size_t r = 0; r < n_routers; ++r) {
     router_as_[r] = routers_[r].as_id;
     const auto chain = access_chain_.find(static_cast<RouterId>(r));
@@ -86,18 +51,11 @@ void Topology::compile(util::ThreadPool& pool) {
         (chain == access_chain_.end()
              ? 0
              : static_cast<std::uint32_t>(chain->second.size()));
-    iface_offset_[r + 1] = iface_offset_[r] +
-        static_cast<std::uint32_t>(routers_[r].interfaces.size());
   }
   chain_arena_.resize(chain_offset_[n_routers]);
-  iface_arena_.resize(iface_offset_[n_routers]);
   for (const auto& [access, chain] : access_chain_) {
     std::copy(chain.begin(), chain.end(),
               chain_arena_.begin() + chain_offset_[access]);
-  }
-  for (std::size_t r = 0; r < n_routers; ++r) {
-    std::copy(routers_[r].interfaces.begin(), routers_[r].interfaces.end(),
-              iface_arena_.begin() + iface_offset_[r]);
   }
   std::unordered_map<RouterId, std::vector<RouterId>>{}.swap(access_chain_);
   compile_link_table();
@@ -126,10 +84,8 @@ std::span<const net::IPv4Address> Topology::aliases_of(
   if (owner->kind == AddressOwner::Kind::kRouter) {
     return router_interfaces(owner->id);
   }
-  const Host& host = hosts_[owner->id];
-  const std::uint32_t offset = host_alias_offset_[owner->id];
-  if (offset == kNoAliasEntry) return {&host.address, 1};
-  return {host_alias_arena_.data() + offset, 1 + host.aliases.size()};
+  const auto run = alias_run(owner->id);
+  return run.empty() ? std::span{&hosts_[owner->id].address, 1} : run;
 }
 
 std::optional<LinkId> Topology::link_between(AsId a, AsId b) const noexcept {

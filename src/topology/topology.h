@@ -5,14 +5,14 @@
 // paths over it per epoch; the simulator (src/sim) adds per-device
 // behaviour on top.
 //
-// Address services run on a compiled forwarding plane: the generator fills
-// a mutable LpmTrie and then calls compile(), which freezes it into a flat
-// DIR-24-8 table (netbase/flat_lpm.h), precomputes the per-epoch vantage-
-// point lists, and lays host alias sets out in one arena — so the per-
-// packet queries (`as_of_address`, `owner_of`, `aliases_of`) are array
-// loads with no per-call allocation. The lookups path stitching makes per
-// hop (`link_between`, `access_chain`, `router_interfaces`,
-// `router_as_ids`) are frozen the same way into flat tables. See
+// Each address fact is held once, in a flat form the per-packet queries
+// read with no per-call allocation. The address plan is contiguous,
+// unique /24 blocks allocated upward from 16.0.0.0, so `as_of_address` is
+// one load from a block-indexed AS table. Router interfaces and host
+// alias sets are offset + arena runs that the generator lays out once;
+// `owner_of` is an open-addressed index. compile() then precomputes the
+// per-epoch vantage-point lists and flattens the lookups path stitching
+// makes per hop (`link_between`, `access_chain`, `router_as_ids`). See
 // DESIGN.md §8.
 #pragma once
 
@@ -24,14 +24,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "netbase/flat_lpm.h"
-#include "netbase/lpm_trie.h"
+#include "netbase/prefix.h"
 #include "topology/address_index.h"
 #include "topology/types.h"
-
-namespace rr::util {
-class ThreadPool;
-}  // namespace rr::util
 
 namespace rr::topo {
 
@@ -89,25 +84,36 @@ class Topology {
     return router_as_;
   }
 
-  /// A router's interfaces (the same run as `router_at(id).interfaces`,
-  /// loopback first), served from one arena laid out at freeze so the
-  /// stitcher's per-hop interface picks and `aliases_of` read no Router
-  /// struct.
+  /// Every address a router owns, loopback first, then its other
+  /// interfaces in allocation order: the ground-truth alias set that
+  /// MIDAR-style resolution tries to rediscover, and what the stitcher
+  /// picks per-hop interfaces from.
   [[nodiscard]] std::span<const net::IPv4Address> router_interfaces(
       RouterId id) const noexcept {
     return {iface_arena_.data() + iface_offset_[id],
             iface_arena_.data() + iface_offset_[id + 1]};
   }
 
+  /// The addresses a host owns besides `address`; empty for most hosts.
+  /// CPE boxes are often multi-addressed, and such a device may stamp one
+  /// of these instead of `address` (the alias false negative of §3.3).
+  [[nodiscard]] std::span<const net::IPv4Address> host_aliases(
+      HostId id) const noexcept {
+    const auto run = alias_run(id);
+    return run.empty() ? run : run.subspan(1);
+  }
+
   // ------------------------------------------------------ address services
-  /// AS owning an address, via longest-prefix match over advertised +
-  /// infrastructure blocks (this is what AS-path extraction from RR or
-  /// traceroute data uses).
+  /// AS owning an address: the AS its /24 block of the plan was allocated
+  /// to, advertised or infrastructure (this is what AS-path extraction
+  /// from RR or traceroute data uses); nullopt outside the plan. One
+  /// bounds check, one load: an address below the plan wraps to a block
+  /// number past any plan that fits in the address space.
   [[nodiscard]] std::optional<AsId> as_of_address(
       net::IPv4Address addr) const noexcept {
-    const AsId* found = flat_address_to_as_.lookup(addr);
-    if (!found) return std::nullopt;
-    return *found;
+    const std::uint32_t block = (addr.value() - kFirstBlock) >> 8;
+    if (block >= block_as_.size()) return std::nullopt;
+    return block_as_[block];
   }
 
   /// Device-level owner (exact match), for the simulator and for alias
@@ -143,12 +149,6 @@ class Topology {
             chain_arena_.data() + chain_offset_[access_router + 1]};
   }
 
-  /// The mutable-build prefix trie the flat table was compiled from; kept
-  /// as the reference structure for equivalence tests.
-  [[nodiscard]] const net::LpmTrie<AsId>& address_trie() const noexcept {
-    return address_to_as_;
-  }
-
   // ------------------------------------------------------------ statistics
   [[nodiscard]] std::string summary() const;
 
@@ -161,17 +161,36 @@ class Topology {
     return (std::uint64_t{lo} << 32) | hi;
   }
 
-  /// Freezes the generated world into the compiled forwarding plane:
-  /// flattens the prefix trie, caches the per-epoch VP lists, and builds
-  /// the host-alias arena — each block-parallel across `pool` with
-  /// per-shard results merged in index order, so the compiled bytes are
-  /// identical at any thread count — then flattens the stitch-path
-  /// lookups (link pairs, access chains, router interfaces) in index
-  /// order and releases the generation-time maps. Called once at the end
-  /// of generation; the compiled queries are valid only afterwards (the
-  /// generator hands out no topology before it). Sets `frozen_`: debug
-  /// builds assert no generator mutation path runs afterwards.
-  void compile(util::ThreadPool& pool);
+  /// The first address of the plan, 16.0.0.0; block b of the plan covers
+  /// kFirstBlock + 256 * b through kFirstBlock + 256 * b + 255.
+  static constexpr std::uint32_t kFirstBlock = 0x1000'0000u;
+
+  /// Allocates the plan's next /24 block to `as` (generator only).
+  net::Prefix alloc_block(AsId as) {
+    assert_mutable();
+    const net::Prefix block{
+        net::IPv4Address{kFirstBlock +
+                         (static_cast<std::uint32_t>(block_as_.size()) << 8)},
+        24};
+    block_as_.push_back(as);
+    return block;
+  }
+
+  /// A host's [address, aliases...] run; empty for a host with no aliases.
+  [[nodiscard]] std::span<const net::IPv4Address> alias_run(
+      HostId id) const noexcept {
+    return {alias_arena_.data() + alias_offset_[id],
+            alias_arena_.data() + alias_offset_[id + 1]};
+  }
+
+  /// Freezes the generated world: trims the block table, caches the
+  /// per-epoch VP lists, flattens the stitch-path lookups (link pairs,
+  /// access chains, router AS ids) in index order and releases the
+  /// generation-time maps. Called once at the end of generation; the
+  /// compiled queries are valid only afterwards (the generator hands out
+  /// no topology before it). Sets `frozen_`: debug builds assert no
+  /// generator mutation path runs afterwards.
+  void compile();
 
   /// Builds link_slots_ from links_ (see link_between).
   void compile_link_table();
@@ -193,22 +212,23 @@ class Topology {
   std::vector<HostId> destinations_;
   HostId probe_host_ = kNoHost;
 
-  net::LpmTrie<AsId> address_to_as_;
+  /// The AS of each /24 block of the address plan, by block number.
+  std::vector<AsId> block_as_;
   AddressIndex address_index_;
+  /// RouterId-indexed interface runs (offset[id] .. offset[id + 1]) and
+  /// HostId-indexed alias runs, each laid out once by the generator.
+  std::vector<std::uint32_t> iface_offset_;
+  std::vector<net::IPv4Address> iface_arena_;
+  std::vector<std::uint32_t> alias_offset_;
+  std::vector<net::IPv4Address> alias_arena_;
   // Generation-time indexes: the generator deduplicates links and chains
   // through them; compile() flattens them and releases both.
   std::unordered_map<std::uint64_t, LinkId> link_by_pair_;
   std::unordered_map<RouterId, std::vector<RouterId>> access_chain_;
 
   // ---------------------------------------------- compiled (see compile())
-  net::FlatLpm<AsId> flat_address_to_as_;
   std::vector<const VantagePoint*> vps_2011_;
   std::vector<const VantagePoint*> vps_2016_;
-  /// Per-host offset into host_alias_arena_ (kNoAliasEntry for hosts with
-  /// no extra aliases, whose set is just the inline `address` member).
-  static constexpr std::uint32_t kNoAliasEntry = 0xffff'ffffu;
-  std::vector<std::uint32_t> host_alias_offset_;
-  std::vector<net::IPv4Address> host_alias_arena_;  // [addr, aliases...] runs
   std::vector<AsId> router_as_;  // RouterId-indexed AS membership
   /// Open-addressed (linear probing) pair_key -> link table, a power of
   /// two at least twice the link count; kEmptyPair marks a free slot (no
@@ -219,12 +239,10 @@ class Topology {
   };
   static constexpr std::uint64_t kEmptyPair = ~std::uint64_t{0};
   std::vector<LinkSlot> link_slots_;
-  /// RouterId-indexed runs (offset[id] .. offset[id + 1]) into one arena:
-  /// access chains (empty for routers no host hangs off) and interfaces.
+  /// RouterId-indexed access-chain runs (empty for routers no host hangs
+  /// off), laid out like the interface runs.
   std::vector<std::uint32_t> chain_offset_;
   std::vector<RouterId> chain_arena_;
-  std::vector<std::uint32_t> iface_offset_;
-  std::vector<net::IPv4Address> iface_arena_;
   /// Set by compile(); generation is over and the object is immutable.
   bool frozen_ = false;
 };

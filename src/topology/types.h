@@ -86,27 +86,22 @@ struct AsLink {
   }
 };
 
+/// A router. Its interfaces, loopback first, are
+/// Topology::router_interfaces(id).
 struct Router {
   AsId as_id = kNoAs;
   net::IPv4Address loopback;
-  /// Every address owned by this device (loopback + link/core interfaces).
-  /// These form the ground-truth alias set that MIDAR-style resolution
-  /// tries to rediscover.
-  std::vector<net::IPv4Address> interfaces;
   bool is_border = false;
 };
 
 /// A probe-able end host: one per advertised destination prefix, plus the
-/// hosts that vantage points run on.
+/// hosts that vantage points run on. Any extra addresses the device owns
+/// are Topology::host_aliases(id).
 struct Host {
   AsId as_id = kNoAs;
   RouterId access_router = kNoRouter;
   net::IPv4Address address;
   net::Prefix prefix;  // the advertised BGP prefix this host represents
-  /// Extra addresses owned by the same destination device (CPE boxes are
-  /// often multi-addressed). When non-empty the device may stamp one of
-  /// these instead of `address` — the alias false-negative of §3.3.
-  std::vector<net::IPv4Address> aliases;
 };
 
 enum class Platform : std::uint8_t {

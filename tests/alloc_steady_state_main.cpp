@@ -154,7 +154,7 @@ void steady_state_prober_test(rr::measure::Testbed& testbed) {
         ++counts.ttl_exceeded;
       }
 
-      const auto iface = routers[(i * 53) % routers.size()].interfaces.front();
+      const auto iface = routers[(i * 53) % routers.size()].loopback;
       prober.probe_into(rr::probe::ProbeSpec::ping(iface), send_ctx, result);
       if (result.kind == rr::probe::ResponseKind::kEchoReply) {
         ++counts.router_echoes;

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
@@ -192,33 +194,51 @@ TEST_F(DifferentialTest, EachFaultKindAloneIsMonotone) {
 // ----------------------------------------------------- fault plan parsing
 
 TEST(FaultPlanParse, AcceptsNoneUniformAndKnobs) {
-  const auto none = sim::parse_fault_plan("none");
-  ASSERT_TRUE(none.has_value());
-  EXPECT_FALSE(none->any());
+  EXPECT_FALSE(sim::parse_fault_plan("none").any());
 
-  const auto uniform = sim::parse_fault_plan("0.01");
-  ASSERT_TRUE(uniform.has_value());
-  EXPECT_DOUBLE_EQ(uniform->rr_garble, 0.01);
-  EXPECT_DOUBLE_EQ(uniform->storm, 0.01);
-  EXPECT_EQ(*uniform, sim::FaultParams::uniform(0.01));
-  EXPECT_EQ(*sim::parse_fault_plan("uniform:0.01"), *uniform);
+  const sim::FaultParams uniform = sim::parse_fault_plan("0.01");
+  EXPECT_DOUBLE_EQ(uniform.rr_garble, 0.01);
+  EXPECT_DOUBLE_EQ(uniform.storm, 0.01);
+  EXPECT_EQ(uniform, sim::FaultParams::uniform(0.01));
+  EXPECT_EQ(sim::parse_fault_plan("uniform:0.01"), uniform);
 
-  const auto knobs =
+  const sim::FaultParams knobs =
       sim::parse_fault_plan("rr_garble=0.1,storm=0.05,seed=7");
-  ASSERT_TRUE(knobs.has_value());
-  EXPECT_DOUBLE_EQ(knobs->rr_garble, 0.1);
-  EXPECT_DOUBLE_EQ(knobs->storm, 0.05);
-  EXPECT_EQ(knobs->seed, 7u);
-  EXPECT_DOUBLE_EQ(knobs->rr_truncate, 0.0);
+  EXPECT_DOUBLE_EQ(knobs.rr_garble, 0.1);
+  EXPECT_DOUBLE_EQ(knobs.storm, 0.05);
+  EXPECT_EQ(knobs.seed, 7u);
+  EXPECT_DOUBLE_EQ(knobs.rr_truncate, 0.0);
+
+  const sim::FaultParams durations =
+      sim::parse_fault_plan("storm_period_s=2,reorder_delay_s=0.125");
+  EXPECT_DOUBLE_EQ(durations.storm_period_s, 2.0);
+  EXPECT_DOUBLE_EQ(durations.reorder_delay_s, 0.125);
 }
 
 TEST(FaultPlanParse, RejectsGarbage) {
-  EXPECT_FALSE(sim::parse_fault_plan("1.5").has_value());
-  EXPECT_FALSE(sim::parse_fault_plan("-0.1").has_value());
-  EXPECT_FALSE(sim::parse_fault_plan("bogus_knob=0.1").has_value());
-  EXPECT_FALSE(sim::parse_fault_plan("rr_garble=abc").has_value());
-  EXPECT_FALSE(sim::parse_fault_plan("rr_garble").has_value());
-  EXPECT_FALSE(sim::parse_fault_plan("uniform:x").has_value());
+  for (const char* spec :
+       {"1.5", "-0.1", "bogus_knob=0.1", "rr_garble=abc", "rr_garble",
+        "uniform:x",
+        // NaN fails no `rate < 0 || rate > 1` test, so it must be caught
+        // as non-finite.
+        "nan", "uniform:nan", "inf",
+        // Per-knob rates are range-checked like the uniform rate.
+        "rr_garble=1.5", "storm=7", "rr_garble=-0.5", "rr_truncate=nan",
+        // Durations must be finite and above zero: a negative reorder
+        // delay would deliver a reordered reply early.
+        "reorder_delay_s=-1", "reorder_delay_s=0", "storm_period_s=0",
+        "storm_period_s=nan", "storm_period_s=inf",
+        // Seeds are unsigned.
+        "seed=-1", "seed=x"}) {
+    SCOPED_TRACE(spec);
+    try {
+      (void)sim::parse_fault_plan(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string_view{e.what()}.substr(0, 14), "--fault-plan: ")
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultPlanParse, InertPlanNeverFires) {

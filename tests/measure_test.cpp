@@ -163,10 +163,9 @@ TEST_F(MeasureTest, MidarRecoversRealAliasesWithoutInventingWrongOnes) {
   int router_sets = 0;
   for (topo::RouterId id = 0; id < topology.routers().size() &&
                               router_sets < 12; ++id) {
-    const auto& router = topology.router_at(id);
-    if (router.interfaces.size() < 3) continue;
-    candidates.insert(candidates.end(), router.interfaces.begin(),
-                      router.interfaces.end());
+    const auto interfaces = topology.router_interfaces(id);
+    if (interfaces.size() < 3) continue;
+    candidates.insert(candidates.end(), interfaces.begin(), interfaces.end());
     ++router_sets;
   }
   ASSERT_GT(router_sets, 3);
@@ -394,10 +393,9 @@ TEST_F(MeasureTest, MidarUnderFaultsLosesPairsButNeverInventsThem) {
   int router_sets = 0;
   for (topo::RouterId id = 0; id < topology.routers().size() &&
                               router_sets < 12; ++id) {
-    const auto& router = topology.router_at(id);
-    if (router.interfaces.size() < 3) continue;
-    candidates.insert(candidates.end(), router.interfaces.begin(),
-                      router.interfaces.end());
+    const auto interfaces = topology.router_interfaces(id);
+    if (interfaces.size() < 3) continue;
+    candidates.insert(candidates.end(), interfaces.begin(), interfaces.end());
     ++router_sets;
   }
   ASSERT_GT(router_sets, 3);
@@ -468,8 +466,8 @@ TEST_F(MeasureTest, AliasRecoveryUnderFaultsOnlyFindsTrueAliasStampers) {
     EXPECT_FALSE(campaign_->rr_reachable(d));
     // Ground truth: only hosts that really own alias addresses can be
     // recovered through the alias path.
-    const auto& host = topology.host_at(campaign_->destinations()[d]);
-    EXPECT_FALSE(host.aliases.empty())
+    EXPECT_FALSE(
+        topology.host_aliases(campaign_->destinations()[d]).empty())
         << "dest " << d << " recovered via alias but owns no aliases";
   }
   for (std::size_t d : result.via_quoted) {

@@ -1,5 +1,5 @@
-// Unit tests for the netbase layer: addresses, prefixes, the LPM trie,
-// the Internet checksum, and the bounds-checked byte reader/writer.
+// Unit tests for the netbase layer: addresses, prefixes, the Internet
+// checksum, and the bounds-checked byte reader/writer.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -7,7 +7,6 @@
 #include "netbase/address.h"
 #include "netbase/byte_io.h"
 #include "netbase/checksum.h"
-#include "netbase/lpm_trie.h"
 #include "netbase/prefix.h"
 #include "util/rng.h"
 
@@ -92,100 +91,6 @@ TEST(Prefix, ParseRejectsBadInput) {
 TEST(Prefix, Slash24OfAddress) {
   EXPECT_EQ(Prefix::slash24_of(IPv4Address(203, 0, 113, 99)).to_string(),
             "203.0.113.0/24");
-}
-
-// ---------------------------------------------------------------- LpmTrie
-
-TEST(LpmTrie, LongestMatchWins) {
-  LpmTrie<int> trie;
-  trie.insert(*Prefix::parse("10.0.0.0/8"), 8);
-  trie.insert(*Prefix::parse("10.1.0.0/16"), 16);
-  trie.insert(*Prefix::parse("10.1.2.0/24"), 24);
-
-  EXPECT_EQ(*trie.lookup(IPv4Address(10, 1, 2, 3)), 24);
-  EXPECT_EQ(*trie.lookup(IPv4Address(10, 1, 9, 9)), 16);
-  EXPECT_EQ(*trie.lookup(IPv4Address(10, 200, 0, 1)), 8);
-  EXPECT_EQ(trie.lookup(IPv4Address(11, 0, 0, 1)), nullptr);
-}
-
-TEST(LpmTrie, DefaultRouteMatchesEverything) {
-  LpmTrie<int> trie;
-  trie.insert(Prefix{IPv4Address{}, 0}, 77);
-  EXPECT_EQ(*trie.lookup(IPv4Address(1, 2, 3, 4)), 77);
-  EXPECT_EQ(*trie.lookup(IPv4Address(255, 255, 255, 255)), 77);
-}
-
-TEST(LpmTrie, ExactAndErase) {
-  LpmTrie<int> trie;
-  trie.insert(*Prefix::parse("172.16.0.0/12"), 1);
-  EXPECT_NE(trie.exact(*Prefix::parse("172.16.0.0/12")), nullptr);
-  EXPECT_EQ(trie.exact(*Prefix::parse("172.16.0.0/16")), nullptr);
-  EXPECT_TRUE(trie.erase(*Prefix::parse("172.16.0.0/12")));
-  EXPECT_FALSE(trie.erase(*Prefix::parse("172.16.0.0/12")));
-  EXPECT_TRUE(trie.empty());
-}
-
-TEST(LpmTrie, InsertReplacesValue) {
-  LpmTrie<int> trie;
-  trie.insert(*Prefix::parse("10.0.0.0/8"), 1);
-  trie.insert(*Prefix::parse("10.0.0.0/8"), 2);
-  EXPECT_EQ(trie.size(), 1u);
-  EXPECT_EQ(*trie.lookup(IPv4Address(10, 0, 0, 1)), 2);
-}
-
-TEST(LpmTrie, ForEachVisitsInsertedPrefixes) {
-  LpmTrie<int> trie;
-  trie.insert(*Prefix::parse("10.0.0.0/8"), 1);
-  trie.insert(*Prefix::parse("192.168.1.0/24"), 2);
-  int visited = 0;
-  trie.for_each([&](const Prefix& p, int v) {
-    ++visited;
-    if (v == 1) {
-      EXPECT_EQ(p.to_string(), "10.0.0.0/8");
-    }
-    if (v == 2) {
-      EXPECT_EQ(p.to_string(), "192.168.1.0/24");
-    }
-  });
-  EXPECT_EQ(visited, 2);
-}
-
-TEST(LpmTrie, RandomizedAgainstLinearScan) {
-  util::Rng rng{42};
-  LpmTrie<std::uint32_t> trie;
-  std::vector<Prefix> prefixes;
-  for (int i = 0; i < 300; ++i) {
-    const auto base = static_cast<std::uint32_t>(rng());
-    const auto len = static_cast<std::uint8_t>(rng.next_in(4, 28));
-    const Prefix p{IPv4Address{base}, len};
-    trie.insert(p, static_cast<std::uint32_t>(i));
-    prefixes.push_back(p);
-  }
-  for (int trial = 0; trial < 2000; ++trial) {
-    const IPv4Address addr{static_cast<std::uint32_t>(rng())};
-    // Linear reference: the longest containing prefix inserted last wins
-    // only if same length; trie replaces equal prefixes, so compare by
-    // (length, last-inserted).
-    int best = -1;
-    int best_len = -1;
-    for (int i = 0; i < static_cast<int>(prefixes.size()); ++i) {
-      const auto& p = prefixes[static_cast<std::size_t>(i)];
-      if (!p.contains(addr)) continue;
-      if (p.length() > best_len ||
-          (p.length() == best_len && i > best)) {
-        best = i;
-        best_len = p.length();
-      }
-    }
-    const auto* found = trie.lookup(addr);
-    if (best == -1) {
-      EXPECT_EQ(found, nullptr);
-    } else {
-      ASSERT_NE(found, nullptr);
-      EXPECT_EQ(prefixes[*found].length(), best_len);
-      EXPECT_TRUE(prefixes[*found].contains(addr));
-    }
-  }
 }
 
 // --------------------------------------------------------------- checksum

@@ -127,7 +127,7 @@ std::vector<probe::ProbeSpec> probe_mix(const topo::Topology& topology) {
     const net::IPv4Address host =
         topology.host_at(dests[(i * 37) % dests.size()]).address;
     const net::IPv4Address iface =
-        routers[(i * 53) % routers.size()].interfaces.front();
+        routers[(i * 53) % routers.size()].loopback;
     const auto short_ttl = static_cast<std::uint8_t>(2 + i % 5);
     switch (i % 8) {
       case 0: mix.push_back(probe::ProbeSpec::ping_rr(host)); break;

@@ -181,7 +181,7 @@ TEST(FailureInjection, AliasStampersNeverRecordTheProbedAddress) {
       EXPECT_EQ(std::find(r.rr_recorded.begin(), r.rr_recorded.end(),
                           target),
                 r.rr_recorded.end());
-      const auto& aliases = topology.host_at(dest).aliases;
+      const auto aliases = topology.host_aliases(dest);
       const bool alias_present = std::any_of(
           aliases.begin(), aliases.end(), [&](const auto& alias) {
             return std::find(r.rr_recorded.begin(), r.rr_recorded.end(),

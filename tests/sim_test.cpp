@@ -399,7 +399,7 @@ TEST_F(SimTest, ReusedContextGetsEachNetworksOwnPath) {
                                     << (send.to_host ? "host" : "router"));
     const net::IPv4Address target =
         send.to_host ? topo_->host_at(dst).address
-                     : topo_->router_at(router).interfaces.back();
+                     : topo_->router_interfaces(router).back();
     pkt::build_ping(bytes, topo_->host_at(src).address, target, 100, 1, 64,
                     0);
     (void)send.net->send_reusing(src, bytes, time, ctx);

@@ -46,9 +46,9 @@ TEST_P(GeneratedWorld, ProviderGraphIsAcyclic) {
 
 TEST_P(GeneratedWorld, EveryRouterHasItsLoopbackFirst) {
   for (RouterId id = 0; id < topo_->routers().size(); ++id) {
-    const auto& router = topo_->router_at(id);
-    ASSERT_FALSE(router.interfaces.empty());
-    EXPECT_EQ(router.interfaces.front(), router.loopback);
+    const auto interfaces = topo_->router_interfaces(id);
+    ASSERT_FALSE(interfaces.empty());
+    EXPECT_EQ(interfaces.front(), topo_->router_at(id).loopback);
   }
 }
 
@@ -56,7 +56,7 @@ TEST_P(GeneratedWorld, HostAddressesLiveInTheirPrefix) {
   for (const HostId id : topo_->destinations()) {
     const auto& host = topo_->host_at(id);
     EXPECT_TRUE(host.prefix.contains(host.address));
-    for (const auto& alias : host.aliases) {
+    for (const auto& alias : topo_->host_aliases(id)) {
       EXPECT_TRUE(host.prefix.contains(alias));
     }
   }
@@ -72,7 +72,7 @@ TEST_P(GeneratedWorld, AccessChainsStayInsideTheirAs) {
 }
 
 TEST_P(GeneratedWorld, PrefixBlocksNeverOverlap) {
-  // Every destination /24 and infra chunk maps to exactly one AS via LPM;
+  // Every destination /24 and infra chunk maps to exactly one AS;
   // sampling addresses across blocks must agree with host ownership.
   for (std::size_t i = 0; i < topo_->destinations().size(); i += 11) {
     const auto& host = topo_->host_at(topo_->destinations()[i]);
@@ -168,9 +168,9 @@ std::uint64_t fnv_str(std::uint64_t hash, const std::string& s) {
 }
 
 /// Hashes every observable structure of a generated world, including the
-/// compiled forwarding plane (flat LPM answers, alias arena views, the
-/// address index): if any byte of the generation or freeze depended on the
-/// worker count, some field below would differ.
+/// flat address services (address-to-AS answers, interface and alias
+/// runs, the address index): if any byte of the generation or freeze
+/// depended on the worker count, some field below would differ.
 std::uint64_t world_fingerprint(const Topology& topo) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const auto& as : topo.ases()) {
@@ -187,11 +187,14 @@ std::uint64_t world_fingerprint(const Topology& topo) {
     h = fnv(h, as.infra_prefix.base().value());
     h = fnv(h, as.infra_prefix.length());
   }
-  for (const auto& router : topo.routers()) {
+  for (RouterId r = 0; r < topo.routers().size(); ++r) {
+    const Router& router = topo.router_at(r);
     h = fnv(h, router.as_id);
     h = fnv(h, router.loopback.value());
     h = fnv(h, router.is_border);
-    for (const auto addr : router.interfaces) h = fnv(h, addr.value());
+    for (const auto addr : topo.router_interfaces(r)) {
+      h = fnv(h, addr.value());
+    }
     // Compiled services must agree with the structures: device ownership
     // and the ground-truth alias view of the loopback.
     const auto owner = topo.owner_of(router.loopback);
@@ -201,13 +204,14 @@ std::uint64_t world_fingerprint(const Topology& topo) {
       h = fnv(h, addr.value());
     }
   }
-  for (const auto& host : topo.hosts()) {
+  for (HostId id = 0; id < topo.hosts().size(); ++id) {
+    const Host& host = topo.host_at(id);
     h = fnv(h, host.as_id);
     h = fnv(h, host.access_router);
     h = fnv(h, host.address.value());
     h = fnv(h, host.prefix.base().value());
     h = fnv(h, host.prefix.length());
-    for (const auto addr : host.aliases) h = fnv(h, addr.value());
+    for (const auto addr : topo.host_aliases(id)) h = fnv(h, addr.value());
     for (const auto addr : topo.aliases_of(host.address)) {
       h = fnv(h, addr.value());
     }
@@ -272,14 +276,16 @@ TEST(GeneratorThreads, WorldBitIdenticalAcrossThreadCounts) {
   }
 }
 
-/// The stitch-path lookups compile() flattens answer exactly what the
-/// generator recorded, on GeneratorThreads' world at every thread count:
-/// every link is found from both ends, sampled non-adjacent pairs find
-/// nothing, each router's interface run is its interface list, and the
-/// access chains hash to the digest the generator's chain map produced
-/// (pinned when that map still answered access_chain).
+/// The stitch-path lookups answer exactly what the generator recorded, on
+/// GeneratorThreads' world at every thread count: every link is found
+/// from both ends, sampled non-adjacent pairs find nothing, the access
+/// chains hash to the digest the generator's chain map produced (pinned
+/// when that map still answered access_chain), and every router's
+/// interface run and every host's alias run hash to the digest pinned
+/// when each Router and Host still carried its own address vector.
 TEST(Topology, FlatLookupsMatchTheLinkTable) {
   constexpr std::uint64_t kChainDigest = 0xc6bd0d0c97de2f20ULL;
+  constexpr std::uint64_t kRunDigest = 0xbf3dd693c158b07dULL;
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
     TopologyParams params = TopologyParams::test_scale();
@@ -309,17 +315,22 @@ TEST(Topology, FlatLookupsMatchTheLinkTable) {
     EXPECT_GT(non_adjacent, 100);
 
     std::uint64_t chains = 0xcbf29ce484222325ULL;
+    std::uint64_t runs = 0xcbf29ce484222325ULL;
     for (RouterId r = 0; r < topo->routers().size(); ++r) {
       const auto chain = topo->access_chain(r);
       chains = fnv(chains, chain.size());
       for (const RouterId hop : chain) chains = fnv(chains, hop);
-      const auto& interfaces = topo->router_at(r).interfaces;
-      const auto run = topo->router_interfaces(r);
-      EXPECT_TRUE(std::equal(run.begin(), run.end(), interfaces.begin(),
-                             interfaces.end()))
-          << "router " << r;
+      const auto interfaces = topo->router_interfaces(r);
+      runs = fnv(runs, interfaces.size());
+      for (const auto addr : interfaces) runs = fnv(runs, addr.value());
+    }
+    for (HostId h = 0; h < topo->hosts().size(); ++h) {
+      const auto aliases = topo->host_aliases(h);
+      runs = fnv(runs, aliases.size());
+      for (const auto addr : aliases) runs = fnv(runs, addr.value());
     }
     EXPECT_EQ(chains, kChainDigest);
+    EXPECT_EQ(runs, kRunDigest);
   }
 }
 

@@ -103,7 +103,7 @@ TEST_F(TopologyTest, LinkRoutersBelongToTheRightAs) {
 TEST_F(TopologyTest, AllAssignedAddressesAreUniqueAndOwned) {
   std::unordered_set<std::uint32_t> seen;
   for (RouterId id = 0; id < owner_->routers().size(); ++id) {
-    for (const auto& addr : owner_->router_at(id).interfaces) {
+    for (const auto& addr : owner_->router_interfaces(id)) {
       EXPECT_TRUE(seen.insert(addr.value()).second)
           << "duplicate address " << addr.to_string();
       const auto owner = owner_->owner_of(addr);
@@ -115,7 +115,7 @@ TEST_F(TopologyTest, AllAssignedAddressesAreUniqueAndOwned) {
   for (HostId id = 0; id < owner_->hosts().size(); ++id) {
     const auto& host = owner_->host_at(id);
     EXPECT_TRUE(seen.insert(host.address.value()).second);
-    for (const auto& alias : host.aliases) {
+    for (const auto& alias : owner_->host_aliases(id)) {
       EXPECT_TRUE(seen.insert(alias.value()).second);
     }
   }
@@ -134,10 +134,10 @@ TEST_F(TopologyTest, AddressToAsMappingCoversInfraAndHosts) {
 
 TEST_F(TopologyTest, AliasGroundTruthIsSymmetric) {
   for (RouterId id = 0; id < owner_->routers().size(); id += 7) {
-    const auto& router = owner_->router_at(id);
-    if (router.interfaces.size() < 2) continue;
-    const auto set_a = owner_->aliases_of(router.interfaces[0]);
-    const auto set_b = owner_->aliases_of(router.interfaces[1]);
+    const auto interfaces = owner_->router_interfaces(id);
+    if (interfaces.size() < 2) continue;
+    const auto set_a = owner_->aliases_of(interfaces[0]);
+    const auto set_b = owner_->aliases_of(interfaces[1]);
     EXPECT_TRUE(std::equal(set_a.begin(), set_a.end(), set_b.begin(),
                            set_b.end()));
     EXPECT_GE(set_a.size(), 2u);

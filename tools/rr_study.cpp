@@ -83,13 +83,8 @@ int main(int argc, char** argv) try {
   const std::int64_t budget = flags.get_int("mem-budget-mib", 0, 0);
   const std::int64_t stream_block = flags.get_int("stream-block", 0, 0);
   const bool explicit_block = flags.has("stream-block");
-  const std::string fault_spec = flags.get("fault-plan", "none");
-  const auto faults = sim::parse_fault_plan(fault_spec);
-  if (!faults) {
-    std::fprintf(stderr, "error: bad --fault-plan '%s'\n", fault_spec.c_str());
-    return 1;
-  }
-  campaign_config.faults = *faults;
+  campaign_config.faults =
+      sim::parse_fault_plan(flags.get("fault-plan", "none"));
   const std::string out_path = flags.get("out", "study.rrds");
 
   measure::Testbed testbed{config};
@@ -109,11 +104,12 @@ int main(int argc, char** argv) try {
   if (explicit_block) {
     campaign_config.stream_block = static_cast<std::size_t>(stream_block);
   }
-  if (faults->any()) {
-    std::fprintf(stderr, "%s\n", sim::to_string(*faults).c_str());
+  const sim::FaultParams& faults = campaign_config.faults;
+  if (faults.any()) {
+    std::fprintf(stderr, "%s\n", sim::to_string(faults).c_str());
   }
   auto campaign = measure::Campaign::run(testbed, campaign_config);
-  if (faults->any()) {
+  if (faults.any()) {
     const auto& injected = testbed.network().fault_counters();
     std::fprintf(stderr, "injected faults: %llu total\n",
                  static_cast<unsigned long long>(injected.total()));
@@ -152,7 +148,8 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const std::invalid_argument& e) {
-  // A malformed or out-of-range flag (util::Flags) or RROPT_THREADS.
+  // A malformed or out-of-range flag (util::Flags, sim::parse_fault_plan)
+  // or RROPT_THREADS.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }
