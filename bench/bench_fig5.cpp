@@ -14,9 +14,8 @@ using namespace rr;
 int main() {
   bench::heading("Figure 5: response rate vs initial TTL (§4.2)");
   bench::Telemetry telemetry{"fig5"};
-  telemetry.phase("world");
-  auto config = bench::bench_config();
-  measure::Testbed testbed{config};
+  measure::Testbed testbed =
+      bench::build_world(telemetry, bench::bench_config());
   bench::record_world(telemetry, testbed);
   telemetry.phase("campaign");
   const auto campaign = measure::Campaign::run(testbed);

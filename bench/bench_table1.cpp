@@ -42,14 +42,15 @@ void print_side(const char* label,
 int main() {
   bench::heading("Table 1: ping vs ping-RR response rates");
   bench::Telemetry telemetry{"table1"};
-  telemetry.phase("world");
-  auto config = bench::bench_config();
-  measure::Testbed testbed{config};
+  measure::Testbed testbed =
+      bench::build_world(telemetry, bench::bench_config());
   bench::record_world(telemetry, testbed);
   telemetry.phase("campaign");
   const auto campaign = measure::Campaign::run(testbed);
   telemetry.phase("analysis");
   telemetry.value("destinations", campaign.num_destinations());
+  bench::record_layer_memory(telemetry, testbed);
+  telemetry.value("campaign_mib", bench::mib(campaign.memory_bytes()));
   const auto& phases = campaign.phase_stats();
   telemetry.value("campaign_pass_a_s", phases.pass_a_seconds);
   telemetry.value("campaign_pass_b_s", phases.pass_b_seconds);

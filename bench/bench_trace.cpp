@@ -20,9 +20,8 @@ using namespace rr;
 int main() {
   bench::heading("trace census: Doubletree stop-set probing cost");
   bench::Telemetry telemetry{"trace"};
-  telemetry.phase("world");
-  auto config = bench::bench_config();
-  measure::Testbed testbed{config};
+  measure::Testbed testbed =
+      bench::build_world(telemetry, bench::bench_config());
   bench::record_world(telemetry, testbed);
   std::printf("world: %s\n", testbed.topology().summary().c_str());
 
@@ -98,6 +97,8 @@ int main() {
   telemetry.value("stopset_local_keys", on.local_keys);
   telemetry.value("stopset_global_keys", on.global_keys);
   telemetry.value("stopset_overflows", on.stopset_overflows);
+  bench::record_layer_memory(telemetry, testbed);
+  telemetry.value("stopset_mib", bench::mib(on.stopset_bytes));
   telemetry.value("trace_interfaces", on.interfaces);
   telemetry.value("trace_links", on.links);
   telemetry.value("interface_coverage", iface_coverage);

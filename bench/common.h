@@ -17,6 +17,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -78,6 +80,42 @@ inline measure::TestbedConfig bench_config(
   config.topo_params = scaled_topo_params();
   config.epoch = epoch;
   return config;
+}
+
+/// Builds the bench's testbed three times, records the median build time
+/// as the "world" phase and returns the last build. A quick world builds
+/// in a few tens of milliseconds, too short for one sample to hold the
+/// regression gate's 25% band. Each build is released before the next,
+/// so the peak resident set is one world's.
+inline measure::Testbed build_world(Telemetry& telemetry,
+                                    const measure::TestbedConfig& config) {
+  using Clock = std::chrono::steady_clock;
+  std::array<double, 3> seconds{};
+  std::optional<measure::Testbed> testbed;
+  for (double& s : seconds) {
+    testbed.reset();
+    const auto start = Clock::now();
+    testbed.emplace(config);
+    s = std::chrono::duration<double>(Clock::now() - start).count();
+  }
+  std::sort(seconds.begin(), seconds.end());
+  telemetry.phase_seconds("world", seconds[1]);
+  return std::move(*testbed);
+}
+
+inline double mib(std::size_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
+/// Records what each layer of the testbed holds, in MiB (the layers'
+/// memory_bytes()), beside the process's peak resident set.
+inline void record_layer_memory(Telemetry& telemetry,
+                                const measure::Testbed& testbed) {
+  telemetry.value("topology_mib", mib(testbed.topology().memory_bytes()));
+  telemetry.value("behaviors_mib", mib(testbed.behaviors().memory_bytes()));
+  telemetry.value("oracle_mib", mib(testbed.oracle().memory_bytes()));
+  telemetry.value("network_mib", mib(testbed.network().memory_bytes()));
+  telemetry.value("testbed_mib", mib(testbed.memory_bytes()));
 }
 
 /// Records the knobs every bench shares: topology scale and the resolved

@@ -65,6 +65,13 @@ class Telemetry {
     phase_start_ = Clock::now();
   }
 
+  /// Closes the current phase (if any) and records a phase whose time
+  /// the caller measured.
+  void phase_seconds(std::string phase_name, double seconds) {
+    close_phase();
+    phases_.emplace_back(std::move(phase_name), seconds);
+  }
+
   void value(const std::string& key, double v) {
     values_.emplace_back(key, format_double(v));
   }

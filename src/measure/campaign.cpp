@@ -343,6 +343,16 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
   return campaign;
 }
 
+std::size_t Campaign::memory_bytes() const noexcept {
+  std::size_t bytes = observations_.capacity() * sizeof(RrObservation) +
+                      recorded_union_.capacity() *
+                          sizeof(std::vector<net::IPv4Address>);
+  for (const auto& sightings : recorded_union_) {
+    bytes += sightings.capacity() * sizeof(net::IPv4Address);
+  }
+  return bytes;
+}
+
 void Campaign::finalize_derived() {
   const std::size_t n_dests = dests_.size();
   rr_responsive_bits_.assign(n_dests, 0);

@@ -221,6 +221,11 @@ class Campaign {
     return phase_stats_;
   }
 
+  /// Bytes held by the observation matrix and the recorded unions, the
+  /// campaign's two per-(VP or address, destination) tables; the
+  /// per-destination summaries are a few bytes per destination more.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
   /// Surrenders the raw observation matrix (row-major [vp][destination] —
   /// the exact layout data::CampaignDataset stores). At census scale the
   /// matrix is ~300 MB; freezing a campaign into a dataset moves it

@@ -116,6 +116,10 @@ class StopSet {
   [[nodiscard]] std::size_t capacity() const noexcept {
     return kStripes * stripe_capacity_;
   }
+  /// Bytes held: every slot plus the per-stripe counters.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return capacity() * sizeof(std::uint64_t) + kStripes * sizeof(Stripe);
+  }
   /// Inserts rejected because a stripe was at its load limit.
   [[nodiscard]] std::uint64_t overflows() const noexcept;
 

@@ -23,11 +23,14 @@ Testbed::Testbed(std::shared_ptr<const topo::Topology> topology,
 void Testbed::init() {
   vps_ = topology_->vantage_points_in(config_.epoch);  // view, not a copy
 
-  // Probe sources: every VP of either epoch (so both epochs share one
-  // oracle shape), the plain-ping probe host, and the cloud probe hosts.
+  // Probe sources: this epoch's VPs, the plain-ping probe host and the
+  // cloud probe hosts, the only hosts a study on this testbed sends from.
+  // Each source costs the oracle a pinned tree and a path per destination,
+  // so the other epoch's VPs are left out; a query from one still gets
+  // the same path, from a tree computed on demand.
   std::vector<topo::AsId> sources;
-  for (const auto& vp : topology_->vantage_points()) {
-    sources.push_back(topology_->host_at(vp.host).as_id);
+  for (const auto* vp : vps_) {
+    sources.push_back(topology_->host_at(vp->host).as_id);
   }
   if (topology_->probe_host() != topo::kNoHost) {
     sources.push_back(topology_->host_at(topology_->probe_host()).as_id);

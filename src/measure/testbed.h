@@ -4,7 +4,9 @@
 // for one epoch, and a Network — everything a study phase needs to create
 // probers and send packets. Construct one per epoch; topology and
 // behaviours can be shared between epochs so Figure 2 compares the same
-// world under different connectivity.
+// world under different connectivity. The oracle precomputes paths from
+// the hosts this epoch's studies send from (its VPs, the probe host and
+// the cloud probe hosts) and answers any other source on demand.
 #pragma once
 
 #include <memory>
@@ -55,6 +57,12 @@ class Testbed {
     return *behaviors_;
   }
   [[nodiscard]] sim::Network& network() noexcept { return *network_; }
+  [[nodiscard]] const sim::Network& network() const noexcept {
+    return *network_;
+  }
+  [[nodiscard]] const route::RoutingOracle& oracle() const noexcept {
+    return *oracle_;
+  }
   [[nodiscard]] topo::Epoch epoch() const noexcept { return config_.epoch; }
   [[nodiscard]] int threads() const noexcept { return config_.threads; }
 
@@ -63,6 +71,13 @@ class Testbed {
   [[nodiscard]] std::span<const topo::VantagePoint* const> vps()
       const noexcept {
     return vps_;
+  }
+
+  /// Bytes held by the topology, the behaviour tables, the routing oracle
+  /// and the network; the first two may be shared with another testbed.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return topology_->memory_bytes() + behaviors_->memory_bytes() +
+           oracle_->memory_bytes() + network_->memory_bytes();
   }
 
   /// Creates a prober bound to a VP host.

@@ -5,7 +5,6 @@
 #include <memory>
 #include <numeric>
 #include <span>
-#include <unordered_set>
 
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -20,6 +19,35 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
                                      std::uint64_t word) noexcept {
   return (h ^ word) * kFnvPrime;
 }
+
+/// One VP's discovered keys, appended as traces find them to a flat run
+/// (no heap node per key). Each time the run reaches twice its last
+/// distinct size plus kSlack it is sorted and deduplicated in place, and
+/// its capacity is set to the next such threshold, so it holds at most
+/// about twice its distinct keys and grows without doubling past that.
+/// The slack spares small runs any compaction at all.
+template <typename T>
+struct DiscoveryRun {
+  static constexpr std::size_t kSlack = 1024;
+
+  std::vector<T> keys;
+  std::size_t distinct = 0;  // keys.size() after the last compaction
+
+  void add(T key) {
+    if (keys.size() >= 2 * distinct + kSlack) {
+      compact();
+      keys.reserve(2 * distinct + kSlack);
+    }
+    keys.push_back(key);
+  }
+  /// Sorts and deduplicates the run: afterwards it is the sorted set of
+  /// every key added so far.
+  void compact() {
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    distinct = keys.size();
+  }
+};
 
 /// One VP's census state — prober (persistent clock), gate over its own
 /// local set, deferred global discoveries, the trace result every trace
@@ -38,8 +66,8 @@ struct PerVp {
   std::uint64_t probes_sent = 0;
   std::uint64_t probes_saved = 0;
   std::uint64_t schedule_hash = kFnvOffset;
-  std::unordered_set<std::uint32_t> ifaces;
-  std::unordered_set<std::uint64_t> links;
+  DiscoveryRun<std::uint32_t> ifaces;
+  DiscoveryRun<std::uint64_t> links;
 };
 
 void harvest(PerVp& p, const probe::TracerouteResult& trace) {
@@ -73,10 +101,9 @@ void harvest(PerVp& p, const probe::TracerouteResult& trace) {
                          << 16));
     if (hop.responded && hop.kind == probe::ResponseKind::kTtlExceeded) {
       const std::uint32_t iface = hop.address.value();
-      p.ifaces.insert(iface);
+      p.ifaces.add(iface);
       if (prev_iface != 0 && prev_ttl + 1 == hop.ttl) {
-        p.links.insert((static_cast<std::uint64_t>(prev_iface) << 32) |
-                       iface);
+        p.links.add((static_cast<std::uint64_t>(prev_iface) << 32) | iface);
       }
       prev_iface = iface;
       prev_ttl = hop.ttl;
@@ -202,18 +229,16 @@ TraceCensusResult run_trace_census(Testbed& testbed,
     }
   }
 
-  // Each VP's discoveries, sorted on the pool; the per-VP hash sets are
-  // released there too.
+  // Each VP's discoveries, compacted on the pool into sorted sets and
+  // moved out as they are.
   std::vector<std::vector<std::uint32_t>> iface_runs(n_vps);
   std::vector<std::vector<std::uint64_t>> link_runs(n_vps);
   pool.parallel_for(n_vps, [&](std::size_t v) {
     PerVp& p = *per_vp[v];
-    iface_runs[v].assign(p.ifaces.begin(), p.ifaces.end());
-    std::sort(iface_runs[v].begin(), iface_runs[v].end());
-    link_runs[v].assign(p.links.begin(), p.links.end());
-    std::sort(link_runs[v].begin(), link_runs[v].end());
-    p.ifaces = {};
-    p.links = {};
+    p.ifaces.compact();
+    iface_runs[v] = std::move(p.ifaces.keys);
+    p.links.compact();
+    link_runs[v] = std::move(p.links.keys);
   });
 
   TraceCensusResult result;
@@ -230,6 +255,7 @@ TraceCensusResult run_trace_census(Testbed& testbed,
       result.stats.merge(p.gate->stats());
       result.local_keys += p.local->size();
       result.stopset_overflows += p.local->overflows();
+      result.stopset_bytes += p.local->memory_bytes();
     }
   }
   result.stats.probes_sent = result.probes_sent;
@@ -237,6 +263,7 @@ TraceCensusResult run_trace_census(Testbed& testbed,
   if (config.use_stop_sets) {
     result.global_keys = global.size();
     result.stopset_overflows += global.overflows();
+    result.stopset_bytes += global.memory_bytes();
   }
 
   const auto iface_sorted = sorted_union(std::move(iface_runs), pool);

@@ -12,9 +12,11 @@
 // per stripe of the global set (StopSet::commit). A VP's probe stream is
 // therefore a pure function of (seed, stop-set contents at round
 // boundaries), never of thread timing, and the census asserts that
-// by folding every VP's schedule into schedule_hash. At the end, each
-// VP's interface and link sets are sorted on the pool and merged pairwise
-// into the census-wide sets. Every trace takes probe::TraceOptions'
+// by folding every VP's schedule into schedule_hash. Each VP keeps its
+// discovered interfaces and links in flat runs, sorted and deduplicated
+// in place whenever a run doubles past its distinct keys; at the end the
+// runs are compacted on the pool and merged pairwise into the
+// census-wide sets. Every trace takes probe::TraceOptions'
 // defaults (TTLs up to 30, two attempts per silent TTL), and with stop
 // sets on it starts at DoubletreeGate::kFirstHop.
 #pragma once
@@ -65,6 +67,8 @@ struct TraceCensusResult {
   std::uint64_t local_keys = 0;   // summed across VPs
   std::uint64_t global_keys = 0;
   std::uint64_t stopset_overflows = 0;
+  /// Bytes the local and global stop sets held (0 with stop sets off).
+  std::uint64_t stopset_bytes = 0;
 };
 
 /// Runs the census on `testbed` (serial phase: no concurrent sends may be

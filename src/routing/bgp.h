@@ -147,6 +147,12 @@ class BgpEngine {
     return peers_.neighbors(as);
   }
 
+  /// Bytes held by the three adjacency tables.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return customers_.memory_bytes() + providers_.memory_bytes() +
+           peers_.memory_bytes();
+  }
+
  private:
   /// One relation's adjacency in compressed sparse row form.
   struct Csr {
@@ -156,6 +162,10 @@ class BgpEngine {
     [[nodiscard]] std::span<const AsId> neighbors(AsId as) const noexcept {
       return {flat.data() + offsets[as],
               flat.data() + offsets[static_cast<std::size_t>(as) + 1]};
+    }
+    [[nodiscard]] std::size_t memory_bytes() const noexcept {
+      return offsets.capacity() * sizeof(std::uint32_t) +
+             flat.capacity() * sizeof(AsId);
     }
   };
 

@@ -157,7 +157,7 @@ std::size_t RoutingOracle::arena_bytes() const noexcept {
 }
 
 std::size_t RoutingOracle::memory_bytes() const noexcept {
-  std::size_t bytes = arena_bytes() +
+  std::size_t bytes = engine_.memory_bytes() + arena_bytes() +
                       arenas_.capacity() * sizeof(arenas_.front()) +
                       (forward_offsets_.capacity() + source_slot_.capacity()) *
                           sizeof(std::uint32_t) +

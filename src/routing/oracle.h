@@ -68,8 +68,9 @@ class RoutingOracle {
   /// True if `src` can reach `dst` at all under policy routing.
   [[nodiscard]] bool reachable(AsId src, AsId dst) const;
 
-  /// Bytes held by the precomputed state: path arenas, offset and slot
-  /// tables, pinned trees and the stub table.
+  /// Bytes the oracle holds: the engine's adjacency tables and the
+  /// precomputed state (path arenas, offset and slot tables, pinned trees
+  /// and the stub table).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
   /// The path arenas' share of memory_bytes().
   [[nodiscard]] std::size_t arena_bytes() const noexcept;

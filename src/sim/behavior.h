@@ -170,6 +170,16 @@ class Behaviors {
     return *topology_;
   }
 
+  /// Bytes held by the per-device and per-AS behaviour tables.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return hosts_.capacity() * sizeof(HostBehavior) +
+           routers_.capacity() * sizeof(RouterBehavior) +
+           ases_.capacity() * sizeof(AsBehavior) +
+           (router_ipid_velocity_.capacity() +
+            host_ipid_velocity_.capacity()) * sizeof(double) +
+           strict_vps_.capacity() * sizeof(std::size_t);
+  }
+
  private:
   std::shared_ptr<const topo::Topology> topology_;
   BehaviorParams params_;

@@ -90,6 +90,15 @@ void Network::reset() {
   fault_counters_.reset();
 }
 
+std::size_t Network::memory_bytes() const {
+  serial_gate_.assert_held();
+  return buckets_.capacity() * sizeof(TokenBucket) +
+         pipeline_.memory_bytes() +
+         (router_ipid_count_.capacity() + host_ipid_count_.capacity()) *
+             sizeof(std::atomic<std::uint32_t>) +
+         (fib_ != nullptr ? fib_->memory_bytes() : 0);
+}
+
 void Network::merge_counters(const NetCounters& tally) {
   util::SerialGateLock gate(serial_gate_);
   counters_.merge(tally);

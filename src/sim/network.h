@@ -268,6 +268,11 @@ class Network {
     return pipeline_;
   }
 
+  /// Bytes the network holds: per router a token bucket, a HopRow and an
+  /// IP-ID counter, per host an IP-ID counter, and the installed compiled
+  /// forwarding table, if any. Read between phases, like counters().
+  [[nodiscard]] std::size_t memory_bytes() const;
+
  private:
   /// What a send resolves before its forward walk.
   struct StagedSend {

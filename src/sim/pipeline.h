@@ -228,6 +228,10 @@ class CompiledPipeline {
     return rows_[id];
   }
   [[nodiscard]] std::span<const HopRow> rows() const noexcept { return rows_; }
+  /// Bytes held by the HopRow table (the run lists are inline).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return rows_.capacity() * sizeof(HopRow);
+  }
 
   /// Base of the 32-entry run-list bank for one packet class; index with
   /// the HopRow flags byte. Hoisting the bank selection out of the walk

@@ -795,7 +795,9 @@ void Generator::place_vantage_points(Topology& topo, BuildPlan& plan,
     host.as = as;
     host.access = access;
     host.address = alloc.infra_addr(topo, as);
-    host.prefix = topo.ases_[as].infra_prefix;
+    // The /24 block the address came from: once an AS has rolled over to
+    // a later infrastructure block, that is not its first one.
+    host.prefix = net::Prefix{host.address, 24};
     host.alias_begin = static_cast<std::uint32_t>(plan.alias_arena.size());
     const HostId host_id = static_cast<HostId>(plan.hosts.size());
     plan.hosts.push_back(host);

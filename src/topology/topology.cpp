@@ -105,6 +105,25 @@ std::optional<HostId> Topology::host_by_address(
   return owner->id;
 }
 
+std::size_t Topology::memory_bytes() const noexcept {
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(v.front());
+  };
+  std::size_t total =
+      bytes(ases_) + bytes(routers_) + bytes(hosts_) + bytes(links_) +
+      bytes(vantage_points_) + bytes(clouds_) + bytes(destinations_) +
+      bytes(block_as_) + address_index_.memory_bytes() +
+      bytes(iface_offset_) + bytes(iface_arena_) + bytes(alias_offset_) +
+      bytes(alias_arena_) + bytes(vps_2011_) + bytes(vps_2016_) +
+      bytes(router_as_) + bytes(link_slots_) + bytes(chain_offset_) +
+      bytes(chain_arena_);
+  for (const auto& as : ases_) {
+    total += bytes(as.links) + bytes(as.routers) + bytes(as.core) +
+             bytes(as.hosts);
+  }
+  return total;
+}
+
 std::string Topology::summary() const {
   std::size_t peering = 0;
   std::size_t links2011 = 0;

@@ -152,6 +152,11 @@ class Topology {
   // ------------------------------------------------------------ statistics
   [[nodiscard]] std::string summary() const;
 
+  /// Bytes the topology holds: its entity tables (with each AS's lists),
+  /// the address plan, the address index and the flat runs and tables
+  /// compile() lays out. Site names fit their strings' inline buffers.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
  private:
   friend class Generator;
 

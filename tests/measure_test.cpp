@@ -479,5 +479,13 @@ TEST_F(MeasureTest, AliasRecoveryUnderFaultsOnlyFindsTrueAliasStampers) {
   EXPECT_GT(testbed_->network().fault_counters().total(), before);
 }
 
+TEST(TestbedFootprint, DefaultScaleOracleHoldsOnlyItsEpochsSources) {
+  // The default-scale 2016 world: 141 VPs, the probe host and three cloud
+  // probe hosts are the oracle's sources. With every VP of both epochs as
+  // a source (404 hosts), the same oracle held 54.9 MiB.
+  const Testbed testbed{TestbedConfig{}};
+  EXPECT_LE(testbed.oracle().memory_bytes(), std::size_t{21} << 20);
+}
+
 }  // namespace
 }  // namespace rr::measure

@@ -290,10 +290,26 @@ TEST_F(RoutingTest, OracleArenasHoldNoSlack) {
     }
   }
   EXPECT_EQ(oracle.arena_bytes(), words * sizeof(AsId));
-  // The pinned trees alone hold one RouteEntry per AS per source.
+  // The pinned trees alone hold one RouteEntry per AS per source; the
+  // engine's adjacency is counted too.
   EXPECT_GT(oracle.memory_bytes(),
-            oracle.arena_bytes() +
+            oracle.engine().memory_bytes() + oracle.arena_bytes() +
                 sources.size() * topo_->ases().size() * sizeof(RouteEntry));
+}
+
+TEST_F(RoutingTest, EngineMemoryIsItsAdjacencyTables) {
+  // Three relations, each an offset per AS plus one and an id per
+  // neighbour entry.
+  const std::size_t n = topo_->ases().size();
+  std::size_t entries = 0;
+  for (AsId as = 0; as < n; ++as) {
+    entries += engine_->customers_of(as).size() +
+               engine_->providers_of(as).size() +
+               engine_->peers_of(as).size();
+  }
+  ASSERT_GT(entries, 0u);
+  EXPECT_EQ(engine_->memory_bytes(),
+            3 * (n + 1) * sizeof(std::uint32_t) + entries * sizeof(AsId));
 }
 
 /// Golden pins for the route trees: one FNV-1a digest per (world seed,

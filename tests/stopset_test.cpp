@@ -158,6 +158,18 @@ TEST(StopSet, SaturationRejectsWithoutFalsePositives) {
   }
 }
 
+TEST(StopSet, MemoryIsItsSlotsAndStripeCounters) {
+  // One 64-bit word per slot, plus a size and an overflow count per
+  // stripe.
+  for (const std::size_t expected : {0u, 4160u, 100000u}) {
+    const StopSet set(expected);
+    EXPECT_EQ(set.memory_bytes(),
+              set.capacity() * sizeof(std::uint64_t) +
+                  StopSet::kStripes * 2 * sizeof(std::uint64_t))
+        << expected;
+  }
+}
+
 TEST(StopSet, SizedToTwiceTheExpectation) {
   // Each stripe gets ceil(2 * expected / kStripes) slots, at least 64, and
   // takes keys up to 3/4 load, so a set holds its expectation with room

@@ -52,14 +52,46 @@ TEST_P(GeneratedWorld, EveryRouterHasItsLoopbackFirst) {
   }
 }
 
-TEST_P(GeneratedWorld, HostAddressesLiveInTheirPrefix) {
-  for (const HostId id : topo_->destinations()) {
-    const auto& host = topo_->host_at(id);
+/// Every destination (with its aliases), VP, probe and cloud probe host
+/// lies inside its own prefix. Returns how many of the measurement hosts
+/// (VP, probe and cloud) hold an address outside their AS's first
+/// infrastructure block, i.e. were placed after the AS rolled over to a
+/// later one.
+std::size_t expect_hosts_in_their_prefix(const Topology& topo) {
+  for (const HostId id : topo.destinations()) {
+    const auto& host = topo.host_at(id);
     EXPECT_TRUE(host.prefix.contains(host.address));
-    for (const auto& alias : topo_->host_aliases(id)) {
+    for (const auto& alias : topo.host_aliases(id)) {
       EXPECT_TRUE(host.prefix.contains(alias));
     }
   }
+  std::vector<HostId> probers{topo.probe_host()};
+  for (const auto& vp : topo.vantage_points()) probers.push_back(vp.host);
+  for (const auto& cloud : topo.clouds()) probers.push_back(cloud.probe_host);
+  std::size_t rolled_over = 0;
+  for (const HostId id : probers) {
+    const auto& host = topo.host_at(id);
+    EXPECT_TRUE(host.prefix.contains(host.address))
+        << host.address.to_string() << " outside " << host.prefix.to_string();
+    EXPECT_EQ(host.prefix.length(), 24);
+    if (!topo.as_at(host.as_id).infra_prefix.contains(host.address)) {
+      ++rolled_over;
+    }
+  }
+  return rolled_over;
+}
+
+TEST_P(GeneratedWorld, HostAddressesLiveInTheirPrefix) {
+  expect_hosts_in_their_prefix(*topo_);
+}
+
+TEST(PaperScaleWorld, HostAddressesLiveInTheirPrefix) {
+  // The default-scale world places measurement hosts in ASes that have
+  // already moved past their first infrastructure block (6 VPs and every
+  // cloud probe host at the default seed); the test-scale worlds above
+  // may never do so.
+  const auto topo = Generator{TopologyParams::paper_scale()}.generate();
+  EXPECT_GT(expect_hosts_in_their_prefix(*topo), 0u);
 }
 
 TEST_P(GeneratedWorld, AccessChainsStayInsideTheirAs) {

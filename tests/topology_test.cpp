@@ -121,6 +121,43 @@ TEST_F(TopologyTest, AllAssignedAddressesAreUniqueAndOwned) {
   }
 }
 
+TEST_F(TopologyTest, MemoryCoversEveryTable) {
+  const Topology& t = *owner_;
+  // What the public views show: the entity tables at their sizes, each
+  // AS's lists at their capacities, and the interface, alias and access
+  // chain runs with one offset each per router or host.
+  std::size_t viewed = t.ases().size_bytes() + t.routers().size_bytes() +
+                       t.hosts().size_bytes() + t.links().size_bytes() +
+                       t.vantage_points().size_bytes() +
+                       t.clouds().size_bytes() +
+                       t.destinations().size_bytes() +
+                       t.router_as_ids().size_bytes();
+  for (const auto& as : t.ases()) {
+    viewed += as.links.capacity() * sizeof(LinkId) +
+              as.routers.capacity() * sizeof(RouterId) +
+              as.core.capacity() * sizeof(RouterId) +
+              as.hosts.capacity() * sizeof(HostId);
+  }
+  std::size_t addresses = 0;
+  for (RouterId id = 0; id < t.routers().size(); ++id) {
+    addresses += t.router_interfaces(id).size();
+    viewed += t.router_interfaces(id).size_bytes() +
+              t.access_chain(id).size_bytes() + 2 * sizeof(std::uint32_t);
+  }
+  for (HostId id = 0; id < t.hosts().size(); ++id) {
+    const auto aliases = t.host_aliases(id);
+    addresses += 1 + aliases.size();
+    viewed += (aliases.empty() ? 0 : aliases.size_bytes() + 4) +
+              sizeof(std::uint32_t);
+  }
+  // The address index holds an 8-byte slot per address, at least.
+  viewed += addresses * 8;
+  EXPECT_GE(t.memory_bytes(), viewed);
+  // The rest is growth slack, the index's empty slots, the block table,
+  // the per-epoch VP lists and the link table.
+  EXPECT_LE(t.memory_bytes(), 2 * viewed);
+}
+
 TEST_F(TopologyTest, AddressToAsMappingCoversInfraAndHosts) {
   for (const auto& link : owner_->links()) {
     EXPECT_EQ(owner_->as_of_address(link.addr_a), link.a);
