@@ -4,8 +4,11 @@
 // but the numbers justify the harness's ability to replay census-scale
 // studies.
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
 
 #include "bench/telemetry.h"
 #include "measure/testbed.h"
@@ -188,74 +191,152 @@ void BM_SimulatedPingRrReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedPingRrReuse)->Unit(benchmark::kMicrosecond);
 
-/// Best-of-k repetitions of `sample()`: shared-VM noise (steal time,
-/// frequency dips) only ever adds time, so the minimum is the robust
-/// estimator — a single perturbed sample must not move it.
-template <typename Sample>
-double min_over_reps(Sample&& sample) {
-  constexpr int kReps = 5;
-  double best = sample();
-  for (int rep = 1; rep < kReps; ++rep) {
-    best = std::min(best, sample());
-  }
-  return best;
-}
-
-/// Wall-clock nanoseconds per iteration of `body(bytes)` where each
-/// iteration starts from a fresh copy of `original`.
+/// Wall-clock nanoseconds per iteration of `body(bytes)` over `iters`
+/// iterations, each starting from a fresh copy of `original`.
 template <typename Body>
-double time_loop_ns(const std::vector<std::uint8_t>& original, Body&& body) {
+double time_loop_ns(const std::vector<std::uint8_t>& original, int iters,
+                    Body&& body) {
   std::vector<std::uint8_t> bytes;
-  constexpr int kIters = 300000;
-  for (int i = 0; i < kIters / 10; ++i) {  // warm-up
-    bytes = original;
-    body(bytes);
-  }
   const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) {
+  for (int i = 0; i < iters; ++i) {
     bytes = original;
     body(bytes);
     benchmark::DoNotOptimize(bytes);
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::nano>(elapsed).count() / kIters;
+  return std::chrono::duration<double, std::nano>(elapsed).count() / iters;
 }
+
+/// The walk gate's estimator. Shared-VM noise only ever adds time, and it
+/// comes two ways: slow windows that can last seconds, longer than any
+/// one repetition, and a vCPU whose physical core a busy neighbour
+/// shares, which slows every round run on it (2x on a 4-vCPU VM) for as
+/// long as the scheduler keeps the thread there. So the walk is timed in
+/// many short rounds, grouped in spells spread across the whole run (one
+/// before the google-benchmark suite and one after each benchmark), each
+/// spell pinned to the next CPU the process may run on: the minimum per
+/// loop over every round is the cost on the quietest CPU in the quietest
+/// window any round hit. Each round times the buffer reset alone and the
+/// reset plus the walk, back to back; the walk's cost is the difference
+/// of the two minima.
+class WalkTiming {
+ public:
+  WalkTiming()
+      : original_(rr_ping()),
+        table_(sim::compile_run_table(sim::PipelineConfig{})),
+        bank_(table_.data() + sim::HopRow::kNumPersonalities) {
+    for (auto& row : rows_) row.flags = sim::HopRow::kStamps;
+    CPU_ZERO(&allowed_);
+    if (sched_getaffinity(0, sizeof allowed_, &allowed_) == 0) {
+      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &allowed_)) cpus_.push_back(cpu);
+      }
+    }
+  }
+  // bank_ points into table_.
+  WalkTiming(const WalkTiming&) = delete;
+  WalkTiming& operator=(const WalkTiming&) = delete;
+
+  /// One spell on the next allowed CPU (the process's affinity is
+  /// restored after it): a warm-up loop, then kRounds rounds.
+  void spell() {
+    const auto start = std::chrono::steady_clock::now();
+    if (!cpus_.empty()) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpus_[spells_ % cpus_.size()], &one);
+      (void)sched_setaffinity(0, sizeof one, &one);
+    }
+    (void)time_loop_ns(original_, kIters, [&](auto& bytes) { walk(bytes); });
+    for (int round = 0; round < kRounds; ++round) {
+      reset_ns_ = std::min(
+          reset_ns_, time_loop_ns(original_, kIters, [](auto&) {}));
+      walk_ns_ = std::min(walk_ns_, time_loop_ns(original_, kIters,
+                                                 [&](auto& bytes) {
+                                                   walk(bytes);
+                                                 }));
+    }
+    if (!cpus_.empty()) (void)sched_setaffinity(0, sizeof allowed_, &allowed_);
+    ++spells_;
+    seconds_ += std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  }
+
+  [[nodiscard]] double reset_ns() const noexcept { return reset_ns_; }
+  [[nodiscard]] double pipeline_ns() const noexcept {
+    return walk_ns_ - reset_ns_;
+  }
+  /// Wall time spent in spells.
+  [[nodiscard]] double seconds() const noexcept { return seconds_; }
+
+ private:
+  static constexpr int kRounds = 48;
+  static constexpr int kIters = 4096;
+
+  void walk(std::vector<std::uint8_t>& bytes) {
+    walk_with_pipeline(bytes, bank_, elements_, rows_, &counters_);
+  }
+
+  std::vector<std::uint8_t> original_;
+  // The fault-free compilation (loss gates elided, trusted stamping);
+  // rows are the plain stamping personality.
+  sim::RunTable table_;
+  const sim::PackedRunList* bank_;
+  sim::ElementSet elements_{};
+  sim::NetCounters counters_;
+  sim::HopRow rows_[kWalkHops];
+  cpu_set_t allowed_;       // the process's affinity at construction
+  std::vector<int> cpus_;   // its CPUs; empty if it could not be read
+  std::size_t spells_ = 0;
+  double reset_ns_ = std::numeric_limits<double>::infinity();
+  double walk_ns_ = std::numeric_limits<double>::infinity();
+  double seconds_ = 0.0;
+};
+
+/// The default display reporter (which honours --benchmark_format), plus
+/// a walk spell after each benchmark reports.
+class SpellReporter : public benchmark::BenchmarkReporter {
+ public:
+  explicit SpellReporter(WalkTiming& walk)
+      : display_(*benchmark::CreateDefaultDisplayReporter()), walk_(walk) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_.ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& reports) override {
+    display_.ReportRuns(reports);
+    walk_.spell();
+  }
+  void Finalize() override { display_.Finalize(); }
+
+ private:
+  benchmark::BenchmarkReporter& display_;  // the library's own instance
+  WalkTiming& walk_;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   rr::bench::Telemetry telemetry{"micro"};
-  telemetry.phase("benchmarks");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  telemetry.phase("walk_timing");
-  const auto original = rr_ping();
-  const double reset_ns =
-      min_over_reps([&] { return time_loop_ns(original, [](auto&) {}); });
-  // The compiled element pipeline over the nine hops: the run table is the
-  // fault-free compilation (loss gates elided, trusted stamping), rows are
-  // the plain stamping personality. Gated ≤ 177 ns by
+  // The compiled element pipeline over the nine hops, gated <= 177 ns by
   // check_bench_regression.sh, what the hand-inlined view walk cost when
   // the interpreter replaced it.
-  const rr::sim::RunTable table =
-      rr::sim::compile_run_table(rr::sim::PipelineConfig{});
-  const rr::sim::ElementSet elements{};
-  rr::sim::NetCounters counters;
-  rr::sim::HopRow rows[kWalkHops];
-  for (auto& row : rows) row.flags = rr::sim::HopRow::kStamps;
-  const rr::sim::PackedRunList* bank =
-      table.data() + rr::sim::HopRow::kNumPersonalities;
-  const double pipeline_ns = min_over_reps([&] {
-    return time_loop_ns(original,
-                        [&](auto& bytes) {
-                          walk_with_pipeline(bytes, bank, elements, rows,
-                                             &counters);
-                        }) -
-           reset_ns;
-  });
-  telemetry.value("walk_reset_ns", reset_ns);
-  telemetry.value("walk_pipeline_ns", pipeline_ns);
-  std::printf("walk (9 stamping hops): pipeline %.1f ns\n", pipeline_ns);
+  WalkTiming walk;
+  SpellReporter reporter{walk};
+  const auto start = std::chrono::steady_clock::now();
+  walk.spell();
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  const double total = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  telemetry.phase_seconds("benchmarks", total - walk.seconds());
+  telemetry.phase_seconds("walk_timing", walk.seconds());
+  telemetry.value("walk_reset_ns", walk.reset_ns());
+  telemetry.value("walk_pipeline_ns", walk.pipeline_ns());
+  std::printf("walk (9 stamping hops): pipeline %.1f ns\n",
+              walk.pipeline_ns());
   return 0;
 }

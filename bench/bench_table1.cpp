@@ -56,6 +56,10 @@ int main() {
   telemetry.value("campaign_pass_b_s", phases.pass_b_seconds);
   telemetry.value("campaign_fib_s", phases.fib_seconds);
   telemetry.value("campaign_serial_fraction", phases.serial_fraction());
+  telemetry.value("campaign_block_fib_mib",
+                  bench::mib(phases.peak_block_fib_bytes));
+  telemetry.value("campaign_block_sightings_mib",
+                  bench::mib(phases.peak_block_sighting_bytes));
   telemetry.value("probes_sent", phases.probes_sent);
   const auto table = measure::build_response_table(campaign);
 

@@ -174,11 +174,14 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
     // the pool; no send is in flight here.
     const auto fib_begin = std::chrono::steady_clock::now();  // rropt-lint: allow(no-wallclock)
     net.set_compiled_fib(nullptr);
-    net.set_compiled_fib(route::CompiledFib::build(
+    auto fib = route::CompiledFib::build(
         net.stitcher(), fib_sources,
         std::span<const topo::HostId>{campaign.dests_}.subspan(block_begin,
                                                                block_len),
-        &pool));
+        &pool);
+    campaign.phase_stats_.peak_block_fib_bytes = std::max(
+        campaign.phase_stats_.peak_block_fib_bytes, fib->memory_bytes());
+    net.set_compiled_fib(std::move(fib));
     campaign.phase_stats_.fib_seconds +=
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - fib_begin)  // rropt-lint: allow(no-wallclock)
@@ -315,6 +318,12 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
     // of the old per-probe sorted-insert (quadratic in popular
     // destinations). Folding per block keeps the raw sighting buffers
     // bounded by the block, not the census.
+    std::size_t sighting_bytes = 0;
+    for (std::size_t d = block_begin; d < block_end; ++d) {
+      sighting_bytes += collected[d].capacity() * sizeof(net::IPv4Address);
+    }
+    campaign.phase_stats_.peak_block_sighting_bytes = std::max(
+        campaign.phase_stats_.peak_block_sighting_bytes, sighting_bytes);
     pool.parallel_for(block_len, [&](std::size_t i) {
       const std::size_t d = block_begin + i;
       auto& sightings = collected[d];

@@ -138,6 +138,13 @@ struct CampaignPhaseStats {
   /// studies), from the network's own send accounting — the uniform
   /// probing-cost figure benches report alongside stop-set savings.
   std::uint64_t probes_sent = 0;
+  /// The largest per-block transients, freed before run() returns, so no
+  /// memory_bytes() holds them: the largest block's compiled FIB
+  /// (CompiledFib::memory_bytes()) and the largest block's raw RR
+  /// sightings (the capacity of its per-destination buffers just before
+  /// the union fold deduplicates them).
+  std::size_t peak_block_fib_bytes = 0;
+  std::size_t peak_block_sighting_bytes = 0;
 
   /// pass_b / (pass_a + pass_b). Since the replay overlaps pass A, this
   /// counts replay work, not serial wall time.

@@ -1,27 +1,31 @@
 #include "routing/bgp.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace rr::route {
 
-namespace {
-constexpr int class_rank(RouteClass c) noexcept { return static_cast<int>(c); }
-}  // namespace
-
-void RouteTree::as_path_into(AsId src, std::vector<AsId>& out) const {
-  out.clear();
+std::size_t append_as_path(std::span<const RouteEntry> entries,
+                           AsId destination, AsId src,
+                           std::vector<AsId>& out) {
+  const std::size_t start = out.size();
   AsId current = src;
-  for (std::size_t guard = 0; guard < kMaxPathAses; ++guard) {
+  for (std::size_t length = 1; length <= RouteTree::kMaxPathAses; ++length) {
     out.push_back(current);
-    if (current == destination_) return;
-    const RouteEntry& entry = entries_[current];
-    if (!entry.reachable() || entry.next_hop == topo::kNoAs) {
-      out.clear();
-      return;
-    }
+    if (current == destination) return length;
+    const RouteEntry& entry = entries[current];
+    if (!entry.reachable() || entry.next_hop == topo::kNoAs) break;
     current = entry.next_hop;
   }
-  out.clear();  // loop guard tripped: treat as unreachable
+  out.resize(start);  // unreachable, or the length guard tripped
+  return 0;
+}
+
+void TreeScratch::clear(std::span<const AsId> order) noexcept {
+  for (const AsId as : cone) entries[as] = RouteEntry{};
+  for (const AsId as : peered) entries[as] = RouteEntry{};
+  for (const AsId as : order) entries[as] = RouteEntry{};
 }
 
 BgpEngine::BgpEngine(std::shared_ptr<const topo::Topology> topology,
@@ -31,7 +35,7 @@ BgpEngine::BgpEngine(std::shared_ptr<const topo::Topology> topology,
 
   // Two passes over the link table: degree count, then placement. The
   // placement order is link-table order; a final per-AS sort restores the
-  // ascending neighbour order that every tie-break in compute_tree_into
+  // ascending neighbour order that every tie-break in select_routes
   // depends on (identical to the old vector-of-vectors construction).
   std::vector<std::uint32_t> deg_customers(n, 0), deg_providers(n, 0),
       deg_peers(n, 0);
@@ -83,145 +87,110 @@ BgpEngine::BgpEngine(std::shared_ptr<const topo::Topology> topology,
   sort_rows(customers_);
   sort_rows(providers_);
   sort_rows(peers_);
+
+  // The provider-first order (Kahn's algorithm over provider -> customer
+  // edges): an AS enters once its last provider has, starting from the
+  // ASes with none in ascending id order, so the order is deterministic.
+  // ASes on a provider cycle never enter it.
+  std::vector<std::uint32_t>& waiting = deg_providers;  // providers not yet in
+  provider_order_.reserve(n);
+  for (AsId as = 0; as < n; ++as) {
+    if (waiting[as] == 0) provider_order_.push_back(as);
+  }
+  for (std::size_t next = 0; next < provider_order_.size(); ++next) {
+    for (const AsId customer : customers_.neighbors(provider_order_[next])) {
+      if (--waiting[customer] == 0) provider_order_.push_back(customer);
+    }
+  }
+  if (provider_order_.size() != n) {
+    throw std::logic_error(
+        "BgpEngine: the provider graph has a cycle through " +
+        std::to_string(n - provider_order_.size()) +
+        " ASes; provider routes need every AS after its providers");
+  }
 }
 
 RouteTree BgpEngine::compute_tree(AsId destination) const {
   TreeScratch scratch;
-  compute_tree_into(destination, scratch);
+  select_routes(destination, provider_order_, scratch);
   return RouteTree{destination, std::move(scratch.entries)};
 }
 
-void BgpEngine::compute_tree_into(AsId destination,
-                                  TreeScratch& scratch) const {
-  const std::size_t n = topology_->ases().size();
+void BgpEngine::select_routes(AsId destination, std::span<const AsId> order,
+                              TreeScratch& scratch) const {
   auto& entries = scratch.entries;
-  entries.assign(n, RouteEntry{});
+  if (entries.empty()) entries.resize(topology_->ases().size());
 
   // Phase 1 — customer routes: BFS from the destination along
-  // customer->provider edges. An AS X on such a chain learned the route
-  // from the customer below it.
-  auto& customer_dist = scratch.customer_dist;
-  customer_dist.assign(n, std::numeric_limits<std::uint16_t>::max());
-  customer_dist[destination] = 0;
+  // customer->provider edges (the destination's provider cone). An AS on
+  // such a chain learned the route from the customer below it. `cone` is
+  // the BFS queue, so it ends up holding the cone in ascending length.
+  auto& cone = scratch.cone;
+  cone.clear();
+  cone.push_back(destination);
   entries[destination] = RouteEntry{destination, 0, RouteClass::kSelf};
-  auto& frontier = scratch.frontier;
-  auto& next_frontier = scratch.next_frontier;
-  frontier.clear();
-  frontier.push_back(destination);
-  std::uint16_t level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next_frontier.clear();
-    for (AsId below : frontier) {
-      for (AsId provider : providers_.neighbors(below)) {
-        const std::uint16_t seen = customer_dist[provider];
-        if (seen == std::numeric_limits<std::uint16_t>::max()) {
-          customer_dist[provider] = level;
-          entries[provider] = RouteEntry{below, level, RouteClass::kCustomer};
-          next_frontier.push_back(provider);
-        } else if (seen == level && below < entries[provider].next_hop) {
-          // Tie-break without sorting the frontier: the historical rule —
-          // first claimant in ascending-frontier order — is exactly "the
-          // smallest same-level neighbour wins", so track the minimum
-          // explicitly and the frontier order stops mattering. Phases 2
-          // and 3 scan by AS index, so no other order dependence exists.
-          entries[provider].next_hop = below;
-        }
+  for (std::size_t head = 0; head < cone.size(); ++head) {
+    const AsId below = cone[head];
+    const auto level = static_cast<std::uint16_t>(entries[below].length + 1);
+    for (const AsId provider : providers_.neighbors(below)) {
+      RouteEntry& entry = entries[provider];
+      if (entry.route_class == RouteClass::kNone) {
+        entry = RouteEntry{below, level, RouteClass::kCustomer};
+        cone.push_back(provider);
+      } else if (entry.length == level && below < entry.next_hop) {
+        // The smallest same-level customer wins, tracked as a minimum so
+        // the queue's order within a level does not matter.
+        entry.next_hop = below;
       }
     }
-    std::swap(frontier, next_frontier);
   }
 
-  // Phase 2 — peer routes: one peer edge, then a customer chain down.
-  // Only ASes without a customer route take these.
-  for (AsId as = 0; as < n; ++as) {
-    if (class_rank(entries[as].route_class) <=
-        class_rank(RouteClass::kCustomer)) {
-      continue;
-    }
-    RouteEntry best = entries[as];
-    for (AsId peer : peers_.neighbors(as)) {
-      if (customer_dist[peer] == std::numeric_limits<std::uint16_t>::max()) {
-        continue;
+  // Phase 2 — peer routes: one peer edge into the cone, then its customer
+  // chain down. Only ASes outside the cone take these; each keeps the
+  // shortest, then the smallest peer, so the cone's scan order does not
+  // matter either.
+  auto& peered = scratch.peered;
+  peered.clear();
+  for (const AsId member : cone) {
+    const auto len = static_cast<std::uint16_t>(entries[member].length + 1);
+    for (const AsId peer : peers_.neighbors(member)) {
+      RouteEntry& entry = entries[peer];
+      if (entry.route_class == RouteClass::kNone) {
+        entry = RouteEntry{member, len, RouteClass::kPeer};
+        peered.push_back(peer);
+      } else if (entry.route_class == RouteClass::kPeer &&
+                 (len < entry.length ||
+                  (len == entry.length && member < entry.next_hop))) {
+        entry = RouteEntry{member, len, RouteClass::kPeer};
       }
-      const std::uint16_t len =
-          static_cast<std::uint16_t>(customer_dist[peer] + 1);
-      if (best.route_class != RouteClass::kPeer || len < best.length ||
-          (len == best.length && peer < best.next_hop)) {
-        best = RouteEntry{peer, len, RouteClass::kPeer};
-      }
     }
-    entries[as] = best;
   }
 
-  // Phase 3 — provider routes: shortest chains over provider->customer
-  // edges, seeded by every AS that already selected a (customer/peer/self)
-  // route. An AS exports its selected route to its customers, so provider
-  // routes chain downward with unit cost per hop.
-  //
-  // A Dial bucket queue: bucket[L] collects the (parent, as) relaxations
-  // pending at length L, drained in ascending L and in any order within a
-  // bucket. The selection equals the historical heap Dijkstra, which
-  // popped (len, parent, as) tuples in ascending order, because:
-  //  * bucket[L] is complete before its drain begins — every relaxation in
-  //    it comes from the seed scan (before any drain) or from settling an
-  //    AS in bucket[L-1] (unit edge weights: a settle pushes only at L+1);
-  //  * an AS settles at the first length any relaxation reaches, which is
-  //    the heap's first pop of it, and the heap's next pops of that AS at
-  //    the same length carry larger parents, which lose the tie-break —
-  //    so its parent is the smallest one in that bucket, whatever the
-  //    order the bucket is drained in;
-  //  * what a settle pushes, (len+1, as, customer), depends on the AS and
-  //    not on its parent, so pushing only on the first settle queues the
-  //    same relaxations the heap did. bucket[L+1] thus holds the same
-  //    multiset whatever order bucket[L] drained in.
-  // RouteTreePins (tests/routing_test.cpp) pins the resulting trees to the
-  // heap-ordered engine's bytes.
-  auto& buckets = scratch.buckets;
-  for (auto& bucket : buckets) bucket.clear();
-  std::size_t max_len = 0;  // highest non-empty bucket index
-  const auto push = [&buckets, &max_len](std::uint16_t len, AsId parent,
-                                         AsId as) {
-    if (buckets.size() <= len) buckets.resize(len + 1);
-    if (len > max_len) max_len = len;
-    buckets[len].emplace_back(parent, as);
-  };
-  const auto push_customers = [&](AsId as, std::uint16_t len) {
-    for (AsId customer : customers_.neighbors(as)) {
-      if (class_rank(entries[customer].route_class) <=
-          class_rank(RouteClass::kPeer)) {
-        continue;
+  // Phase 3 — provider routes. An AS exports its selected route, of any
+  // class, to its customers, so an AS left without a customer or peer
+  // route takes its shortest provider's route one hop longer, and the
+  // smallest such provider on equal length. One pass in provider-first
+  // order settles every AS: its providers were settled before it. This
+  // selects what the Dijkstra over provider->customer edges (and the Dial
+  // bucket drain that replaced it) selected: with unit edge weights on an
+  // acyclic graph, an AS's Dijkstra length is the minimum over its
+  // providers of their length + 1, the equation this pass evaluates, and
+  // Dijkstra kept the smallest parent among those reaching that minimum.
+  // RouteTreePins (tests/routing_test.cpp) pins every tree to the
+  // sorted-bucket engine's bytes.
+  for (const AsId as : order) {
+    RouteEntry& entry = entries[as];
+    if (entry.route_class != RouteClass::kNone) continue;  // self/cust/peer
+    for (const AsId provider : providers_.neighbors(as)) {
+      const RouteEntry& up = entries[provider];
+      if (!up.reachable()) continue;
+      const auto len = static_cast<std::uint16_t>(up.length + 1);
+      // Providers ascend, so a strict < keeps the smallest on equal length
+      // (an unreachable entry's length is the maximum).
+      if (len < entry.length) {
+        entry = RouteEntry{provider, len, RouteClass::kProvider};
       }
-      push(len, as, customer);
     }
-  };
-  for (AsId as = 0; as < n; ++as) {
-    if (entries[as].reachable()) {
-      push_customers(as, static_cast<std::uint16_t>(entries[as].length + 1));
-    }
-  }
-  for (std::size_t len = 0; len <= max_len; ++len) {
-    // Index-based access throughout: `push` may grow the outer vector,
-    // which would invalidate a cached reference to buckets[len].
-    for (std::size_t k = 0; k < buckets[len].size(); ++k) {
-      const auto [parent, as] = buckets[len][k];
-      RouteEntry& entry = entries[as];
-      if (class_rank(entry.route_class) <= class_rank(RouteClass::kPeer)) {
-        continue;  // prefers better
-      }
-      if (entry.route_class == RouteClass::kProvider) {
-        // Settled in an earlier bucket, or earlier in this one: only a
-        // smaller same-length parent changes the route.
-        if (entry.length == len && parent < entry.next_hop) {
-          entry.next_hop = parent;
-        }
-        continue;
-      }
-      entry = RouteEntry{parent, static_cast<std::uint16_t>(len),
-                         RouteClass::kProvider};
-      push_customers(as, static_cast<std::uint16_t>(len + 1));
-    }
-    buckets[len].clear();
   }
 }
 

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -42,6 +41,13 @@ struct RouteEntry {
     return route_class != RouteClass::kNone;
   }
 };
+
+/// Appends `src`'s AS path toward `destination` along `entries`' next
+/// hops to `out`, inclusive on both ends, and returns its length in ASes.
+/// Returns 0 and leaves `out` as it was when `src` is unreachable or the
+/// walk passes RouteTree::kMaxPathAses ASes.
+std::size_t append_as_path(std::span<const RouteEntry> entries,
+                           AsId destination, AsId src, std::vector<AsId>& out);
 
 /// All ASes' selected routes toward one destination AS.
 class RouteTree {
@@ -72,17 +78,14 @@ class RouteTree {
 
   /// Same, but fills a caller-owned vector (cleared first) so repeated
   /// queries reuse its storage. `out` is empty when unreachable.
-  void as_path_into(AsId src, std::vector<AsId>& out) const;
+  void as_path_into(AsId src, std::vector<AsId>& out) const {
+    out.clear();
+    append_as_path(entries_, destination_, src, out);
+  }
 
   /// Bytes the tree holds: the object and its entries.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return sizeof(*this) + entries_.capacity() * sizeof(RouteEntry);
-  }
-
-  /// Takes the entries storage back out (leaving the tree empty). Sweep
-  /// loops use this to recycle the vector through their TreeScratch.
-  [[nodiscard]] std::vector<RouteEntry> release_entries() noexcept {
-    return std::move(entries_);
   }
 
  private:
@@ -90,20 +93,21 @@ class RouteTree {
   std::vector<RouteEntry> entries_;
 };
 
-/// Reusable working set for compute_tree_into: one tree computation's
-/// entries, BFS state and the Dijkstra bucket queue, recycled across calls
-/// so a sweep over many destinations allocates only while the vectors are
-/// still growing.
+/// Reusable working set for BgpEngine::select_routes. Between calls every
+/// entry is unreachable (RouteEntry{}); a selection writes only the ASes
+/// it reaches, and clear() resets exactly those, so a sweep over many
+/// destinations pays for the ASes it touches, not for every AS.
 struct TreeScratch {
-  std::vector<RouteEntry> entries;
-  std::vector<std::uint16_t> customer_dist;
-  std::vector<AsId> frontier;
-  std::vector<AsId> next_frontier;
-  /// Dial buckets for the provider-route phase: buckets[len] holds the
-  /// (parent, as) relaxations pending at path length `len`, in push order
-  /// (the drain needs no order within a bucket). Inner vectors keep their
-  /// capacity across trees.
-  std::vector<std::vector<std::pair<AsId, AsId>>> buckets;
+  std::vector<RouteEntry> entries;  // indexed by AS
+  /// The destination's provider cone in BFS order: the destination and
+  /// every AS phase 1 gave a customer route.
+  std::vector<AsId> cone;
+  /// ASes phase 2 gave a peer route.
+  std::vector<AsId> peered;
+
+  /// Resets what BgpEngine::select_routes(_, order, *this) wrote, leaving
+  /// the scratch clean for the next destination.
+  void clear(std::span<const AsId> order) noexcept;
 };
 
 /// Per-epoch BGP engine: owns the epoch-filtered adjacency and computes
@@ -111,11 +115,13 @@ struct TreeScratch {
 ///
 /// Adjacency lives in three CSR (offset + flat id) tables rather than
 /// vector-of-vectors: one cache-resident array per relation makes the
-/// per-tree sweeps — which touch every edge of the graph — sequential
-/// scans. Per-AS neighbour order is unchanged (sorted ascending), so every
-/// deterministic tie-break below is unchanged too.
+/// per-tree scans sequential. Per-AS neighbour order is sorted ascending,
+/// which every deterministic tie-break below relies on.
 class BgpEngine {
  public:
+  /// Throws std::logic_error if the epoch's provider graph has a cycle
+  /// (the generator builds it acyclic; provider routes need an order in
+  /// which every AS follows its providers).
   BgpEngine(std::shared_ptr<const topo::Topology> topology, Epoch epoch);
 
   [[nodiscard]] Epoch epoch() const noexcept { return epoch_; }
@@ -123,17 +129,31 @@ class BgpEngine {
     return *topology_;
   }
 
-  /// Computes the full route tree toward `destination` (uncached).
+  /// Computes the full route tree toward `destination` (uncached):
+  /// select_routes over provider_order().
   [[nodiscard]] RouteTree compute_tree(AsId destination) const;
 
-  /// Same computation into a reusable scratch: the selected routes land in
-  /// `scratch.entries` (indexed by AS) and every working vector keeps its
-  /// storage for the next call. The route selection — including every
-  /// tie-break — is identical to compute_tree, and to the heap-based
-  /// Dijkstra the provider phase replaced: each AS takes the shortest
-  /// provider route and, among those, the smallest parent (see the
-  /// equivalence note in bgp.cpp).
-  void compute_tree_into(AsId destination, TreeScratch& scratch) const;
+  /// The route selection, one pass in three phases (bgp.cpp):
+  ///  1. customer routes for the destination's provider cone (a BFS up
+  ///     the provider edges, smallest customer on equal length);
+  ///  2. peer routes for every AS peering with the cone (shortest, then
+  ///     smallest peer);
+  ///  3. provider routes for the ASes of `order` left without either, in
+  ///     `order`'s order (shortest, then smallest provider).
+  /// `order` must list each of its ASes after all of that AS's providers
+  /// and hold every provider of each: provider_order() gives the full
+  /// tree, and a subsequence of it closed under providers (a set of
+  /// sources' provider closure) gives exactly the full tree's entries for
+  /// the cone, the peered ASes and `order`. `scratch` must be clean (see
+  /// TreeScratch) or empty.
+  void select_routes(AsId destination, std::span<const AsId> order,
+                     TreeScratch& scratch) const;
+
+  /// Every AS once, each after all of its providers: a topological order
+  /// of the provider graph, fixed at construction.
+  [[nodiscard]] std::span<const AsId> provider_order() const noexcept {
+    return provider_order_;
+  }
 
   /// Epoch-filtered adjacency, exposed for diagnostics/tests. Each span is
   /// the AS's neighbour list sorted ascending.
@@ -147,10 +167,10 @@ class BgpEngine {
     return peers_.neighbors(as);
   }
 
-  /// Bytes held by the three adjacency tables.
+  /// Bytes held by the three adjacency tables and the provider order.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return customers_.memory_bytes() + providers_.memory_bytes() +
-           peers_.memory_bytes();
+           peers_.memory_bytes() + provider_order_.capacity() * sizeof(AsId);
   }
 
  private:
@@ -174,6 +194,7 @@ class BgpEngine {
   Csr customers_;  // as -> its customers
   Csr providers_;  // as -> its providers
   Csr peers_;      // as -> its peers
+  std::vector<AsId> provider_order_;
 };
 
 }  // namespace rr::route

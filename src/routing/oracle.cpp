@@ -7,18 +7,6 @@
 
 namespace rr::route {
 
-namespace {
-
-/// Per-thread tree-computation scratch for the construction sweep. Reused
-/// across every block a worker processes (and across oracle builds on the
-/// same thread), so the sweep's steady state allocates only for results.
-TreeScratch& thread_scratch() {
-  thread_local TreeScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
 RoutingOracle::RoutingOracle(std::shared_ptr<const topo::Topology> topology,
                              Epoch epoch, std::vector<AsId> source_ases,
                              int threads)
@@ -35,20 +23,19 @@ RoutingOracle::RoutingOracle(std::shared_ptr<const topo::Topology> topology,
   }
   forward_offsets_.assign(n_sources * n, 0);
 
-  // Simple stubs need no tree. Let d have no customers, no peers and one
-  // provider P. Then d's tree is P's tree with every reachable length +1,
-  // except P -> (d, 1, customer) and d -> self:
+  // Simple stubs need no selection. Let d have no customers, no peers and
+  // one provider P. Then d's tree is P's tree with every reachable length
+  // +1, except P -> (d, 1, customer) and d -> self:
   //  * phase 1 (customer BFS) from d reaches only P at level 1, then runs
   //    P's BFS one level deeper. d never reappears: it has no customers,
   //    so it is no AS's provider;
   //  * phase 2 (peer routes) sees every customer distance +1, and d is no
   //    AS's peer, so every AS picks the same peer at length +1;
-  //  * phase 3 (provider routes) is seeded with the same relaxations at
-  //    +1, plus, in P's tree only, P relaxing its customer d. Settling d
-  //    pushes nothing (d has no customers), so every other AS settles
-  //    with the same parent at length +1.
+  //  * phase 3 (provider routes) sees every provider's length +1, and d
+  //    is no AS's provider (it has no customers), so every other AS picks
+  //    the same provider at length +1.
   // So a source's path to d is its path to P followed by d. P itself is
-  // never a simple stub (d is its customer), so P's path has a tree.
+  // never a simple stub (d is its customer), so P's paths are stored.
   // StubLemma.* (tests/routing_test.cpp) checks this on every simple stub.
   stub_provider_.assign(n, topo::kNoAs);
   for (AsId as = 0; as < n; ++as) {
@@ -59,46 +46,74 @@ RoutingOracle::RoutingOracle(std::shared_ptr<const topo::Topology> topology,
     }
   }
 
+  // The sources' provider closure in provider-first order: every AS a
+  // source's path can climb through. A source's path is a climb through
+  // providers (the closure) until an AS with a customer or peer route,
+  // then at most one peer edge into the destination's cone and a descent
+  // inside it, so every AS on it is in the closure or the cone. The
+  // closure is closed under providers, so select_routes over it gives
+  // those ASes exactly the entries a full tree gives them.
+  std::vector<std::uint8_t> in_closure(n, 0);
+  std::vector<AsId> climb(sources_.begin(), sources_.end());
+  for (const AsId source : sources_) in_closure[source] = 1;
+  while (!climb.empty()) {
+    const AsId as = climb.back();
+    climb.pop_back();
+    for (const AsId provider : engine_.providers_of(as)) {
+      if (in_closure[provider] == 0) {
+        in_closure[provider] = 1;
+        climb.push_back(provider);
+      }
+    }
+  }
+  std::vector<AsId> closure;
+  for (const AsId as : engine_.provider_order()) {
+    if (in_closure[as] != 0) closure.push_back(as);
+  }
+
   util::ThreadPool pool(util::resolve_thread_count(threads));
 
-  // Pin the trees toward each source (reverse-path service).
+  // Pin the full trees toward each source (reverse-path service).
   pinned_.resize(n);
   pool.parallel_for(n_sources, [&](std::size_t i) {
-    TreeScratch& scratch = thread_scratch();
-    engine_.compute_tree_into(sources_[i], scratch);
     pinned_[sources_[i]] =
-        std::make_unique<RouteTree>(sources_[i], scratch.entries);
+        std::make_unique<RouteTree>(engine_.compute_tree(sources_[i]));
   });
 
-  // The destination sweep: one tree per destination AS that is not a
-  // simple stub, extracting each source's path. A block's worker writes
-  // only that block's arena and its columns of forward_offsets_, so the
-  // blocks need no merge and the result is the same at any thread count.
+  // The destination sweep: one route selection per destination AS that is
+  // not a simple stub, over the cone and the closure only, with each
+  // source's path walked straight into the block's arena. A block's
+  // worker writes only that block's arena and its columns of
+  // forward_offsets_, so the blocks need no merge and the result is the
+  // same at any thread count.
   arenas_.resize((n + kSweepBlock - 1) / kSweepBlock);
   pool.parallel_for(arenas_.size(), [&](std::size_t b) {
     const AsId begin = static_cast<AsId>(b * kSweepBlock);
     const AsId end = static_cast<AsId>(std::min(n, (b + 1) * kSweepBlock));
-    TreeScratch& scratch = thread_scratch();
+    TreeScratch scratch;
     std::vector<AsId> arena;
-    std::vector<AsId> path;
     for (AsId dst = begin; dst < end; ++dst) {
       if (stub_provider_[dst] != topo::kNoAs) continue;
-      engine_.compute_tree_into(dst, scratch);
-      RouteTree tree{dst, std::move(scratch.entries)};
+      engine_.select_routes(dst, closure, scratch);
       for (std::uint32_t si = 0; si < n_sources; ++si) {
-        tree.as_path_into(sources_[si], path);
-        if (path.empty()) continue;
-        forward_offsets_[si * n + dst] =
-            static_cast<std::uint32_t>(arena.size() + 1);
-        arena.push_back(static_cast<AsId>(path.size()));
-        arena.insert(arena.end(), path.begin(), path.end());
+        const std::size_t at = arena.size();
+        arena.push_back(0);  // the length word
+        const std::size_t length =
+            append_as_path(scratch.entries, dst, sources_[si], arena);
+        if (length == 0) {
+          arena.pop_back();
+          continue;
+        }
+        arena[at] = static_cast<AsId>(length);
+        forward_offsets_[si * n + dst] = static_cast<std::uint32_t>(at + 1);
       }
-      scratch.entries = tree.release_entries();
+      scratch.clear(closure);
     }
     arenas_[b] = std::vector<AsId>(arena.begin(), arena.end());
   });
 
-  util::log_debug() << "routing oracle: " << n_sources << " sources, " << n
+  util::log_debug() << "routing oracle: " << n_sources << " sources (closure "
+                    << closure.size() << " ASes), " << n
                     << " destinations, arenas " << arena_bytes() / 1024
                     << " KiB";
 }

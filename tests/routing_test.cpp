@@ -299,7 +299,7 @@ TEST_F(RoutingTest, OracleArenasHoldNoSlack) {
 
 TEST_F(RoutingTest, EngineMemoryIsItsAdjacencyTables) {
   // Three relations, each an offset per AS plus one and an id per
-  // neighbour entry.
+  // neighbour entry, and the provider-first order, an id per AS.
   const std::size_t n = topo_->ases().size();
   std::size_t entries = 0;
   for (AsId as = 0; as < n; ++as) {
@@ -309,7 +309,7 @@ TEST_F(RoutingTest, EngineMemoryIsItsAdjacencyTables) {
   }
   ASSERT_GT(entries, 0u);
   EXPECT_EQ(engine_->memory_bytes(),
-            3 * (n + 1) * sizeof(std::uint32_t) + entries * sizeof(AsId));
+            3 * (n + 1) * sizeof(std::uint32_t) + (entries + n) * sizeof(AsId));
 }
 
 /// Golden pins for the route trees: one FNV-1a digest per (world seed,
@@ -336,17 +336,113 @@ TEST(RouteTreePins, EveryTreeMatchesTheParent) {
                  << (pin.epoch == topo::Epoch::k2011 ? 2011 : 2016));
     const auto topology = topo::generate_test_topology(pin.seed);
     const BgpEngine engine{topology, pin.epoch};
-    TreeScratch scratch;
+    const std::size_t n = topology->ases().size();
     std::uint64_t digest = kFnvBasis;
-    for (AsId dst = 0; dst < topology->ases().size(); ++dst) {
-      engine.compute_tree_into(dst, scratch);
-      for (const RouteEntry& entry : scratch.entries) {
+    for (AsId dst = 0; dst < n; ++dst) {
+      const RouteTree tree = engine.compute_tree(dst);
+      for (AsId as = 0; as < n; ++as) {
+        const RouteEntry& entry = tree.entry(as);
         digest = fnv(digest, entry.next_hop);
         digest = fnv(digest, entry.length);
         digest = fnv(digest, static_cast<std::uint64_t>(entry.route_class));
       }
     }
     EXPECT_EQ(digest, pin.digest);
+  }
+}
+
+/// select_routes over a provider-closed subsequence of the provider-first
+/// order (the VPs' provider closure) gives the cone, the peered ASes and
+/// the subsequence exactly the full tree's entries, and clear() leaves
+/// every entry unreachable again.
+TEST_F(RoutingTest, ClosureSelectionMatchesTheFullTree) {
+  const std::size_t n = topo_->ases().size();
+  std::vector<bool> in_closure(n, false);
+  std::vector<AsId> climb;
+  for (const auto& vp : topo_->vantage_points()) {
+    climb.push_back(topo_->host_at(vp.host).as_id);
+  }
+  while (!climb.empty()) {
+    const AsId as = climb.back();
+    climb.pop_back();
+    if (in_closure[as]) continue;
+    in_closure[as] = true;
+    for (const AsId provider : engine_->providers_of(as)) {
+      climb.push_back(provider);
+    }
+  }
+  std::vector<AsId> closure;
+  for (const AsId as : engine_->provider_order()) {
+    if (in_closure[as]) closure.push_back(as);
+  }
+  ASSERT_LT(closure.size(), n);
+
+  TreeScratch scratch;
+  for (AsId dst = 0; dst < n; ++dst) {
+    SCOPED_TRACE(testing::Message() << "destination " << dst);
+    engine_->select_routes(dst, closure, scratch);
+    const RouteTree tree = engine_->compute_tree(dst);
+    std::vector<AsId> selected = closure;
+    selected.insert(selected.end(), scratch.cone.begin(), scratch.cone.end());
+    selected.insert(selected.end(), scratch.peered.begin(),
+                    scratch.peered.end());
+    for (const AsId as : selected) {
+      const RouteEntry& got = scratch.entries[as];
+      const RouteEntry& want = tree.entry(as);
+      ASSERT_EQ(got.next_hop, want.next_hop) << "AS " << as;
+      ASSERT_EQ(got.length, want.length) << "AS " << as;
+      ASSERT_EQ(got.route_class, want.route_class) << "AS " << as;
+    }
+    scratch.clear(closure);
+    for (AsId as = 0; as < n; ++as) {
+      ASSERT_FALSE(scratch.entries[as].reachable()) << "AS " << as;
+      ASSERT_EQ(scratch.entries[as].next_hop, topo::kNoAs) << "AS " << as;
+    }
+  }
+}
+
+/// The engine's provider-first order lists every AS exactly once, each
+/// after all of its providers, in both epochs of the test, quick (the
+/// benches' RROPT_QUICK world) and default worlds.
+TEST(ProviderOrder, ListsEveryAsOnceAfterItsProviders) {
+  topo::TopologyParams quick = topo::TopologyParams::paper_scale();
+  quick.num_ases = 800;
+  quick.planetlab_sites_2011 = 60;
+  quick.colo_fraction = 0.30;
+  const struct {
+    const char* scale;
+    topo::TopologyParams params;
+  } worlds[] = {
+      {"test", topo::TopologyParams::test_scale()},
+      {"quick", quick},
+      {"default", topo::TopologyParams::paper_scale()},
+  };
+  for (const auto& world : worlds) {
+    const auto topology = topo::Generator{world.params}.generate();
+    const std::size_t n = topology->ases().size();
+    for (const topo::Epoch epoch : {topo::Epoch::k2011, topo::Epoch::k2016}) {
+      SCOPED_TRACE(testing::Message()
+                   << world.scale << " scale, epoch "
+                   << (epoch == topo::Epoch::k2011 ? 2011 : 2016));
+      const BgpEngine engine{topology, epoch};
+      const auto order = engine.provider_order();
+      ASSERT_EQ(order.size(), n);
+      std::vector<std::size_t> position(n, n);
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        ASSERT_LT(order[i], n);
+        ASSERT_EQ(position[order[i]], n) << "AS " << order[i] << " twice";
+        position[order[i]] = i;
+      }
+      std::size_t provider_edges = 0;
+      for (AsId as = 0; as < n; ++as) {
+        for (const AsId provider : engine.providers_of(as)) {
+          ASSERT_LT(position[provider], position[as])
+              << "provider " << provider << " after its customer " << as;
+          ++provider_edges;
+        }
+      }
+      EXPECT_GT(provider_edges, n / 2);
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include "measure/campaign.h"
 #include "measure/testbed.h"
 #include "probe/prober.h"
+#include "routing/fib.h"
 #include "sim/token_bucket.h"
 
 namespace rr::measure {
@@ -243,6 +244,51 @@ TEST(LayerMemory, CampaignCountsTheMatrixAndTheUnions) {
   // Freezing moves the matrix out; the unions stay.
   const auto matrix = campaign.take_observations();
   EXPECT_EQ(campaign.memory_bytes(), union_bytes);
+}
+
+TEST(LayerMemory, CampaignReportsItsLargestBlockTransients) {
+  TestbedConfig config;
+  config.topo_params = topo::TopologyParams::test_scale();
+  Testbed testbed{config};
+  CampaignConfig campaign_config;
+  const std::size_t n_dests = testbed.topology().destinations().size();
+  campaign_config.stream_block = n_dests / 3 + 1;  // three blocks
+  const Campaign campaign = Campaign::run(testbed, campaign_config);
+  const CampaignPhaseStats& stats = campaign.phase_stats();
+
+  // The largest block's compiled FIB, rebuilt block by block from the
+  // campaign's row set (its VPs, then the probe host).
+  std::vector<HostId> sources;
+  for (const auto* vp : campaign.vps()) sources.push_back(vp->host);
+  sources.push_back(testbed.topology().probe_host());
+  const std::span<const HostId> dests{campaign.destinations()};
+  std::size_t fib_bytes = 0;
+  std::size_t union_bytes = 0;  // the largest block's deduplicated share
+  for (std::size_t begin = 0; begin < n_dests;
+       begin += campaign_config.stream_block) {
+    const std::size_t len =
+        std::min(campaign_config.stream_block, n_dests - begin);
+    const auto fib = route::CompiledFib::build(testbed.network().stitcher(),
+                                               sources,
+                                               dests.subspan(begin, len));
+    fib_bytes = std::max(fib_bytes, fib->memory_bytes());
+    std::size_t block_union = 0;
+    for (std::size_t d = begin; d < begin + len; ++d) {
+      block_union += campaign.recorded_union(d).size();
+    }
+    union_bytes = std::max(union_bytes, block_union * sizeof(net::IPv4Address));
+  }
+  ASSERT_GT(fib_bytes, 0u);
+  EXPECT_EQ(stats.peak_block_fib_bytes, fib_bytes);
+
+  // Raw sightings hold every recorded address before deduplication: at
+  // least the largest block's union, at most a full nine-slot RR list per
+  // (VP, destination) pair, with vector growth at most doubling it.
+  ASSERT_GT(union_bytes, 0u);
+  EXPECT_GE(stats.peak_block_sighting_bytes, union_bytes);
+  EXPECT_LE(stats.peak_block_sighting_bytes,
+            2 * campaign_config.stream_block * campaign.num_vps() * 9 *
+                sizeof(net::IPv4Address));
 }
 
 }  // namespace
