@@ -125,7 +125,8 @@ void BM_AsOfAddress(benchmark::State& state) {
   std::vector<net::IPv4Address> addrs(4096);
   for (auto& addr : addrs) {
     const topo::Host& host = topo->host_at(dests[rng.next_below(dests.size())]);
-    addr = host.prefix.address_at(rng.next_below(256));
+    addr = net::Prefix::slash24_of(host.address)
+               .address_at(rng.next_below(256));
   }
   std::size_t i = 0;
   for (auto _ : state) {

@@ -200,14 +200,6 @@ WalkResult Network::walk_pipeline(std::vector<std::uint8_t>& bytes,
                    kHopDelaySeconds);
 }
 
-std::optional<HostId> Network::host_owning(net::IPv4Address addr) const {
-  const auto owner = topology_->owner_of(addr);
-  if (!owner || owner->kind != topo::AddressOwner::Kind::kHost) {
-    return std::nullopt;
-  }
-  return owner->id;
-}
-
 bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
                          double time, std::uint64_t salt, SendContext& ctx,
                          StagedSend& out) {
@@ -225,7 +217,7 @@ bool Network::stage_send(HostId src, std::span<const std::uint8_t> bytes,
   // Responses chase the header's source address, which may be spoofed.
   const auto src_addr = pkt::peek_source(bytes);
   if (!src_addr) return false;
-  const auto reply_to = host_owning(*src_addr);
+  const auto reply_to = topology_->host_by_address(*src_addr);
   if (!reply_to) {
     ++c.dropped_unroutable;
     return false;

@@ -323,10 +323,6 @@ class Network {
                            std::uint64_t flow, int leg, SendContext& ctx,
                            bool doomed_in = false);
 
-  /// Host owning an address, if any (responses are routed to it).
-  [[nodiscard]] std::optional<HostId> host_owning(
-      net::IPv4Address addr) const;
-
   /// Builds + routes an ICMP error from a router back to `reply_to`. The
   /// error is built in the reply scratch and swapped into `offending`.
   std::optional<Delivery> emit_router_error(RouterId router,

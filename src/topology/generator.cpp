@@ -7,7 +7,6 @@
 
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace rr::topo {
 
@@ -42,48 +41,37 @@ std::size_t tier_index(AsTier tier) noexcept {
 
 }  // namespace
 
-/// Flat records accumulated by the serial plan pass. Every RNG draw, every
-/// ID and every address is fixed here, in exactly the order the old
-/// all-in-one builder produced them; materialize() then expands the records
-/// into the heavyweight structures in parallel. Records, not structures,
-/// because records append O(1) with no per-entity allocation — the plan
-/// pass stays cheap enough that Amdahl leaves the expensive expansion to
-/// the pool.
+/// The one record the serial pass keeps beside the topology: routers gain
+/// interfaces at several distinct moments (core fan-out, then one
+/// interface per incident link), so the (router, address) pairs are kept
+/// in creation order and grouped per router at the end.
 struct Generator::BuildPlan {
-  struct RouterRec {
-    AsId as = kNoAs;
-    bool border = false;
-  };
-  struct HostRec {
-    AsId as = kNoAs;
-    RouterId access = kNoRouter;
-    net::IPv4Address address;
-    net::Prefix prefix;
-    std::uint32_t alias_begin = 0;
-    std::uint32_t alias_count = 0;
-  };
-
-  std::vector<RouterRec> routers;
-  /// (router, address) in creation order; a router's first entry is its
-  /// loopback. Routers gain interfaces at several distinct moments (core
-  /// fan-out, then one interface per incident link), so the pairs are
-  /// grouped per router by a stable counting sort in materialize().
+  /// A router's first entry is its loopback.
   std::vector<std::pair<RouterId, net::IPv4Address>> interfaces;
-  std::vector<HostRec> hosts;
-  std::vector<net::IPv4Address> alias_arena;  // HostRec spans point here
-  /// Address-index inserts in legacy insertion order.
-  std::vector<std::pair<net::IPv4Address, AddressOwner>> owners;
 
-  RouterId add_router(AsId as, bool border, net::IPv4Address loopback) {
-    const RouterId id = static_cast<RouterId>(routers.size());
-    routers.push_back({as, border});
+  /// Appends a router to the topology and to its AS's router list.
+  RouterId add_router(Topology& topo, AsId as, bool border,
+                      net::IPv4Address loopback) {
+    const RouterId id = static_cast<RouterId>(topo.routers_.size());
+    topo.routers_.push_back({as, loopback, border});
+    topo.ases_[as].routers.push_back(id);
     interfaces.emplace_back(id, loopback);
-    owners.push_back({loopback, {AddressOwner::Kind::kRouter, id}});
     return id;
   }
-  void add_interface(RouterId id, net::IPv4Address addr) {
-    interfaces.emplace_back(id, addr);
-    owners.push_back({addr, {AddressOwner::Kind::kRouter, id}});
+
+  /// Groups the interfaces into the topology's interface runs with a
+  /// stable counting sort: each router's run keeps creation order, so
+  /// its loopback comes first.
+  void lay_out_interfaces(Topology& topo) const {
+    std::vector<std::uint32_t>& offset = topo.iface_offset_;
+    offset.assign(topo.routers_.size() + 1, 0);
+    for (const auto& [rid, addr] : interfaces) ++offset[rid + 1];
+    std::partial_sum(offset.begin(), offset.end(), offset.begin());
+    topo.iface_arena_.resize(interfaces.size());
+    std::vector<std::uint32_t> cursor(offset.begin(), offset.end() - 1);
+    for (const auto& [rid, addr] : interfaces) {
+      topo.iface_arena_[cursor[rid]++] = addr;
+    }
   }
 };
 
@@ -100,9 +88,6 @@ struct Generator::AllocState {
     Chunk& chunk = infra[as];
     if (chunk.next >= chunk.end) {
       const net::Prefix block = topo.alloc_block(as);
-      if (topo.ases_[as].infra_prefix.length() == 0) {
-        topo.ases_[as].infra_prefix = block;
-      }
       chunk.next = block.base().value() + 1;  // skip .0
       chunk.end = block.base().value() + 255;  // skip .255
     }
@@ -110,100 +95,41 @@ struct Generator::AllocState {
   }
 };
 
+HostId Generator::add_host(Topology& topo, AsId as, RouterId access,
+                           net::IPv4Address address, int aliases) {
+  const HostId id = static_cast<HostId>(topo.hosts_.size());
+  topo.hosts_.push_back({as, access, address});
+  // A host with aliases owns the run [address, aliases...]; one without
+  // owns an empty run.
+  if (aliases > 0) {
+    for (std::uint32_t k = 0; k <= static_cast<std::uint32_t>(aliases); ++k) {
+      topo.alias_arena_.push_back(net::IPv4Address{address.value() + k});
+    }
+  }
+  topo.alias_offset_.push_back(
+      static_cast<std::uint32_t>(topo.alias_arena_.size()));
+  return id;
+}
+
 std::shared_ptr<const Topology> Generator::generate() {
   auto topo = std::make_shared<Topology>();
   util::Rng rng{params_.seed};
   AllocState alloc;
   BuildPlan plan;
 
-  // Serial plan: consumes the whole RNG stream in the fixed legacy order.
   assign_types_and_tiers(*topo, rng);
   select_site_ases(*topo, rng);
   alloc.infra.resize(topo->ases_.size());
   build_provider_links(*topo, rng);
   build_peering_links(*topo, rng);
-  build_routers(*topo, plan, alloc, rng);
+  build_routers(*topo, plan, alloc);
   build_destinations(*topo, plan, alloc, rng);
   place_vantage_points(*topo, plan, alloc, rng);
-
-  // Parallel materialize + freeze. The thread count changes wall-clock
-  // time only; every byte of the result is fixed by the plan.
-  util::ThreadPool pool{util::resolve_thread_count(params_.threads)};
-  materialize(*topo, plan, pool);
+  plan.lay_out_interfaces(*topo);
   topo->compile();
 
   util::log_info() << "generated topology: " << topo->summary();
   return topo;
-}
-
-void Generator::materialize(Topology& topo, BuildPlan& plan,
-                            util::ThreadPool& pool) {
-  topo.assert_mutable();
-
-  // Group interface addresses by router with a stable counting sort: the
-  // per-router order equals plan order, which equals the order the legacy
-  // builder pushed them (loopback first). The topology keeps the arena.
-  const std::size_t n_routers = plan.routers.size();
-  std::vector<std::uint32_t>& iface_offset = topo.iface_offset_;
-  iface_offset.assign(n_routers + 1, 0);
-  for (const auto& [rid, addr] : plan.interfaces) ++iface_offset[rid + 1];
-  std::partial_sum(iface_offset.begin(), iface_offset.end(),
-                   iface_offset.begin());
-  topo.iface_arena_.resize(plan.interfaces.size());
-  {
-    std::vector<std::uint32_t> cursor(iface_offset.begin(),
-                                      iface_offset.end() - 1);
-    for (const auto& [rid, addr] : plan.interfaces) {
-      topo.iface_arena_[cursor[rid]++] = addr;
-    }
-  }
-
-  // Host alias runs: [address, aliases...] for a host with aliases, empty
-  // for the rest, in host order.
-  const std::size_t n_hosts = plan.hosts.size();
-  std::vector<std::uint32_t>& alias_offset = topo.alias_offset_;
-  alias_offset.assign(n_hosts + 1, 0);
-  for (std::size_t h = 0; h < n_hosts; ++h) {
-    const std::uint32_t extra = plan.hosts[h].alias_count;
-    alias_offset[h + 1] = alias_offset[h] + (extra == 0 ? 0 : 1 + extra);
-  }
-  topo.alias_arena_.resize(alias_offset[n_hosts]);
-
-  // Expand entities across the pool in disjoint index blocks.
-  constexpr std::size_t kBlock = 4096;
-  topo.routers_.resize(n_routers);
-  const std::size_t router_blocks = (n_routers + kBlock - 1) / kBlock;
-  pool.parallel_for(router_blocks, [&](std::size_t b) {
-    const std::size_t end = std::min(n_routers, (b + 1) * kBlock);
-    for (std::size_t r = b * kBlock; r < end; ++r) {
-      Router& out = topo.routers_[r];
-      out.as_id = plan.routers[r].as;
-      out.is_border = plan.routers[r].border;
-      out.loopback = topo.iface_arena_[iface_offset[r]];
-    }
-  });
-
-  topo.hosts_.resize(n_hosts);
-  const std::size_t host_blocks = (n_hosts + kBlock - 1) / kBlock;
-  pool.parallel_for(host_blocks, [&](std::size_t b) {
-    const std::size_t end = std::min(n_hosts, (b + 1) * kBlock);
-    for (std::size_t h = b * kBlock; h < end; ++h) {
-      const BuildPlan::HostRec& rec = plan.hosts[h];
-      Host& out = topo.hosts_[h];
-      out.as_id = rec.as;
-      out.access_router = rec.access;
-      out.address = rec.address;
-      out.prefix = rec.prefix;
-      if (rec.alias_count == 0) continue;
-      const auto aliases = plan.alias_arena.begin() + rec.alias_begin;
-      const auto run = topo.alias_arena_.begin() + alias_offset[h];
-      *run = rec.address;
-      std::copy(aliases, aliases + rec.alias_count, run + 1);
-    }
-  });
-
-  // The address index build is internally sharded and parallel.
-  topo.address_index_.build(plan.owners, pool);
 }
 
 void Generator::assign_types_and_tiers(Topology& topo, util::Rng& rng) {
@@ -627,20 +553,16 @@ void Generator::build_peering_links(Topology& topo, util::Rng& rng) {
 }
 
 void Generator::build_routers(Topology& topo, BuildPlan& plan,
-                              AllocState& alloc, util::Rng& rng) {
-  (void)rng;
+                              AllocState& alloc) {
   topo.assert_mutable();
   auto new_router = [&](AsId as, bool border) {
-    const RouterId id =
-        plan.add_router(as, border, alloc.infra_addr(topo, as));
-    topo.ases_[as].routers.push_back(id);
-    return id;
+    return plan.add_router(topo, as, border, alloc.infra_addr(topo, as));
   };
 
   auto add_interface = [&](RouterId id) {
     const net::IPv4Address addr =
-        alloc.infra_addr(topo, plan.routers[id].as);
-    plan.add_interface(id, addr);
+        alloc.infra_addr(topo, topo.routers_[id].as_id);
+    plan.interfaces.emplace_back(id, addr);
     return addr;
   };
 
@@ -662,7 +584,7 @@ void Generator::build_routers(Topology& topo, BuildPlan& plan,
     AsInfo& info = topo.ases_[as];
     if (info.tier == AsTier::kStub) {
       const RouterId id = info.core.front();
-      plan.routers[id].border = true;
+      topo.routers_[id].is_border = true;
       return id;
     }
     return new_router(as, /*border=*/true);
@@ -681,11 +603,10 @@ void Generator::build_destinations(Topology& topo, BuildPlan& plan,
                                    AllocState& alloc, util::Rng& rng) {
   topo.assert_mutable();
   auto new_chain_router = [&](AsId as) {
-    const RouterId id =
-        plan.add_router(as, /*border=*/false, alloc.infra_addr(topo, as));
-    topo.ases_[as].routers.push_back(id);
+    const RouterId id = plan.add_router(topo, as, /*border=*/false,
+                                        alloc.infra_addr(topo, as));
     // One downstream-facing interface besides the loopback.
-    plan.add_interface(id, alloc.infra_addr(topo, as));
+    plan.interfaces.emplace_back(id, alloc.infra_addr(topo, as));
     return id;
   };
 
@@ -735,33 +656,15 @@ void Generator::build_destinations(Topology& topo, BuildPlan& plan,
         shifted_geometric(rng, mean, params_.max_prefixes_per_as);
     for (int i = 0; i < count; ++i) {
       const net::Prefix block = topo.alloc_block(as);
-
-      BuildPlan::HostRec host;
-      host.as = as;
-      host.access = access_router_for(as);
-      host.address = block.address_at(1);
-      host.prefix = block;
-      host.alias_begin = static_cast<std::uint32_t>(plan.alias_arena.size());
+      const RouterId access = access_router_for(as);
+      int aliases = 0;
       if (rng.chance(params_.host_alias_fraction)) {
-        const int aliases = static_cast<int>(
-            rng.next_in(1, params_.max_host_aliases));
-        for (int k = 0; k < aliases; ++k) {
-          plan.alias_arena.push_back(
-              block.address_at(2 + static_cast<std::uint64_t>(k)));
-        }
-        host.alias_count = static_cast<std::uint32_t>(aliases);
+        aliases = static_cast<int>(rng.next_in(1, params_.max_host_aliases));
       }
-
-      const HostId host_id = static_cast<HostId>(plan.hosts.size());
-      plan.hosts.push_back(host);
+      const HostId host_id =
+          add_host(topo, as, access, block.address_at(1), aliases);
       info.hosts.push_back(host_id);
       topo.destinations_.push_back(host_id);
-      plan.owners.push_back(
-          {host.address, {AddressOwner::Kind::kHost, host_id}});
-      for (std::uint32_t k = 0; k < host.alias_count; ++k) {
-        plan.owners.push_back({plan.alias_arena[host.alias_begin + k],
-                               {AddressOwner::Kind::kHost, host_id}});
-      }
     }
   }
 }
@@ -777,33 +680,17 @@ void Generator::place_vantage_points(Topology& topo, BuildPlan& plan,
     const AsInfo& info = topo.ases_[as];
     const RouterId core = info.core[rng.next_below(info.core.size())];
 
-    auto new_router = [&](AsId owner_as) {
-      const RouterId id = plan.add_router(owner_as, /*border=*/false,
-                                          alloc.infra_addr(topo, owner_as));
-      topo.ases_[owner_as].routers.push_back(id);
-      return id;
-    };
-
     std::vector<RouterId> chain{core};
-    for (int i = 0; i < campus_depth; ++i) chain.push_back(new_router(as));
+    for (int i = 0; i < campus_depth; ++i) {
+      chain.push_back(plan.add_router(topo, as, /*border=*/false,
+                                      alloc.infra_addr(topo, as)));
+    }
     const RouterId access = chain.back();
     if (!topo.access_chain_.contains(access)) {
       topo.access_chain_.emplace(access, chain);
     }
-
-    BuildPlan::HostRec host;
-    host.as = as;
-    host.access = access;
-    host.address = alloc.infra_addr(topo, as);
-    // The /24 block the address came from: once an AS has rolled over to
-    // a later infrastructure block, that is not its first one.
-    host.prefix = net::Prefix{host.address, 24};
-    host.alias_begin = static_cast<std::uint32_t>(plan.alias_arena.size());
-    const HostId host_id = static_cast<HostId>(plan.hosts.size());
-    plan.hosts.push_back(host);
-    plan.owners.push_back(
-        {host.address, {AddressOwner::Kind::kHost, host_id}});
-    return host_id;
+    return add_host(topo, as, access, alloc.infra_addr(topo, as),
+                    /*aliases=*/0);
   };
 
   // Site ASes were chosen before link construction (so connectivity could

@@ -5,15 +5,13 @@
 // (cores, borders, access chains), the address plan, destination hosts (one
 // per advertised prefix), vantage points and cloud providers.
 //
-// The same seed always yields the same Internet, byte for byte — at any
-// thread count. Generation is split into a serial *plan* pass, which makes
-// every RNG draw, ID assignment and address allocation in one fixed order
-// and records them as flat arrays, and a *materialize* pass that expands
-// those records into the per-entity structures (routers, hosts, the
-// interface and alias arenas, the address index) across a
-// util::ThreadPool. Each worker owns a disjoint index range and the merged
-// result is a pure function of the plan, so threads only change wall-clock
-// time, never a byte of the output.
+// The same seed always yields the same Internet, byte for byte. Generation
+// is one serial pass: it makes every RNG draw, ID assignment and address
+// allocation in one fixed order and appends each router, host and host
+// alias run to the topology as it creates them. Only router interfaces
+// are grouped afterwards (a router gains them at several moments), by a
+// stable counting sort; Topology::compile() then lays out the owner runs
+// and freezes the result.
 #pragma once
 
 #include <memory>
@@ -21,10 +19,6 @@
 #include "topology/params.h"
 #include "topology/topology.h"
 #include "util/rng.h"
-
-namespace rr::util {
-class ThreadPool;
-}  // namespace rr::util
 
 namespace rr::topo {
 
@@ -45,17 +39,16 @@ class Generator {
   void select_site_ases(Topology& topo, util::Rng& rng);
   void build_provider_links(Topology& topo, util::Rng& rng);
   void build_peering_links(Topology& topo, util::Rng& rng);
-  void build_routers(Topology& topo, BuildPlan& plan, AllocState& alloc,
-                     util::Rng& rng);
+  void build_routers(Topology& topo, BuildPlan& plan, AllocState& alloc);
   void build_destinations(Topology& topo, BuildPlan& plan, AllocState& alloc,
                           util::Rng& rng);
   void place_vantage_points(Topology& topo, BuildPlan& plan,
                             AllocState& alloc, util::Rng& rng);
 
-  /// Expands the plan's flat records into routers_, hosts_, the interface
-  /// and alias arenas and the address index. Parallel over disjoint index
-  /// ranges; bit-identical at any thread count.
-  void materialize(Topology& topo, BuildPlan& plan, util::ThreadPool& pool);
+  /// Appends a host whose device also owns the `aliases` addresses after
+  /// `address`, with its alias run.
+  static HostId add_host(Topology& topo, AsId as, RouterId access,
+                         net::IPv4Address address, int aliases);
 
   TopologyParams params_;
 

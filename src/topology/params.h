@@ -18,9 +18,9 @@ namespace rr::topo {
 struct TopologyParams {
   std::uint64_t seed = 20160924;  // RouteViews snapshot date in the paper
 
-  /// Worker threads for the materialize/compile phases (0 = resolve from
-  /// RROPT_THREADS / hardware concurrency). The generated topology is
-  /// bit-identical at every thread count; this only affects wall-clock.
+  /// Has no effect: generation is one serial pass. It stays only because
+  /// the census benchmark sets it, until the next benchmark change retires
+  /// it.
   int threads = 0;
 
   // ------------------------------------------------------------------ scale

@@ -1,6 +1,8 @@
 #include "topology/topology.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 #include "util/strings.h"
@@ -29,7 +31,14 @@ const char* to_string(Platform platform) noexcept {
 
 void Topology::compile() {
   assert_mutable();
-  block_as_.shrink_to_fit();
+  // The generator appended these one entry at a time; drop the growth
+  // slack.
+  blocks_.shrink_to_fit();
+  routers_.shrink_to_fit();
+  hosts_.shrink_to_fit();
+  alias_offset_.shrink_to_fit();
+  alias_arena_.shrink_to_fit();
+  compile_owner_runs();
 
   vps_2011_.clear();
   vps_2016_.clear();
@@ -62,6 +71,58 @@ void Topology::compile() {
   std::unordered_map<std::uint64_t, LinkId>{}.swap(link_by_pair_);
 
   frozen_ = true;
+}
+
+void Topology::compile_owner_runs() {
+  // Every assigned address with its packed owner: router interfaces, then
+  // each host's address and aliases.
+  const auto for_each_owned = [&](const auto& visit) {
+    for (RouterId r = 0; r < routers_.size(); ++r) {
+      for (const net::IPv4Address addr : router_interfaces(r)) visit(addr, r);
+    }
+    for (HostId h = 0; h < hosts_.size(); ++h) {
+      const auto run = alias_run(h);
+      if (run.empty()) visit(hosts_[h].address, h | kHostBit);
+      for (const net::IPv4Address addr : run) visit(addr, h | kHostBit);
+    }
+  };
+  const auto fail = [](net::IPv4Address addr) {
+    throw std::logic_error(
+        "Topology: " + addr.to_string() +
+        " breaks the address plan; each /24 block's addresses must be one "
+        "gap-free run from .1, each owned once");
+  };
+  const auto block_of = [&](net::IPv4Address addr) {
+    const std::uint32_t block = (addr.value() - kFirstBlock) >> 8;
+    if (block >= blocks_.size() || (addr.value() & 0xffu) == 0) fail(addr);
+    return block;
+  };
+
+  // Count each block's addresses into its run start, then turn the counts
+  // into offsets.
+  for (Block& block : blocks_) block.owners = 0;
+  for_each_owned([&](net::IPv4Address addr, std::uint32_t) {
+    ++blocks_[block_of(addr)].owners;
+  });
+  std::uint32_t offset = 0;
+  for (Block& block : blocks_) {
+    const std::uint32_t count = block.owners;
+    block.owners = offset;
+    offset += count;
+  }
+  // A block with n addresses has n slots, so n addresses that each land
+  // on a distinct slot in .1 .. .n leave no gap.
+  constexpr std::uint32_t kUnowned = ~std::uint32_t{0};
+  owner_arena_.assign(offset, kUnowned);
+  for_each_owned([&](net::IPv4Address addr, std::uint32_t packed) {
+    const std::uint32_t block = block_of(addr);
+    const std::uint32_t at =
+        blocks_[block].owners + (addr.value() & 0xffu) - 1;
+    if (at >= owner_run_end(block) || owner_arena_[at] != kUnowned) {
+      fail(addr);
+    }
+    owner_arena_[at] = packed;
+  });
 }
 
 void Topology::compile_link_table() {
@@ -112,11 +173,10 @@ std::size_t Topology::memory_bytes() const noexcept {
   std::size_t total =
       bytes(ases_) + bytes(routers_) + bytes(hosts_) + bytes(links_) +
       bytes(vantage_points_) + bytes(clouds_) + bytes(destinations_) +
-      bytes(block_as_) + address_index_.memory_bytes() +
-      bytes(iface_offset_) + bytes(iface_arena_) + bytes(alias_offset_) +
-      bytes(alias_arena_) + bytes(vps_2011_) + bytes(vps_2016_) +
-      bytes(router_as_) + bytes(link_slots_) + bytes(chain_offset_) +
-      bytes(chain_arena_);
+      bytes(blocks_) + bytes(owner_arena_) + bytes(iface_offset_) +
+      bytes(iface_arena_) + bytes(alias_offset_) + bytes(alias_arena_) +
+      bytes(vps_2011_) + bytes(vps_2016_) + bytes(router_as_) +
+      bytes(link_slots_) + bytes(chain_offset_) + bytes(chain_arena_);
   for (const auto& as : ases_) {
     total += bytes(as.links) + bytes(as.routers) + bytes(as.core) +
              bytes(as.hosts);

@@ -7,13 +7,14 @@
 //
 // Each address fact is held once, in a flat form the per-packet queries
 // read with no per-call allocation. The address plan is contiguous,
-// unique /24 blocks allocated upward from 16.0.0.0, so `as_of_address` is
-// one load from a block-indexed AS table. Router interfaces and host
-// alias sets are offset + arena runs that the generator lays out once;
-// `owner_of` is an open-addressed index. compile() then precomputes the
-// per-epoch vantage-point lists and flattens the lookups path stitching
-// makes per hop (`link_between`, `access_chain`, `router_as_ids`). See
-// DESIGN.md §8.
+// unique /24 blocks allocated upward from 16.0.0.0, and every block's
+// assigned addresses are a gap-free run from .1, so the block table holds
+// each block's AS and where its run starts in one owner arena:
+// `as_of_address` is one load and `owner_of` two. Router interfaces and
+// host alias sets are offset + arena runs the generator appends once;
+// compile() lays the owner runs out from them, precomputes the per-epoch
+// vantage-point lists and flattens the lookups path stitching makes per
+// hop (`link_between`, `access_chain`, `router_as_ids`). See DESIGN.md §8.
 #pragma once
 
 #include <cassert>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "netbase/prefix.h"
-#include "topology/address_index.h"
 #include "topology/types.h"
 
 namespace rr::topo {
@@ -112,15 +112,25 @@ class Topology {
   [[nodiscard]] std::optional<AsId> as_of_address(
       net::IPv4Address addr) const noexcept {
     const std::uint32_t block = (addr.value() - kFirstBlock) >> 8;
-    if (block >= block_as_.size()) return std::nullopt;
-    return block_as_[block];
+    if (block >= blocks_.size()) return std::nullopt;
+    return blocks_[block].as;
   }
 
   /// Device-level owner (exact match), for the simulator and for alias
-  /// ground truth. Nullopt for addresses that were never assigned.
+  /// ground truth. Nullopt for addresses that were never assigned. The
+  /// address's block says where the block's owner run starts, and the
+  /// run holds .1, .2, ... in order, so the owner is one load past it.
   [[nodiscard]] std::optional<AddressOwner> owner_of(
       net::IPv4Address addr) const noexcept {
-    return address_index_.find(addr);
+    const std::uint32_t block = (addr.value() - kFirstBlock) >> 8;
+    const std::uint32_t host = addr.value() & 0xffu;
+    if (block >= blocks_.size() || host == 0) return std::nullopt;
+    const std::uint32_t at = blocks_[block].owners + host - 1;
+    if (at >= owner_run_end(block)) return std::nullopt;
+    const std::uint32_t packed = owner_arena_[at];
+    return AddressOwner{(packed & kHostBit) ? AddressOwner::Kind::kHost
+                                            : AddressOwner::Kind::kRouter,
+                        packed & ~kHostBit};
   }
 
   /// Ground-truth alias set (all addresses of the owning device),
@@ -153,7 +163,7 @@ class Topology {
   [[nodiscard]] std::string summary() const;
 
   /// Bytes the topology holds: its entity tables (with each AS's lists),
-  /// the address plan, the address index and the flat runs and tables
+  /// the block table and owner runs, and the flat runs and tables
   /// compile() lays out. Site names fit their strings' inline buffers.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
@@ -170,15 +180,26 @@ class Topology {
   /// kFirstBlock + 256 * b through kFirstBlock + 256 * b + 255.
   static constexpr std::uint32_t kFirstBlock = 0x1000'0000u;
 
+  /// An owner_arena_ entry is the owner's id, with this bit set for a host.
+  static constexpr std::uint32_t kHostBit = 0x8000'0000u;
+
   /// Allocates the plan's next /24 block to `as` (generator only).
   net::Prefix alloc_block(AsId as) {
     assert_mutable();
     const net::Prefix block{
         net::IPv4Address{kFirstBlock +
-                         (static_cast<std::uint32_t>(block_as_.size()) << 8)},
+                         (static_cast<std::uint32_t>(blocks_.size()) << 8)},
         24};
-    block_as_.push_back(as);
+    blocks_.push_back({as, 0});
     return block;
+  }
+
+  /// One past the last owner_arena_ entry of a block's run.
+  [[nodiscard]] std::uint32_t owner_run_end(
+      std::uint32_t block) const noexcept {
+    return block + 1 < blocks_.size()
+               ? blocks_[block + 1].owners
+               : static_cast<std::uint32_t>(owner_arena_.size());
   }
 
   /// A host's [address, aliases...] run; empty for a host with no aliases.
@@ -188,14 +209,20 @@ class Topology {
             alias_arena_.data() + alias_offset_[id + 1]};
   }
 
-  /// Freezes the generated world: trims the block table, caches the
-  /// per-epoch VP lists, flattens the stitch-path lookups (link pairs,
-  /// access chains, router AS ids) in index order and releases the
-  /// generation-time maps. Called once at the end of generation; the
-  /// compiled queries are valid only afterwards (the generator hands out
-  /// no topology before it). Sets `frozen_`: debug builds assert no
-  /// generator mutation path runs afterwards.
+  /// Freezes the generated world: trims the tables the generator
+  /// appended to, lays out the owner runs, caches the per-epoch VP lists,
+  /// flattens the stitch-path lookups (link pairs, access chains, router
+  /// AS ids) in index order and releases the generation-time maps. Called
+  /// once at the end of generation; the compiled queries are valid only
+  /// afterwards (the generator hands out no topology before it). Sets
+  /// `frozen_`: debug builds assert no generator mutation path runs
+  /// afterwards.
   void compile();
+
+  /// Lays out owner_arena_ and each block's run start from the interface
+  /// and alias runs. Throws std::logic_error unless every block's
+  /// assigned addresses are exactly .1 through .n, each owned once.
+  void compile_owner_runs();
 
   /// Builds link_slots_ from links_ (see link_between).
   void compile_link_table();
@@ -217,14 +244,22 @@ class Topology {
   std::vector<HostId> destinations_;
   HostId probe_host_ = kNoHost;
 
-  /// The AS of each /24 block of the address plan, by block number.
-  std::vector<AsId> block_as_;
-  AddressIndex address_index_;
+  /// A /24 block of the address plan: its AS, and where its owner run
+  /// (the owners of .1, .2, ...) starts in owner_arena_; the run ends
+  /// where the next block's starts.
+  struct Block {
+    AsId as;
+    std::uint32_t owners;
+  };
+  /// The plan's blocks, by block number, and their packed owner runs.
+  std::vector<Block> blocks_;
+  std::vector<std::uint32_t> owner_arena_;
   /// RouterId-indexed interface runs (offset[id] .. offset[id + 1]) and
-  /// HostId-indexed alias runs, each laid out once by the generator.
+  /// HostId-indexed alias runs, each laid out once by the generator. The
+  /// alias offsets start with the first host's, 0.
   std::vector<std::uint32_t> iface_offset_;
   std::vector<net::IPv4Address> iface_arena_;
-  std::vector<std::uint32_t> alias_offset_;
+  std::vector<std::uint32_t> alias_offset_{0};
   std::vector<net::IPv4Address> alias_arena_;
   // Generation-time indexes: the generator deduplicates links and chains
   // through them; compile() flattens them and releases both.

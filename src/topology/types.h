@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "netbase/address.h"
-#include "netbase/prefix.h"
 
 namespace rr::topo {
 
@@ -65,7 +64,6 @@ struct AsInfo {
   std::vector<RouterId> routers;    // all routers owned by this AS
   std::vector<RouterId> core;       // backbone routers used for transit
   std::vector<HostId> hosts;        // destination hosts in this AS
-  net::Prefix infra_prefix;         // block for router interfaces
 };
 
 struct AsLink {
@@ -94,14 +92,19 @@ struct Router {
   bool is_border = false;
 };
 
-/// A probe-able end host: one per advertised destination prefix, plus the
-/// hosts that vantage points run on. Any extra addresses the device owns
-/// are Topology::host_aliases(id).
+/// A probe-able end host: one per advertised destination prefix (the /24
+/// holding `address`), plus the hosts that vantage points run on. Any
+/// extra addresses the device owns are Topology::host_aliases(id).
 struct Host {
   AsId as_id = kNoAs;
   RouterId access_router = kNoRouter;
   net::IPv4Address address;
-  net::Prefix prefix;  // the advertised BGP prefix this host represents
+};
+
+/// Who owns an IP address: a router interface or an end-host device.
+struct AddressOwner {
+  enum class Kind : std::uint8_t { kRouter, kHost } kind = Kind::kRouter;
+  std::uint32_t id = 0;  // RouterId or HostId
 };
 
 enum class Platform : std::uint8_t {

@@ -173,11 +173,11 @@ TEST(CampaignDeterminism, FaultedContentsIdenticalAcrossThreadCounts) {
 }
 
 // End-to-end freeze of the tentpole contract: the *frozen dataset bytes* —
-// not just in-memory contents — are identical when both the world build
-// and the campaign run at 1, 2, or 8 worker threads, and that holds for
-// every streaming block size. (Different block sizes produce different
-// datasets by design — block-major probe order — so the hash is compared
-// within a block size, never across.)
+// not just in-memory contents — are identical when both the testbed (its
+// oracle build) and the campaign run at 1, 2, or 8 worker threads, and
+// that holds for every streaming block size. (Different block sizes
+// produce different datasets by design — block-major probe order — so the
+// hash is compared within a block size, never across.)
 TEST(CampaignDeterminism, DatasetHashIdenticalAcrossThreadsPerStreamBlock) {
   for (const std::size_t stream_block : {std::size_t{0}, std::size_t{7}}) {
     std::uint64_t reference = 0;
@@ -186,7 +186,6 @@ TEST(CampaignDeterminism, DatasetHashIdenticalAcrossThreadsPerStreamBlock) {
       TestbedConfig config;
       config.topo_params = topo::TopologyParams::test_scale();
       config.topo_params.seed = 7;
-      config.topo_params.threads = threads;  // parallel world build too
       config.threads = threads;
       Testbed testbed{config};
 

@@ -1,18 +1,15 @@
-// Property tests for the topology's flat address services: AddressIndex
-// must agree with std::unordered_map on randomized corpora, and a
-// generated topology's address-to-AS table, owner index, alias views and
-// per-epoch VP lists must answer what the generator recorded.
+// Property tests and golden pins for the topology's flat address
+// services: a generated topology's address-to-AS and owner answers over
+// every /24 block of its plan, its alias views and its per-epoch VP lists
+// must answer what the generator recorded.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "topology/address_index.h"
 #include "topology/generator.h"
-#include "util/rng.h"
 
 namespace rr {
 namespace {
@@ -23,46 +20,6 @@ std::uint64_t fnv(std::uint64_t hash, std::uint64_t value) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
-}
-
-TEST(AddressIndex, MatchesHashMapOnRandomCorpora) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    util::Rng rng{seed * 0x51c0ffeeULL};
-    topo::AddressIndex index;
-    std::unordered_map<std::uint32_t, topo::AddressOwner> reference;
-    const std::size_t n =
-        100 + static_cast<std::size_t>(rng.next_below(3000));
-    std::vector<std::uint32_t> keys;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Small key space so replacements actually happen; always include
-      // key 0 (the index's empty-slot sentinel) in the corpus.
-      const std::uint32_t key =
-          i == 0 ? 0u : static_cast<std::uint32_t>(rng.next_below(4096)) *
-                            (static_cast<std::uint32_t>(rng()) | 1u);
-      const topo::AddressOwner owner{
-          rng.chance(0.5) ? topo::AddressOwner::Kind::kHost
-                          : topo::AddressOwner::Kind::kRouter,
-          static_cast<std::uint32_t>(rng.next_below(0x7fffffffu))};
-      index.insert(net::IPv4Address{key}, owner);
-      reference[key] = owner;
-      keys.push_back(key);
-    }
-    ASSERT_EQ(index.size(), reference.size());
-    for (const std::uint32_t key : keys) {
-      const auto got = index.find(net::IPv4Address{key});
-      ASSERT_TRUE(got.has_value()) << key;
-      EXPECT_EQ(*got, reference.at(key)) << key;
-    }
-    for (std::size_t i = 0; i < 2000; ++i) {
-      const std::uint32_t key = static_cast<std::uint32_t>(rng());
-      const auto got = index.find(net::IPv4Address{key});
-      const auto it = reference.find(key);
-      ASSERT_EQ(got.has_value(), it != reference.end()) << key;
-      if (got) {
-        EXPECT_EQ(*got, it->second) << key;
-      }
-    }
-  }
 }
 
 TEST(CompiledTopology, FlatServicesMatchReferenceStructures) {
@@ -145,6 +102,38 @@ TEST(CompiledTopology, FlatServicesMatchReferenceStructures) {
       EXPECT_EQ(compiled[i], reference[i]);
     }
   }
+}
+
+/// owner_of over all 256 addresses of every /24 block of the test-scale
+/// plan, of the block below 16.0.0.0 and of the first block past the
+/// plan: a miss, or the owner's kind and id. The digest and the number of
+/// owned addresses were pinned when an open-addressed hash index over
+/// every assigned address answered.
+TEST(CompiledTopology, OwnerOfMatchesTheParentOverEveryBlock) {
+  constexpr std::uint64_t kOwnerDigest = 0xd45c8e443d3e6509ULL;
+  constexpr std::size_t kOwnedAddresses = 3459;
+  const auto topo =
+      topo::Generator{topo::TopologyParams::test_scale()}.generate();
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t owned = 0;
+  const auto stamp_block = [&](std::uint32_t base) {
+    for (std::uint32_t offset = 0; offset < 256; ++offset) {
+      const auto owner = topo->owner_of(net::IPv4Address{base + offset});
+      digest = fnv(digest, owner ? static_cast<std::uint64_t>(owner->kind) + 1
+                                 : 0);
+      if (!owner) continue;
+      digest = fnv(digest, owner->id);
+      ++owned;
+    }
+  };
+  stamp_block(0x1000'0000u - 256);
+  std::uint32_t base = 0x1000'0000u;
+  for (; topo->as_of_address(net::IPv4Address{base}); base += 256) {
+    stamp_block(base);
+  }
+  stamp_block(base);
+  EXPECT_EQ(owned, kOwnedAddresses);
+  EXPECT_EQ(digest, kOwnerDigest);
 }
 
 }  // namespace

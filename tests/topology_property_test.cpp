@@ -7,9 +7,12 @@
 #include <unordered_set>
 
 #include "topology/generator.h"
+#include "world_fingerprint.h"
 
 namespace rr::topo {
 namespace {
+
+using golden::fnv;
 
 class GeneratedWorld : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -52,17 +55,21 @@ TEST_P(GeneratedWorld, EveryRouterHasItsLoopbackFirst) {
   }
 }
 
-/// Every destination (with its aliases), VP, probe and cloud probe host
-/// lies inside its own prefix. Returns how many of the measurement hosts
-/// (VP, probe and cloud) hold an address outside their AS's first
-/// infrastructure block, i.e. were placed after the AS rolled over to a
-/// later one.
+/// Every destination's aliases share its /24, and every address of a
+/// destination and every VP, probe and cloud probe host maps to its own AS
+/// through as_of_address. Returns how many of the measurement hosts (VP,
+/// probe and cloud) hold an address outside their AS's first
+/// infrastructure block (the /24 of its first core router's loopback),
+/// i.e. were placed after the AS rolled over to a later one.
 std::size_t expect_hosts_in_their_prefix(const Topology& topo) {
   for (const HostId id : topo.destinations()) {
     const auto& host = topo.host_at(id);
-    EXPECT_TRUE(host.prefix.contains(host.address));
+    const auto block = net::Prefix::slash24_of(host.address);
+    EXPECT_EQ(topo.as_of_address(host.address), host.as_id);
     for (const auto& alias : topo.host_aliases(id)) {
-      EXPECT_TRUE(host.prefix.contains(alias));
+      EXPECT_TRUE(block.contains(alias))
+          << alias.to_string() << " outside " << block.to_string();
+      EXPECT_EQ(topo.as_of_address(alias), host.as_id);
     }
   }
   std::vector<HostId> probers{topo.probe_host()};
@@ -71,12 +78,12 @@ std::size_t expect_hosts_in_their_prefix(const Topology& topo) {
   std::size_t rolled_over = 0;
   for (const HostId id : probers) {
     const auto& host = topo.host_at(id);
-    EXPECT_TRUE(host.prefix.contains(host.address))
-        << host.address.to_string() << " outside " << host.prefix.to_string();
-    EXPECT_EQ(host.prefix.length(), 24);
-    if (!topo.as_at(host.as_id).infra_prefix.contains(host.address)) {
-      ++rolled_over;
-    }
+    EXPECT_EQ(topo.as_of_address(host.address), host.as_id)
+        << host.address.to_string();
+    const RouterId first_core = topo.as_at(host.as_id).core.front();
+    const auto first_block =
+        net::Prefix::slash24_of(topo.router_at(first_core).loopback);
+    if (!first_block.contains(host.address)) ++rolled_over;
   }
   return rolled_over;
 }
@@ -109,7 +116,8 @@ TEST_P(GeneratedWorld, PrefixBlocksNeverOverlap) {
   for (std::size_t i = 0; i < topo_->destinations().size(); i += 11) {
     const auto& host = topo_->host_at(topo_->destinations()[i]);
     for (const std::uint64_t offset : {0ULL, 1ULL, 128ULL, 255ULL}) {
-      const auto as = topo_->as_of_address(host.prefix.address_at(offset));
+      const auto as = topo_->as_of_address(
+          net::Prefix::slash24_of(host.address).address_at(offset));
       ASSERT_TRUE(as.has_value());
       EXPECT_EQ(*as, host.as_id);
     }
@@ -183,187 +191,71 @@ TEST_P(GeneratedWorld, CloudsPeerFarMoreThanOrdinaryContent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedWorld,
                          ::testing::Values(1, 2, 3, 42, 20160924));
 
-// ------------------------------------------------- thread-count identity
+// ------------------------------------------------------- golden worlds
 
-std::uint64_t fnv(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (i * 8)) & 0xff;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t fnv_str(std::uint64_t hash, const std::string& s) {
-  hash = fnv(hash, s.size());
-  for (const char c : s) hash = fnv(hash, static_cast<std::uint8_t>(c));
-  return hash;
-}
-
-/// Hashes every observable structure of a generated world, including the
-/// flat address services (address-to-AS answers, interface and alias
-/// runs, the address index): if any byte of the generation or freeze
-/// depended on the worker count, some field below would differ.
-std::uint64_t world_fingerprint(const Topology& topo) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& as : topo.ases()) {
-    h = fnv(h, as.asn);
-    h = fnv(h, static_cast<std::uint64_t>(as.type));
-    h = fnv(h, static_cast<std::uint64_t>(as.tier));
-    h = fnv(h, as.depth);
-    h = fnv(h, (std::uint64_t{as.colo_presence} << 1) | as.cloud);
-    h = fnv(h, as.internal_hops);
-    for (const LinkId link : as.links) h = fnv(h, link);
-    for (const RouterId r : as.routers) h = fnv(h, r);
-    for (const RouterId r : as.core) h = fnv(h, r);
-    for (const HostId host : as.hosts) h = fnv(h, host);
-    h = fnv(h, as.infra_prefix.base().value());
-    h = fnv(h, as.infra_prefix.length());
-  }
-  for (RouterId r = 0; r < topo.routers().size(); ++r) {
-    const Router& router = topo.router_at(r);
-    h = fnv(h, router.as_id);
-    h = fnv(h, router.loopback.value());
-    h = fnv(h, router.is_border);
-    for (const auto addr : topo.router_interfaces(r)) {
-      h = fnv(h, addr.value());
-    }
-    // Compiled services must agree with the structures: device ownership
-    // and the ground-truth alias view of the loopback.
-    const auto owner = topo.owner_of(router.loopback);
-    h = fnv(h, owner ? static_cast<std::uint64_t>(owner->kind) + 1 : 0);
-    h = fnv(h, owner ? owner->id : kNoRouter);
-    for (const auto addr : topo.aliases_of(router.loopback)) {
-      h = fnv(h, addr.value());
-    }
-  }
-  for (HostId id = 0; id < topo.hosts().size(); ++id) {
-    const Host& host = topo.host_at(id);
-    h = fnv(h, host.as_id);
-    h = fnv(h, host.access_router);
-    h = fnv(h, host.address.value());
-    h = fnv(h, host.prefix.base().value());
-    h = fnv(h, host.prefix.length());
-    for (const auto addr : topo.host_aliases(id)) h = fnv(h, addr.value());
-    for (const auto addr : topo.aliases_of(host.address)) {
-      h = fnv(h, addr.value());
-    }
-    const auto as = topo.as_of_address(host.address);
-    h = fnv(h, as ? std::uint64_t{*as} + 1 : 0);
-    for (const RouterId r : topo.access_chain(host.access_router)) {
-      h = fnv(h, r);
-    }
-  }
-  for (const auto& link : topo.links()) {
-    h = fnv(h, link.a);
-    h = fnv(h, link.b);
-    h = fnv(h, static_cast<std::uint64_t>(link.kind));
-    h = fnv(h, link.exists_in_2011);
-    h = fnv(h, link.router_a);
-    h = fnv(h, link.router_b);
-    h = fnv(h, link.addr_a.value());
-    h = fnv(h, link.addr_b.value());
-  }
-  for (const auto& vp : topo.vantage_points()) {
-    h = fnv(h, vp.host);
-    h = fnv(h, static_cast<std::uint64_t>(vp.platform));
-    h = fnv_str(h, vp.site);
-    h = fnv(h, (std::uint64_t{vp.exists_in_2011} << 1) | vp.exists_in_2016);
-  }
-  for (const Epoch epoch : {Epoch::k2011, Epoch::k2016}) {
-    for (const auto* vp : topo.vantage_points_in(epoch)) {
-      h = fnv(h, vp->host);
-    }
-  }
-  for (const auto& cloud : topo.clouds()) {
-    h = fnv_str(h, cloud.name);
-    h = fnv(h, cloud.as_id);
-    h = fnv(h, cloud.probe_host);
-  }
-  for (const HostId dest : topo.destinations()) h = fnv(h, dest);
-  h = fnv(h, topo.probe_host());
-  return h;
-}
-
-// The tentpole contract of the parallel world build: generation and the
-// compile() freeze are bit-identical at every worker-thread count. A
-// failure here means some materialize/compile shard leaked its schedule
-// into the output.
-TEST(GeneratorThreads, WorldBitIdenticalAcrossThreadCounts) {
-  std::uint64_t reference = 0;
-  bool have_reference = false;
-  for (const int threads : {1, 2, 8}) {
-    TopologyParams params = TopologyParams::test_scale();
-    params.seed = 20160924;
-    params.threads = threads;
-    Generator generator{params};
-    const auto topo = generator.generate();
-    const std::uint64_t fingerprint = world_fingerprint(*topo);
-    if (!have_reference) {
-      reference = fingerprint;
-      have_reference = true;
-    } else {
-      EXPECT_EQ(reference, fingerprint)
-          << "world differs at " << threads << " threads";
-    }
-  }
+/// The test-scale world at seed 20160924 fingerprints to the digest the
+/// parent build printed, when the generator still expanded its records on
+/// a thread pool and an open-addressed index answered owner_of (pinned
+/// then at 1, 2 and 8 threads alike).
+TEST(WorldFingerprint, TestScaleMatchesTheParent) {
+  constexpr std::uint64_t kTestScaleFingerprint = 0x4fe38ebb59f8d674ULL;
+  TopologyParams params = TopologyParams::test_scale();
+  params.seed = 20160924;
+  const auto topo = Generator{params}.generate();
+  EXPECT_EQ(golden::world_fingerprint(*topo), kTestScaleFingerprint);
 }
 
 /// The stitch-path lookups answer exactly what the generator recorded, on
-/// GeneratorThreads' world at every thread count: every link is found
-/// from both ends, sampled non-adjacent pairs find nothing, the access
-/// chains hash to the digest the generator's chain map produced (pinned
-/// when that map still answered access_chain), and every router's
-/// interface run and every host's alias run hash to the digest pinned
-/// when each Router and Host still carried its own address vector.
+/// WorldFingerprint's test-scale world: every link is found from both
+/// ends, sampled non-adjacent pairs find nothing, the access chains hash
+/// to the digest the generator's chain map produced (pinned when that map
+/// still answered access_chain), and every router's interface run and
+/// every host's alias run hash to the digest pinned when each Router and
+/// Host still carried its own address vector.
 TEST(Topology, FlatLookupsMatchTheLinkTable) {
   constexpr std::uint64_t kChainDigest = 0xc6bd0d0c97de2f20ULL;
   constexpr std::uint64_t kRunDigest = 0xbf3dd693c158b07dULL;
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE(testing::Message() << threads << " threads");
-    TopologyParams params = TopologyParams::test_scale();
-    params.seed = 20160924;
-    params.threads = threads;
-    const auto topo = Generator{params}.generate();
-
-    for (LinkId id = 0; id < topo->links().size(); ++id) {
-      const AsLink& link = topo->link_at(id);
-      EXPECT_EQ(topo->link_between(link.a, link.b), id);
-      EXPECT_EQ(topo->link_between(link.b, link.a), id);
-    }
-    const std::size_t n = topo->ases().size();
-    int non_adjacent = 0;
-    for (AsId a = 0; a < n; a += 3) {
-      for (AsId b = 0; b < n; b += 7) {
-        const auto& links = topo->as_at(a).links;
-        const bool adjacent =
-            std::any_of(links.begin(), links.end(), [&](LinkId id) {
-              return topo->link_at(id).other(a) == b;
-            });
-        if (adjacent) continue;
-        ++non_adjacent;
-        EXPECT_EQ(topo->link_between(a, b), std::nullopt) << a << "-" << b;
-      }
-    }
-    EXPECT_GT(non_adjacent, 100);
-
-    std::uint64_t chains = 0xcbf29ce484222325ULL;
-    std::uint64_t runs = 0xcbf29ce484222325ULL;
-    for (RouterId r = 0; r < topo->routers().size(); ++r) {
-      const auto chain = topo->access_chain(r);
-      chains = fnv(chains, chain.size());
-      for (const RouterId hop : chain) chains = fnv(chains, hop);
-      const auto interfaces = topo->router_interfaces(r);
-      runs = fnv(runs, interfaces.size());
-      for (const auto addr : interfaces) runs = fnv(runs, addr.value());
-    }
-    for (HostId h = 0; h < topo->hosts().size(); ++h) {
-      const auto aliases = topo->host_aliases(h);
-      runs = fnv(runs, aliases.size());
-      for (const auto addr : aliases) runs = fnv(runs, addr.value());
-    }
-    EXPECT_EQ(chains, kChainDigest);
-    EXPECT_EQ(runs, kRunDigest);
+  TopologyParams params = TopologyParams::test_scale();
+  params.seed = 20160924;
+  const auto topo = Generator{params}.generate();
+  for (LinkId id = 0; id < topo->links().size(); ++id) {
+    const AsLink& link = topo->link_at(id);
+    EXPECT_EQ(topo->link_between(link.a, link.b), id);
+    EXPECT_EQ(topo->link_between(link.b, link.a), id);
   }
+  const std::size_t n = topo->ases().size();
+  int non_adjacent = 0;
+  for (AsId a = 0; a < n; a += 3) {
+    for (AsId b = 0; b < n; b += 7) {
+      const auto& links = topo->as_at(a).links;
+      const bool adjacent =
+          std::any_of(links.begin(), links.end(), [&](LinkId id) {
+            return topo->link_at(id).other(a) == b;
+          });
+      if (adjacent) continue;
+      ++non_adjacent;
+      EXPECT_EQ(topo->link_between(a, b), std::nullopt) << a << "-" << b;
+    }
+  }
+  EXPECT_GT(non_adjacent, 100);
+
+  std::uint64_t chains = 0xcbf29ce484222325ULL;
+  std::uint64_t runs = 0xcbf29ce484222325ULL;
+  for (RouterId r = 0; r < topo->routers().size(); ++r) {
+    const auto chain = topo->access_chain(r);
+    chains = fnv(chains, chain.size());
+    for (const RouterId hop : chain) chains = fnv(chains, hop);
+    const auto interfaces = topo->router_interfaces(r);
+    runs = fnv(runs, interfaces.size());
+    for (const auto addr : interfaces) runs = fnv(runs, addr.value());
+  }
+  for (HostId h = 0; h < topo->hosts().size(); ++h) {
+    const auto aliases = topo->host_aliases(h);
+    runs = fnv(runs, aliases.size());
+    for (const auto addr : aliases) runs = fnv(runs, addr.value());
+  }
+  EXPECT_EQ(chains, kChainDigest);
+  EXPECT_EQ(runs, kRunDigest);
 }
 
 }  // namespace

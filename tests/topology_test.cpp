@@ -150,11 +150,17 @@ TEST_F(TopologyTest, MemoryCoversEveryTable) {
     viewed += (aliases.empty() ? 0 : aliases.size_bytes() + 4) +
               sizeof(std::uint32_t);
   }
-  // The address index holds an 8-byte slot per address, at least.
-  viewed += addresses * 8;
+  // The owner runs: a 4-byte owner per address, and one run offset per
+  // /24 block of the plan.
+  std::size_t blocks = 0;
+  for (std::uint32_t base = 0x1000'0000u;
+       t.as_of_address(net::IPv4Address{base}); base += 256) {
+    ++blocks;
+  }
+  viewed += addresses * 4 + blocks * sizeof(std::uint32_t);
   EXPECT_GE(t.memory_bytes(), viewed);
-  // The rest is growth slack, the index's empty slots, the block table,
-  // the per-epoch VP lists and the link table.
+  // The rest is growth slack, each block's AS, the per-epoch VP lists and
+  // the link table.
   EXPECT_LE(t.memory_bytes(), 2 * viewed);
 }
 
